@@ -94,7 +94,7 @@ def time_batch_baseline(trace, repeats: int) -> float:
                 if len(ssz):
                     driver.send(shard, shi, slo, ssz)
             offset += len(sizes)
-        driver.results()
+        list(driver.results())  # a generator: iterate it to finalize
         best = min(best, time.perf_counter() - start)
     return best
 

@@ -55,6 +55,10 @@ from repro.engine.kernels import KERNEL_BACKEND_CODES, KERNEL_GAUGE
 from repro.obs.registry import get_registry
 
 
+#: Gauge reporting the engine's kernel chunk in packets.
+CHUNK_GAUGE = "pipeline.chunk"
+
+
 class PipelineStalled(RuntimeError):
     """The producer needs a slot but no stage can make progress."""
 
@@ -207,7 +211,9 @@ class StagedPipeline:
         name: Label used in metric names (``pipeline.<name>.*``).
         kernel: Active kernel backend name ("numpy"/"numba"/"python");
             reported through the ``pipeline.kernel`` gauge so profiles
-            show which replace-stage implementation ran.
+            show which replace-stage implementation ran.  Engine
+            pipelines (those naming a kernel) also report *chunk*
+            through the ``pipeline.chunk`` gauge.
     """
 
     def __init__(
@@ -254,6 +260,7 @@ class StagedPipeline:
         obs = get_registry()
         if obs.enabled and self._kernel_code is not None:
             obs.set_gauge(KERNEL_GAUGE, self._kernel_code)
+            obs.set_gauge(CHUNK_GAUGE, float(self.chunk))
         for start in range(0, n, self.chunk):
             stop = min(start + self.chunk, n)
             slot = self.ring.acquire()

@@ -18,7 +18,10 @@ bit-identical — a differential test asserts it.
 Chunking every batch to ``pipeline_chunk`` packets keeps the kernel
 working set (key columns + hashes + sort scratch) cache-resident: the
 old monolithic path lost ~35% throughput at batch 65536 purely to
-cache misses, which the chunked pack stage removes.
+cache misses, which the chunked pack stage removes.  The hardware
+variant and the compiled kernels chunk at :data:`MAX_PIPELINE_CHUNK`;
+the basic rule's epoch schedule derives its chunk from the geometry
+(:func:`epoch_chunk`), because its round count grows with chunk / l.
 
 Correctness contracts, enforced by ``tests/test_engine.py``:
 
@@ -71,7 +74,7 @@ from repro.engine.kernels import (
     KERNEL_GAUGE,
     resolve_kernels,
 )
-from repro.engine.pipeline import Stage, StagedPipeline
+from repro.engine.pipeline import CHUNK_GAUGE, Stage, StagedPipeline
 from repro.hashing.family import HashFamily, fold_columns
 from repro.obs.registry import get_registry
 from repro.obs.replay import (
@@ -92,6 +95,28 @@ from repro.sketches.countmin import CountMinSketch
 from repro.sketches.countsketch import CountSketch
 
 _MASK64 = (1 << 64) - 1
+
+#: Kernel chunk bounds in packets, both powers of two.  Every power of
+#: two in between divides the daemon's ``DEFAULT_CHUNK`` and the
+#: driver's ``STREAM_BATCH``, so engine chunk boundaries stay aligned
+#: with the blocks fed to the engines.
+MIN_PIPELINE_CHUNK = 512
+MAX_PIPELINE_CHUNK = 16384
+
+
+def epoch_chunk(d: int, l: int) -> int:
+    """Kernel chunk of the basic rule's epoch schedule at geometry d x l.
+
+    ``clamp(next_pow2(16 l / d), 512, 16384)``.  A bucket takes at most
+    one eviction per epoch, so a chunk needs at least as many epochs as
+    its busiest bucket has unmatched packets.  Each packet competes
+    with about chunk / l others in each of its d buckets; sizing the
+    chunk to 16 l / d holds that contention, and so the epoch count,
+    near constant across geometries.
+    """
+    target = -(-16 * l // d)
+    chunk = 1 << (target - 1).bit_length()
+    return min(max(chunk, MIN_PIPELINE_CHUNK), MAX_PIPELINE_CHUNK)
 
 
 def as_columns(
@@ -203,8 +228,10 @@ class _ColumnarKeyValueSketch(Sketch):
 
     #: Kernel chunk size: both the staged pipeline's pack stage and the
     #: monolithic ``update_batch`` slice input to at most this many
-    #: packets, keeping the per-chunk working set cache-resident.
-    pipeline_chunk = 16384
+    #: packets, keeping the per-chunk working set cache-resident.  Set
+    #: per instance from :meth:`_geometry_chunk` at construction and on
+    #: :meth:`resize`, the only points where the geometry changes.
+    pipeline_chunk = MAX_PIPELINE_CHUNK
 
     #: Metric-name variant tag ("basic" / "hw"), set per subclass.
     _variant = "basic"
@@ -232,6 +259,7 @@ class _ColumnarKeyValueSketch(Sketch):
         # paths below.  Resolved once per sketch at construction.
         self._kernels = resolve_kernels(kernels)
         self._kernels_override = kernels
+        self.pipeline_chunk = self._geometry_chunk()
         self._seeds_arr = np.asarray(self._family.seeds, dtype=np.uint64)
         self._usize = np.uint64(l)
         self._counts = np.zeros(4 + d, dtype=np.int64)
@@ -254,6 +282,10 @@ class _ColumnarKeyValueSketch(Sketch):
         self._l_bits = max((l - 1).bit_length(), 1)
         self._scratch: Optional[_KernelScratch] = None
         self._pipe: Optional[StagedPipeline] = None
+
+    def _geometry_chunk(self) -> int:
+        """Kernel chunk for the current geometry and kernel backend."""
+        return MAX_PIPELINE_CHUNK
 
     # -- staged execution ---------------------------------------------
 
@@ -357,6 +389,7 @@ class _ColumnarKeyValueSketch(Sketch):
         obs = get_registry()
         if obs.enabled:
             obs.set_gauge(KERNEL_GAUGE, KERNEL_BACKEND_CODES[self._kernels.name])
+            obs.set_gauge(CHUNK_GAUGE, float(chunk))
         with obs.span(self._span_update):
             for start in range(0, n, chunk):
                 stop = min(start + chunk, n)
@@ -478,10 +511,10 @@ class _ColumnarKeyValueSketch(Sketch):
         resize_cocosketch`) produces the resized arrays; this method
         adopts them and rebuilds every piece of state the old length
         was baked into: the flat views, the row-offset table, the
-        packed-sort bit budget, and the staged pipeline + kernel
-        scratch (dropped here, lazily rebuilt at the next batch so
-        chunk buffers and the kernel dispatch re-bind to the new
-        geometry).  The hash family, RNG stream, replay seed and
+        packed-sort bit budget, the kernel chunk, and the staged
+        pipeline + kernel scratch (dropped here, lazily rebuilt at the
+        next batch so chunk buffers and the kernel dispatch re-bind to
+        the new geometry).  The hash family, RNG stream, replay seed and
         decision counters carry over — resizing is invisible to the
         replacement law.
         """
@@ -506,6 +539,7 @@ class _ColumnarKeyValueSketch(Sketch):
         self._scratch = None
         self._pipe = None
         self._kernels = resolve_kernels(self._kernels_override)
+        self.pipeline_chunk = self._geometry_chunk()
 
     def export_columns(self):
         """Occupied-bucket state as ``(hi, lo, values)`` columns.
@@ -559,6 +593,13 @@ class NumpyCocoSketch(_ColumnarKeyValueSketch):
         from repro.engine.base import buckets_for_memory
 
         return cls(d, buckets_for_memory(memory_bytes, d, key_bytes), seed, key_bytes)
+
+    def _geometry_chunk(self) -> int:
+        # The compiled kernel is sequential: no epochs, no reason to
+        # shrink the chunk below the cache-resident maximum.
+        if self._kernels.compiled:
+            return MAX_PIPELINE_CHUNK
+        return epoch_chunk(self.d, self.l)
 
     def _observe_chunk(self, obs, extra) -> None:
         # The compiled kernel is purely sequential — no epoch schedule,

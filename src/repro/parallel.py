@@ -52,9 +52,10 @@ _EPOCH_RNG_SALT = 0xE70C4
 _RESIZE_RNG_SALT = 0x4E5A17
 
 #: Driver scatter granularity in packets.  A power of two and a
-#: multiple of every engine ``pipeline_chunk``, so the chunk boundaries
-#: a worker's staged pipeline sees match an unsharded run's exactly
-#: (the shards=1 bit-identity tests rely on this).
+#: multiple of every engine ``pipeline_chunk`` (a power of two in
+#: [512, 16384], derived from the geometry), so the chunk boundaries a
+#: worker's staged pipeline sees match an unsharded run's exactly (the
+#: shards=1 bit-identity tests rely on this).
 STREAM_BATCH = 65536
 
 #: Chunks a worker's input queue may hold before the driver's scatter

@@ -50,6 +50,7 @@ import numpy as np
 
 from repro.control.governor import GovernorConfig, ResourceGovernor, Signals
 from repro.core.serialize import dump_sketch, load_sketch
+from repro.engine.pipeline import CHUNK_GAUGE
 from repro.engine.sharded import (
     PARTITION_STRATEGIES,
     SketchSpec,
@@ -68,8 +69,11 @@ from repro.service.epochs import EpochSnapshot, EpochStore, epoch_merge_seed
 _LIVE_MERGE_SALT = 0x11FE5
 _GOLDEN_LIVE = 0x9E3779B97F4A7C15
 
-#: Default engine feed granularity — the staged pipeline's cache-resident
-#: chunk (`NumpyCocoSketch.pipeline_chunk`).
+#: Default engine feed granularity: the largest kernel chunk
+#: (`repro.engine.vectorized.MAX_PIPELINE_CHUNK`).  Engines derive
+#: their own chunk from the geometry, a power of two in [512, 16384]
+#: (`NumpyCocoSketch.pipeline_chunk`), so every engine chunk divides
+#: this block and engine chunk boundaries follow the re-blocking.
 DEFAULT_CHUNK = 16384
 
 
@@ -340,6 +344,17 @@ class EpochBuilder:
             )
         return sketches
 
+    def engine_chunk(self) -> Optional[int]:
+        """The shard engines' kernel chunk in packets.
+
+        ``None`` when shards run in worker processes or the engine has
+        no kernel chunk (the scalar engine).
+        """
+        sketches = self._driver.live_sketches()
+        if not sketches:
+            return None
+        return getattr(sketches[0], "pipeline_chunk", None)
+
     def close(self, closed_at: Optional[float] = None) -> EpochSnapshot:
         """Flush the tail, drain the driver, freeze the snapshot."""
         self._flush(full_only=False)
@@ -406,13 +421,7 @@ class MeasurementDaemon:
                     * (config.spec.key_bytes + COUNTER_BYTES)
                 )
             self._tenants = TenantManager(config.tenants, config, budget)
-        self._builder = EpochBuilder(
-            config,
-            epoch=0,
-            start_seq=0,
-            spec=self._spec,
-            partition_seed=self._partition_seed,
-        )
+        self._builder = self._open_builder_locked(epoch=0, start_seq=0)
         self.registry.set_gauge("control.geometry.l", float(self._spec.l))
         self._closed = False
         self._queue: Optional[queue.Queue] = None
@@ -513,12 +522,8 @@ class MeasurementDaemon:
                     self._apply_geometry_locked(self._pending_l)
                     self._pending_l = None
                     old = self._builder
-                    self._builder = EpochBuilder(
-                        self.config,
-                        epoch=old.epoch,
-                        start_seq=old.start_seq,
-                        spec=self._spec,
-                        partition_seed=self._partition_seed,
+                    self._builder = self._open_builder_locked(
+                        epoch=old.epoch, start_seq=old.start_seq
                     )
                     old.close()  # drain the replaced builder's workers
                     if self._replica is not None:
@@ -529,6 +534,25 @@ class MeasurementDaemon:
                 self._pending_l = None
                 return None
             return self._rotate_locked()
+
+    def _open_builder_locked(self, epoch: int, start_seq: int) -> EpochBuilder:
+        """A builder at the current geometry and partition seed.
+
+        Publishes the engines' kernel chunk as the ``pipeline.chunk``
+        gauge: the chunk follows the geometry, so a governed daemon's
+        ingest rate is read against it.
+        """
+        builder = EpochBuilder(
+            self.config,
+            epoch=epoch,
+            start_seq=start_seq,
+            spec=self._spec,
+            partition_seed=self._partition_seed,
+        )
+        chunk = builder.engine_chunk()
+        if chunk is not None:
+            self.registry.set_gauge(CHUNK_GAUGE, float(chunk))
+        return builder
 
     def _apply_geometry_locked(self, new_l: int) -> None:
         """Adopt *new_l* as the current geometry (caller holds the lock)."""
@@ -582,12 +606,8 @@ class MeasurementDaemon:
         snap = self._builder.close()
         self.store.add(snap)
         self._control_locked(snap)
-        self._builder = EpochBuilder(
-            self.config,
-            epoch=snap.epoch + 1,
-            start_seq=self._seq,
-            spec=self._spec,
-            partition_seed=self._partition_seed,
+        self._builder = self._open_builder_locked(
+            epoch=snap.epoch + 1, start_seq=self._seq
         )
         if self._tenants is not None:
             self._tenants.on_parent_rotate()

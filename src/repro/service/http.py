@@ -89,6 +89,11 @@ class _Handler(BaseHTTPRequestHandler):
 
     protocol_version = "HTTP/1.1"
 
+    # TCP_NODELAY: without it the body, written behind the headers,
+    # waits (Nagle) for the client's delayed ACK of the header segment,
+    # about 40 ms per keep-alive request.
+    disable_nagle_algorithm = True
+
     # -- plumbing ------------------------------------------------------
 
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature

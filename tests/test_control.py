@@ -35,8 +35,9 @@ from repro.control import (
 )
 from repro.core.query import FlowTable
 from repro.engine.base import buckets_for_memory
+from repro.engine.kernels import BACKEND_ENV, resolve_kernels
 from repro.engine.sharded import SketchSpec
-from repro.engine.vectorized import NumpyCocoSketch
+from repro.engine.vectorized import MAX_PIPELINE_CHUNK, NumpyCocoSketch
 from repro.flowkeys.key import FIVE_TUPLE
 from repro.service import MeasurementDaemon, ServiceConfig
 from repro.sketches.base import COUNTER_BYTES, DEFAULT_KEY_BYTES
@@ -53,8 +54,8 @@ from tests.stat_harness import (
 CHUNK = 2048
 
 
-def make_config(l=512, seed=3, **kw):
-    spec = SketchSpec(engine="numpy", variant="basic", d=2, l=l, seed=seed)
+def make_config(l=512, seed=3, d=2, **kw):
+    spec = SketchSpec(engine="numpy", variant="basic", d=d, l=l, seed=seed)
     return ServiceConfig(
         spec=spec, key_spec=FIVE_TUPLE, shards=1, chunk=CHUNK, **kw
     )
@@ -201,9 +202,27 @@ class TestResizeUnbiasedness:
 
 
 class TestSlimFatAcrossResize:
-    def test_slim_matches_fat_across_staged_resize(self):
+    # The basic engine's kernel chunk follows the width: d=2 runs at
+    # 2048 -> 8192 -> 4096, the narrow d=8 case at 512 -> 2048 -> 1024.
+    @pytest.mark.parametrize(
+        "d,chunks", [(2, (2048, 8192, 4096)), (8, (512, 2048, 1024))],
+        ids=["d2", "d8-narrow"],
+    )
+    def test_slim_matches_fat_across_staged_resize(self, d, chunks, monkeypatch):
+        # The chunk follows the width only on the numpy kernels; the
+        # compiled kernels hold 16384 throughout.  The narrow case pins
+        # numpy so it always exercises a chunk change.
+        if d == 8:
+            monkeypatch.setenv(BACKEND_ENV, "numpy")
+        if resolve_kernels().compiled:
+            chunks = (MAX_PIPELINE_CHUNK,) * 3
+
+        def chunk_gauge():
+            return daemon.metrics_snapshot()["gauges"]["pipeline.chunk"]
+
         trace = zipf_trace(9_000, 1_800, alpha=1.1, seed=11)
-        daemon = MeasurementDaemon(make_config(l=256))
+        daemon = MeasurementDaemon(make_config(l=256, d=d))
+        assert chunk_gauge() == chunks[0]
         blocks = list(trace.batches(1500))
         try:
             for hi, lo, sizes in blocks[:2]:
@@ -217,6 +236,7 @@ class TestSlimFatAcrossResize:
                 daemon.ingest(hi, lo, sizes)
             daemon.rotate()  # staged geometry lands here
             assert daemon.spec.l == 1024
+            assert chunk_gauge() == chunks[1]
             for hi, lo, sizes in blocks[4:]:
                 daemon.ingest(hi, lo, sizes)
 
@@ -240,6 +260,7 @@ class TestSlimFatAcrossResize:
             daemon.set_geometry(512)
             daemon.rotate()
             assert daemon.spec.l == 512
+            assert chunk_gauge() == chunks[2]
             assert_bit_exact()
 
             counters = daemon.metrics_snapshot()["counters"]

@@ -20,6 +20,7 @@ from repro.engine.kernels import (
     numba_available,
 )
 from repro.engine.pipeline import (
+    CHUNK_GAUGE,
     ChunkSlot,
     FnStage,
     PipelineStalled,
@@ -27,7 +28,14 @@ from repro.engine.pipeline import (
     Stage,
     StagedPipeline,
 )
-from repro.engine.vectorized import NumpyCocoSketch, NumpyHardwareCocoSketch
+from repro.engine.vectorized import (
+    MAX_PIPELINE_CHUNK,
+    MIN_PIPELINE_CHUNK,
+    NumpyCocoSketch,
+    NumpyHardwareCocoSketch,
+)
+from repro.parallel import STREAM_BATCH
+from repro.service.daemon import DEFAULT_CHUNK
 
 VARIANTS = [NumpyCocoSketch, NumpyHardwareCocoSketch]
 
@@ -340,6 +348,7 @@ def test_pipeline_reports_kernel_gauge():
         pipe.flush()
     snap = reg.snapshot()
     assert snap["gauges"][KERNEL_GAUGE] == KERNEL_BACKEND_CODES["numpy"]
+    assert snap["gauges"][CHUNK_GAUGE] == 4
 
 
 def test_pipeline_without_kernel_name_emits_no_gauge():
@@ -350,6 +359,75 @@ def test_pipeline_without_kernel_name_emits_no_gauge():
         pipe.feed(hi, lo, sizes)
         pipe.flush()
     assert KERNEL_GAUGE not in reg.snapshot()["gauges"]
+    assert CHUNK_GAUGE not in reg.snapshot()["gauges"]
+
+
+# -- geometry-derived kernel chunk ---------------------------------------
+
+CHUNK_WIDTHS = [64, 100, 188, 256, 1000, 1024, 1505, 2048, 4096, 65536]
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_basic_chunk_is_aligned_power_of_two(d):
+    for l in CHUNK_WIDTHS:
+        chunk = NumpyCocoSketch(d, l, kernels="numpy").pipeline_chunk
+        assert chunk & (chunk - 1) == 0, (d, l, chunk)
+        assert MIN_PIPELINE_CHUNK <= chunk <= MAX_PIPELINE_CHUNK, (d, l)
+        assert DEFAULT_CHUNK % chunk == 0 and STREAM_BATCH % chunk == 0
+
+
+def test_basic_chunk_follows_geometry():
+    # The governor's start and budget widths, and the d=2 widths whose
+    # chunk must stay at the maximum.
+    assert NumpyCocoSketch(8, 188, kernels="numpy").pipeline_chunk == 512
+    assert NumpyCocoSketch(8, 1505, kernels="numpy").pipeline_chunk == 4096
+    for l in (2048, 4096, 8192, 65536):
+        sketch = NumpyCocoSketch(2, l, kernels="numpy")
+        assert sketch.pipeline_chunk == MAX_PIPELINE_CHUNK
+
+
+@pytest.mark.parametrize(
+    "cls,kernels",
+    [
+        (NumpyHardwareCocoSketch, "numpy"),
+        (NumpyHardwareCocoSketch, "python"),
+        (NumpyCocoSketch, "python"),
+    ],
+    ids=["hw-numpy", "hw-compiled", "basic-compiled"],
+)
+def test_hardware_and_compiled_chunks_stay_at_maximum(cls, kernels):
+    sketch = cls(8, 188, kernels=kernels)
+    assert sketch.pipeline_chunk == MAX_PIPELINE_CHUNK
+    sketch.resize(1505)
+    assert sketch.pipeline_chunk == MAX_PIPELINE_CHUNK
+
+
+def test_basic_chunk_changes_on_resize_only():
+    hi, lo, sizes = trace_columns(6_000, 1_500, seed=4)
+    sketch = NumpyCocoSketch(8, 188, seed=2, kernels="numpy")
+    assert sketch.pipeline_chunk == 512
+    sketch.process_columns(hi, lo, sizes)
+    sketch.update_batch((hi, lo), sizes)
+    sketch.reset()
+    sketch.resize(188)  # same width: a no-op
+    assert sketch.pipeline_chunk == 512
+    assert sketch._staged_pipeline().chunk == 512
+
+    sketch.resize(1505, seed=1)
+    assert sketch.pipeline_chunk == 4096
+    with obs.collecting() as reg:
+        sketch.process_columns(hi, lo, sizes)
+    assert reg.snapshot()["gauges"][CHUNK_GAUGE] == 4096
+    assert sketch._pipe.chunk == 4096
+    # The pipeline's chunk counter sees the new granularity.
+    chunks = reg.snapshot()["counters"]["pipeline.numpy.basic.chunks"]
+    assert chunks == -(-len(sizes) // 4096)
+
+    sketch.resize(188, seed=1)
+    assert sketch.pipeline_chunk == 512
+    with obs.collecting() as reg:
+        sketch.update_batch((hi, lo), sizes)
+    assert reg.snapshot()["gauges"][CHUNK_GAUGE] == 512
 
 
 @pytest.mark.parametrize("cls", VARIANTS, ids=lambda c: c.__name__)

@@ -20,8 +20,10 @@ Three families of guarantees, matching the service's design contract
   and shutdown drains every in-flight block.
 """
 
+import http.client
 import json
 import random
+import statistics
 import threading
 import time
 import urllib.error
@@ -31,7 +33,9 @@ import urllib.request
 import numpy as np
 import pytest
 
-from repro.core.serialize import dump_sketch
+from repro.control import GovernorConfig
+from repro.core.serialize import dump_sketch, load_sketch
+from repro.engine.kernels import BACKEND_ENV
 from repro.engine.sharded import SketchSpec
 from repro.extensions.windowed import WindowedMeasurement, split_budget
 from repro.flowkeys.key import FIVE_TUPLE
@@ -45,6 +49,7 @@ from repro.service import (
     ServiceServer,
     offline_epoch_run,
 )
+from repro.sketches.base import COUNTER_BYTES, DEFAULT_KEY_BYTES
 from repro.traffic.synthetic import zipf_trace
 
 from tests.stat_harness import (
@@ -60,8 +65,8 @@ def make_trace(packets=12_000, flows=2_500, seed=7):
 
 
 def make_config(engine="numpy", shards=1, strategy="hash", seed=3,
-                epoch_packets=None, l=512, **kw):
-    spec = SketchSpec(engine=engine, variant="basic", d=2, l=l, seed=seed)
+                epoch_packets=None, l=512, d=2, **kw):
+    spec = SketchSpec(engine=engine, variant="basic", d=d, l=l, seed=seed)
     return ServiceConfig(
         spec=spec,
         key_spec=FIVE_TUPLE,
@@ -87,11 +92,25 @@ def run_daemon(config, trace, block, threaded=False):
     return [daemon.store.get(e) for e in daemon.store.ids()]
 
 
+#: d=8 at a narrow width under a governor that grows it to 512 after
+#: the first epoch: the basic engine's kernel chunk follows the width
+#: (512 -> 1024), so this backend exercises a chunk change at rotation.
+NARROW_D8 = dict(
+    d=8,
+    l=256,
+    governor=GovernorConfig(
+        memory_bytes=8 * 512 * (DEFAULT_KEY_BYTES + COUNTER_BYTES),
+        grow_occupancy=0.25,
+        shrink_occupancy=0.05,
+    ),
+)
+
 BACKENDS = [
-    pytest.param("scalar", 1, "hash", id="scalar"),
-    pytest.param("numpy", 1, "hash", id="numpy"),
-    pytest.param("numpy", 3, "hash", id="sharded-hash"),
-    pytest.param("numpy", 2, "round-robin", id="sharded-rr"),
+    pytest.param("scalar", 1, "hash", {}, id="scalar"),
+    pytest.param("numpy", 1, "hash", {}, id="numpy"),
+    pytest.param("numpy", 3, "hash", {}, id="sharded-hash"),
+    pytest.param("numpy", 2, "round-robin", {}, id="sharded-rr"),
+    pytest.param("numpy", 1, "hash", NARROW_D8, id="numpy-d8-governed"),
 ]
 
 # (trace packets, epoch_packets, expected per-epoch counts): a boundary
@@ -105,19 +124,27 @@ ROTATIONS = [
 
 
 class TestEpochBitIdentity:
-    @pytest.mark.parametrize("engine,shards,strategy", BACKENDS)
+    @pytest.mark.parametrize("engine,shards,strategy,geometry", BACKENDS)
     @pytest.mark.parametrize("packets,epoch_packets,expected", ROTATIONS)
     def test_snapshots_invariant_to_framing_and_threading(
-        self, engine, shards, strategy, packets, epoch_packets, expected
+        self, engine, shards, strategy, geometry, packets, epoch_packets,
+        expected, monkeypatch,
     ):
+        if "governor" in geometry:
+            # The chunk follows the width only on the numpy kernels;
+            # the compiled kernels would hold 16384 throughout.
+            monkeypatch.setenv(BACKEND_ENV, "numpy")
         trace = make_trace(packets)
         def cfg():
             return make_config(
                 engine=engine, shards=shards, strategy=strategy,
-                epoch_packets=epoch_packets,
+                epoch_packets=epoch_packets, **geometry,
             )
 
         reference = offline_epoch_run(cfg(), trace.batches(4_096))
+        if "governor" in geometry:
+            chunks = [load_sketch(s.blob).pipeline_chunk for s in reference]
+            assert chunks[0] == 512 and chunks[-1] == 1024, chunks
         assert [s.packets for s in reference] == expected
         assert [s.epoch for s in reference] == list(range(len(expected)))
         starts = [s.start_seq for s in reference]
@@ -574,6 +601,28 @@ class TestHttpSoak:
             status, payload = _get(_sql_url(base, SOAK_SQL))
             assert status == 200
         daemon.close()
+
+    def test_keepalive_requests_do_not_stall(self):
+        # A plain keep-alive client keeps its delayed ACK; a reply whose
+        # body trails its headers in a second write stalls ~40 ms on it.
+        daemon = MeasurementDaemon(make_config(epoch_packets=1_000))
+        for hi, lo, sizes in make_trace(2_000).batches(512):
+            daemon.ingest(hi, lo, sizes)
+        latencies = []
+        with ServiceServer(daemon) as server:
+            conn = http.client.HTTPConnection(server.host, server.port, timeout=10)
+            try:
+                for _ in range(10):
+                    start = time.perf_counter()
+                    conn.request("GET", "/epochs")
+                    response = conn.getresponse()
+                    response.read()
+                    latencies.append(time.perf_counter() - start)
+                    assert response.status == 200
+            finally:
+                conn.close()
+        daemon.close()
+        assert statistics.median(latencies) < 0.020, latencies
 
 
 class TestDaemonLifecycle:
