@@ -60,6 +60,7 @@ class QueryPlanner:
         self.spec = spec
         self.version = version
         self._sketch = None
+        self._frozen = False
         self._base: Optional[ColumnTable] = None
         if isinstance(source, ColumnTable):
             self._base = source.group() if group_base else source
@@ -91,6 +92,18 @@ class QueryPlanner:
             obs.inc("query.extractions")
         return self._base
 
+    def freeze(self) -> "QueryPlanner":
+        """Extract now, release the sketch, then memoize one key at a time.
+
+        For planners a long-lived cache keeps: ad-hoc keys cannot grow
+        one past its full-key table plus the last aggregate (and dict
+        view) asked of it.  Extraction is the cost such a cache saves.
+        """
+        self.base
+        self._sketch = None
+        self._frozen = True
+        return self
+
     def table(self, partial: PartialKeySpec) -> ColumnTable:
         """Aggregated columnar table for *partial* (memoized)."""
         cached = self._tables.get(partial)
@@ -112,6 +125,8 @@ class QueryPlanner:
         if obs.enabled:
             obs.observe("query.groupby.rows", len(base))
             obs.observe("query.groupby.groups", len(table))
+        if self._frozen:
+            self._tables.clear()
         self._tables[partial] = table
         return table
 
@@ -121,6 +136,8 @@ class QueryPlanner:
         if cached is not None:
             return cached
         sizes = self.table(partial).to_dict()
+        if self._frozen:
+            self._dicts.clear()
         self._dicts[partial] = sizes
         return sizes
 

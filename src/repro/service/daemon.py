@@ -44,7 +44,7 @@ import random
 import threading
 import time
 from dataclasses import dataclass
-from typing import List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -431,7 +431,7 @@ class MeasurementDaemon:
             None,
             None,
         )
-        self._epoch_planners: dict = {}
+        self._planners: Dict[Tuple[int, int], QueryPlanner] = {}
         self._replica: Optional[SlimReplica] = (
             SlimReplica(
                 config.spec,
@@ -604,14 +604,13 @@ class MeasurementDaemon:
     def _rotate_locked(self) -> EpochSnapshot:
         start = time.perf_counter()
         snap = self._builder.close()
-        self.store.add(snap)
+        self._store_locked(snap)
         self._control_locked(snap)
         self._builder = self._open_builder_locked(
             epoch=snap.epoch + 1, start_seq=self._seq
         )
         if self._tenants is not None:
             self._tenants.on_parent_rotate()
-        self.registry.inc("service.epochs.rotated")
         self.registry.observe(
             "service.rotate.seconds", time.perf_counter() - start, TIME_EDGES
         )
@@ -636,9 +635,7 @@ class MeasurementDaemon:
                 return
             self._closed = True
             if self._builder.packets:
-                snap = self._builder.close()
-                self.store.add(snap)
-                self.registry.inc("service.epochs.rotated")
+                self._store_locked(self._builder.close())
             else:
                 self._builder.close()  # drain the driver's workers
         if self._tenants is not None:
@@ -887,26 +884,40 @@ class MeasurementDaemon:
         return max(int(seq) - (int(start) + int(packets)), 0)
 
     def epoch_planner(self, epoch: int) -> QueryPlanner:
-        """Memoized planner over one frozen epoch (immutable → cached)."""
-        with self._lock:
-            planner = self._epoch_planners.get(epoch)
-            if planner is not None:
-                return planner
-        snap = self.store.get(epoch)  # KeyError surfaces to the caller
-        planner = QueryPlanner(snap.sketch(), self.config.key_spec)
-        with self._lock:
-            # Bound the cache alongside the store's own history.
-            if len(self._epoch_planners) >= self.config.history:
-                for stale in list(self._epoch_planners):
-                    if stale not in set(self.store.ids()):
-                        del self._epoch_planners[stale]
-            self._epoch_planners[epoch] = planner
-        return planner
+        """Planner over one frozen epoch: the one-epoch range."""
+        return self.range_planner(epoch, epoch)
 
     def range_planner(self, lo: int, hi: int) -> QueryPlanner:
-        """Planner over the time-travel merge of epochs ``lo..hi``."""
+        """Memoized planner over the time-travel merge of epochs ``lo..hi``.
+
+        Frozen epochs never change, so the planner — extracted table
+        plus its last aggregate, the merged sketch released — is built
+        once per range and dropped when the store evicts ``lo``.  A
+        build that loses a race with that eviction raises KeyError
+        rather than serve or cache an evicted epoch.
+        """
+        with self._lock:
+            planner = self._planners.get((lo, hi))
+            outcome = "misses" if planner is None else "hits"
+            self.registry.inc(f"service.planner.cache.{outcome}")
+        if planner is not None:
+            return planner
         merged = self.store.merged_range(lo, hi)
-        return QueryPlanner(merged, self.config.key_spec)
+        planner = QueryPlanner(merged, self.config.key_spec).freeze()
+        with self._lock:
+            self.store.get(lo)  # evicted while building: KeyError
+            # Racing builds of one range are identical; keep the first.
+            planner = self._planners.setdefault((lo, hi), planner)
+            self.registry.set_gauge("service.planner.cached", float(len(self._planners)))
+        return planner
+
+    def _store_locked(self, snap: EpochSnapshot) -> None:
+        """Retain a closed epoch; prune planners over evicted epochs."""
+        self.store.add(snap)
+        oldest = self.store.ids()[0]
+        self._planners = {k: p for k, p in self._planners.items() if k[0] >= oldest}
+        self.registry.set_gauge("service.planner.cached", float(len(self._planners)))
+        self.registry.inc("service.epochs.rotated")
 
     def observe_query(self, elapsed_s: float) -> None:
         """Record one served query's latency (drives the soak p95)."""

@@ -107,8 +107,8 @@ class EpochStore:
     """Thread-safe bounded history of frozen epochs.
 
     Args:
-        history: Maximum retained epochs; older snapshots (and any
-            cached merges that include them) are evicted FIFO.
+        history: Maximum retained epochs; older snapshots are evicted
+            FIFO.
         seed: The measurement's spec seed — drives deterministic
             time-travel merge streams.
     """
@@ -121,7 +121,6 @@ class EpochStore:
         self._lock = threading.Lock()
         self._snaps: Dict[int, EpochSnapshot] = {}
         self._order: List[int] = []
-        self._range_cache: Dict[Tuple[int, int], object] = {}
 
     def add(self, snap: EpochSnapshot) -> None:
         """Record a freshly closed epoch, evicting beyond the bound."""
@@ -131,13 +130,7 @@ class EpochStore:
             self._snaps[snap.epoch] = snap
             self._order.append(snap.epoch)
             while len(self._order) > self.history:
-                evicted = self._order.pop(0)
-                del self._snaps[evicted]
-                self._range_cache = {
-                    key: val
-                    for key, val in self._range_cache.items()
-                    if key[0] > evicted
-                }
+                del self._snaps[self._order.pop(0)]
 
     def ids(self) -> List[int]:
         """Retained epoch ids, oldest first."""
@@ -165,17 +158,16 @@ class EpochStore:
         """One sketch covering epochs ``lo..hi`` inclusive (time-travel).
 
         The fold consumes snapshots in epoch order from a merge stream
-        seeded by ``(seed, lo, hi)`` — deterministic and memoized, so
-        repeated range queries cost one dict lookup.  Raises KeyError
+        seeded by ``(seed, lo, hi)``, so it is deterministic.  It is not
+        memoized: each call folds afresh (the daemon caches the planner
+        extracted from it, see ``MeasurementDaemon.range_planner``).
+        A one-epoch range is that epoch's sketch.  Raises KeyError
         when any epoch in the range is missing (never silently skips a
         hole: an estimate over ``lo..hi`` must cover all of it).
         """
         if lo > hi:
             raise ValueError(f"empty epoch range {lo}..{hi}")
         with self._lock:
-            cached = self._range_cache.get((lo, hi))
-            if cached is not None:
-                return cached
             missing = [e for e in range(lo, hi + 1) if e not in self._snaps]
             if missing:
                 raise KeyError(
@@ -184,27 +176,20 @@ class EpochStore:
             snaps = [self._snaps[e] for e in range(lo, hi + 1)]
         sketches = [s.sketch() for s in snaps]
         if len(sketches) == 1:
-            merged = sketches[0]
-        else:
-            rng = random.Random(range_merge_seed(self.seed, lo, hi))
-            widths = {s.l for s in sketches}
-            if len(widths) > 1:
-                # The range straddles a governor resize.  Fold every
-                # snapshot to the newest epoch's geometry first (the
-                # Theorem 1 re-hash keeps each unbiased), then merge as
-                # usual — the whole normalise+merge stream draws from
-                # the one seeded rng, so the result stays deterministic.
-                target_l = sketches[-1].l
-                sketches = [
-                    s if s.l == target_l else resize_cocosketch(s, target_l, rng=rng)
-                    for s in sketches
-                ]
-            merged = merge_many(sketches, rng=rng)
-        with self._lock:
-            # Another thread may have merged the same range concurrently;
-            # both results are identical (same seeded stream), keep one.
-            self._range_cache.setdefault((lo, hi), merged)
-            return self._range_cache[(lo, hi)]
+            return sketches[0]
+        rng = random.Random(range_merge_seed(self.seed, lo, hi))
+        if len({s.l for s in sketches}) > 1:
+            # The range straddles a governor resize.  Fold every
+            # snapshot to the newest epoch's geometry first (the
+            # Theorem 1 re-hash keeps each unbiased), then merge as
+            # usual — the whole normalise+merge stream draws from
+            # the one seeded rng, so the result stays deterministic.
+            target_l = sketches[-1].l
+            sketches = [
+                s if s.l == target_l else resize_cocosketch(s, target_l, rng=rng)
+                for s in sketches
+            ]
+        return merge_many(sketches, rng=rng)
 
 
 def offline_epoch_run(config, blocks) -> List[EpochSnapshot]:

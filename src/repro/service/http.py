@@ -225,9 +225,10 @@ class _Handler(BaseHTTPRequestHandler):
         k = int(params.get("k", "10"))
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
+        # Validate before resolving: a cold range costs a full merge.
+        partial = parse_partial(self.server.daemon.config.key_spec, key_text)
         start = time.perf_counter()
         descriptor, planner = self._resolve(params)
-        partial = parse_partial(self.server.daemon.config.key_spec, key_text)
         rows = planner.table(partial).top_k(k)
         self.server.daemon.observe_query(time.perf_counter() - start)
         self._send_json(

@@ -24,6 +24,7 @@ import http.client
 import json
 import random
 import statistics
+import sys
 import threading
 import time
 import urllib.error
@@ -40,6 +41,7 @@ from repro.engine.sharded import SketchSpec
 from repro.extensions.windowed import WindowedMeasurement, split_budget
 from repro.flowkeys.key import FIVE_TUPLE
 from repro.obs.registry import histogram_quantile
+from repro.query.planner import QueryPlanner
 from repro.service import (
     EpochSnapshot,
     EpochStore,
@@ -787,3 +789,186 @@ class TestDaemonLifecycle:
         with pytest.raises(ServiceError, match="ingest thread died"):
             daemon.close()
         assert daemon.closed  # workers were still released
+
+
+def _ingest(daemon, trace, block=500):
+    for hi, lo, sizes in trace.batches(block):
+        daemon.ingest(hi, lo, sizes)
+
+
+def _counter(daemon, name):
+    return daemon.metrics_snapshot()["counters"].get(name, 0)
+
+
+def _planners_cached(daemon):
+    return daemon.metrics_snapshot()["gauges"]["service.planner.cached"]
+
+
+class TestPlannerCache:
+    """One memoized planner per ``(lo, hi)`` range, evicted with the store."""
+
+    KEY = FIVE_TUPLE.partial(("SrcIP", 16))
+
+    def test_repeated_range_is_one_miss_then_hits(self):
+        daemon = MeasurementDaemon(make_config(epoch_packets=2_000))
+        _ingest(daemon, make_trace(6_000))
+        first = daemon.range_planner(0, 2)
+        assert daemon.range_planner(0, 2) is first
+        assert daemon.range_planner(0, 2) is first
+        assert _counter(daemon, "service.planner.cache.misses") == 1
+        assert _counter(daemon, "service.planner.cache.hits") == 2
+        # A single epoch is the one-epoch range: the same cache entry.
+        assert daemon.epoch_planner(1) is daemon.range_planner(1, 1)
+        assert _planners_cached(daemon) == 2
+        # Ad-hoc keys do not pile up: a cached planner keeps the last
+        # aggregate only, and a re-asked key answers the same rows.
+        dst = FIVE_TUPLE.partial("DstIP")
+        rows = first.table(self.KEY).top_k(10)
+        first.table(dst)
+        assert first.cache_info()["cached_specs"] == 1
+        assert first.table(self.KEY).top_k(10) == rows
+        daemon.close()
+
+    def test_rows_match_a_fresh_planner_across_a_resize(self):
+        daemon = MeasurementDaemon(make_config(epoch_packets=2_000, l=256))
+        trace = make_trace(10_000)
+        blocks = list(trace.batches(1_000))
+        for hi, lo, sizes in blocks[:3]:
+            daemon.ingest(hi, lo, sizes)
+        daemon.set_geometry(512)
+        for hi, lo, sizes in blocks[3:]:
+            daemon.ingest(hi, lo, sizes)
+        daemon.close()
+        widths = [meta["l"] for meta in daemon.store.metas()]
+        assert widths[0] == 256 and widths[-1] == 512, widths
+        last = daemon.store.ids()[-1]
+        for lo, hi in [(0, last), (1, 3), (2, 2), (0, 0)]:
+            fresh = QueryPlanner(daemon.store.merged_range(lo, hi), FIVE_TUPLE)
+            for partial in (self.KEY, FIVE_TUPLE.partial("DstIP"), FIVE_TUPLE.identity_partial()):
+                cached = daemon.range_planner(lo, hi).table(partial)
+                want = fresh.table(partial)
+                assert np.array_equal(cached.words, want.words), (lo, hi)
+                assert np.array_equal(cached.values, want.values), (lo, hi)
+
+    def test_evicted_epoch_is_never_served(self):
+        daemon = MeasurementDaemon(make_config(epoch_packets=1_000, history=3))
+        trace = make_trace(5_000)
+        blocks = list(trace.batches(1_000))
+        for hi, lo, sizes in blocks[:3]:
+            daemon.ingest(hi, lo, sizes)
+        assert daemon.store.ids() == [0, 1, 2]
+        daemon.range_planner(0, 2)
+        daemon.epoch_planner(0)
+        daemon.range_planner(1, 2)
+        assert _planners_cached(daemon) == 3
+        for hi, lo, sizes in blocks[3:]:
+            daemon.ingest(hi, lo, sizes)
+        assert daemon.store.ids() == [2, 3, 4]
+        for lo, hi in [(0, 2), (0, 0), (1, 2), (1, 1), (0, 4)]:
+            with pytest.raises(KeyError):
+                daemon.range_planner(lo, hi)
+        with pytest.raises(KeyError):
+            daemon.epoch_planner(0)
+        assert _planners_cached(daemon) == 0  # all three were pruned
+        daemon.close()
+
+    def test_http_range_with_evicted_lo_is_404(self):
+        daemon = MeasurementDaemon(make_config(epoch_packets=1_000, history=3))
+        blocks = list(make_trace(5_000).batches(1_000))
+        for hi, lo, sizes in blocks[:3]:
+            daemon.ingest(hi, lo, sizes)
+        with ServiceServer(daemon) as server:
+            url = f"{server.url}/topk?key=SrcIP/16&k=5&epoch=0-2"
+            status, payload = _get(url)
+            assert status == 200 and payload["rows"]
+            assert _get(url)[1]["rows"] == payload["rows"]
+            assert _counter(daemon, "service.planner.cache.hits") == 1
+            for hi, lo, sizes in blocks[3:]:
+                daemon.ingest(hi, lo, sizes)
+            for epoch in ("0-2", "0", "1-3"):
+                with pytest.raises(urllib.error.HTTPError) as err:
+                    _get(f"{server.url}/topk?key=SrcIP/16&k=5&epoch={epoch}")
+                assert err.value.code == 404, epoch
+        daemon.close()
+
+    def test_bad_key_is_400_before_any_merge(self):
+        daemon = MeasurementDaemon(make_config(epoch_packets=1_000))
+        _ingest(daemon, make_trace(3_000))
+        with ServiceServer(daemon) as server:
+            for key in ("NoSuchField", "SrcIP/x", "SrcIP,,DstIP"):
+                with pytest.raises(urllib.error.HTTPError) as err:
+                    _get(f"{server.url}/topk?key={key}&k=5&epoch=0-2")
+                assert err.value.code == 400, key
+        assert _counter(daemon, "service.planner.cache.misses") == 0
+        daemon.close()
+
+    def test_concurrent_cold_requests_share_one_entry(self):
+        daemon = MeasurementDaemon(make_config(epoch_packets=2_000, shards=2))
+        _ingest(daemon, make_trace(8_000))
+        threads = 8
+        barrier = threading.Barrier(threads)
+        rows = [None] * threads
+
+        def reader(idx):
+            barrier.wait()
+            rows[idx] = _get(f"{base}/topk?key=SrcIP/16&k=20&epoch=0-3")[1]["rows"]
+
+        with ServiceServer(daemon) as server:
+            base = server.url
+            pool = [threading.Thread(target=reader, args=(i,)) for i in range(threads)]
+            for thread in pool:
+                thread.start()
+            for thread in pool:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        assert rows[0] and all(r == rows[0] for r in rows)
+        assert _planners_cached(daemon) == 1
+        daemon.close()
+
+    def test_reads_racing_rotation_keep_the_cache_consistent(self):
+        history = 3
+        daemon = MeasurementDaemon(
+            make_config(epoch_packets=500, history=history)
+        )
+        blocks = list(make_trace(8_000).batches(250))
+        for hi, lo, sizes in blocks[:6]:
+            daemon.ingest(hi, lo, sizes)
+        feeding = threading.Event()
+        feeding.set()
+        calls = [0] * 6
+
+        def reader(idx):
+            rng = random.Random(idx)
+            while feeding.is_set():
+                newest = daemon.store.ids()[-1]
+                lo = rng.randint(max(newest - history, 0), newest)
+                calls[idx] += 1
+                try:
+                    daemon.range_planner(lo, rng.randint(lo, newest))
+                except KeyError:
+                    pass  # evicted between the pick and the lookup
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            pool = [threading.Thread(target=reader, args=(i,)) for i in range(6)]
+            for thread in pool:
+                thread.start()
+            for hi, lo, sizes in blocks[6:]:
+                daemon.ingest(hi, lo, sizes)
+            feeding.clear()
+            for thread in pool:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(previous)
+        oldest = daemon.store.ids()[0]
+        assert all(lo >= oldest for lo, _ in daemon._planners)
+        assert len(daemon._planners) <= history * (history + 1) // 2
+        assert _planners_cached(daemon) == len(daemon._planners)
+        # Every lookup was counted once: no update was lost.
+        counted = _counter(daemon, "service.planner.cache.hits") + _counter(
+            daemon, "service.planner.cache.misses"
+        )
+        assert counted == sum(calls)
+        daemon.close()
