@@ -1,5 +1,5 @@
 """Engine microbenchmark: scalar vs numpy packets/sec by batch size,
-plus the sharded-pipeline and staged-pipeline sweeps.
+plus the sharded-pipeline and chunk-loop sweeps.
 
 Times the full update path of both execution engines — basic and
 hardware CocoSketch — on a Zipf trace, sweeping the numpy engine across
@@ -8,7 +8,7 @@ engine: at the default 4096-packet batch the numpy basic CocoSketch
 must clear 5x the scalar engine on a 500k-packet trace.  A large-batch
 guard (``LARGE_BATCH_FLOOR``) fails the sweep if throughput at the
 biggest batch drops below the mid-batch rate — the cache cliff the
-staged pipeline's chunking exists to prevent.
+engine chunk loop's chunking exists to prevent.
 
 The shard sweep runs the same trace through the sharded multi-worker
 pipeline (:mod:`repro.engine.sharded`) at 1/2/4/8 workers.  Its
@@ -20,9 +20,9 @@ and the SrcIP heavy-hitter ARE of the merged sketch; its accuracy gate
 is that the 4-worker ARE stays within the statistical-harness margin
 of the single-sketch reference while fleet capacity scales above 1x.
 
-The pipeline sweep times each stage of the staged numpy engine
+The pipeline sweep times each step of the numpy engines' chunk loop
 (hash → replace → stats) via the ``pipeline.stage.*`` metric spans and
-records the per-stage breakdown with chunk/stall counters.
+records the per-step breakdown with the chunk counter.
 
 The kernels sweep races the replace-stage backends
 (:mod:`repro.engine.kernels`): staged-numpy vs the numba-jitted kernel
@@ -109,7 +109,7 @@ def _time_engine(engine_name: str, trace, batch_size, variant: str) -> float:
 
 
 #: Large-batch guard: numpy pps at the biggest batch must stay within
-#: noise of the mid-batch rate.  The staged pipeline chunks every batch
+#: noise of the mid-batch rate.  The engine chunk loop slices every batch
 #: to a cache-resident size, so the old 65536 cliff (0.69x of the 4096
 #: rate) would trip this immediately; 0.95 leaves room for timer noise.
 LARGE_BATCH_FLOOR = 0.95
@@ -278,7 +278,7 @@ def _time_obs(trace, variant: str, batch_size, instrumented: bool) -> float:
     """Packets/sec of the numpy engine, registry on or off.
 
     ``batch_size=None`` runs the engine's default streaming path — the
-    staged pipeline at its own ``pipeline_chunk`` — which is the
+    chunk loop at its own ``pipeline_chunk`` — which is the
     configuration whose overhead the gate certifies; smaller explicit
     batches multiply the per-chunk span frequency beyond anything the
     engine would choose itself.
@@ -335,6 +335,8 @@ def run_obs_overhead(
     }
 
 
+PIPELINE_TITLE = "Engine chunk loop: per-step timing breakdown (numpy engines)"
+
 PIPELINE_HEADERS = [
     "variant",
     "stage",
@@ -346,15 +348,14 @@ PIPELINE_HEADERS = [
 
 
 def run_pipeline_stages(packets: int, flows: int, seed: int = 7) -> Dict:
-    """Per-stage timing breakdown of the staged numpy pipeline.
+    """Per-step timing breakdown of the numpy engines' chunk loop.
 
     Runs each numpy variant's ``process`` path under a metrics registry,
     validates the snapshot against ``repro.obs.metrics/v1``, and turns
-    the ``pipeline.stage.*`` spans into rows: chunk count, total stage
-    seconds, mean microseconds per chunk, and each stage's share of the
-    staged time.  The ring-buffer counters (chunks fed, producer
-    stalls) ride along per variant, so the artifact shows both where
-    the time goes and that backpressure never engaged on a healthy run.
+    the ``pipeline.stage.*`` spans into rows: chunk count, total step
+    seconds, mean microseconds per chunk, and each step's share of the
+    loop's time.  The chunk counter and the end-to-end rate ride along
+    per variant.
     """
     from repro.obs.schema import validate_snapshot
 
@@ -384,7 +385,7 @@ def run_pipeline_stages(packets: int, flows: int, seed: int = 7) -> Dict:
             for name, span in snap["spans"].items()
             if name.startswith("pipeline.stage.")
         }
-        staged_total = sum(s["total_s"] for s in stage_spans.values()) or 1.0
+        loop_total = sum(s["total_s"] for s in stage_spans.values()) or 1.0
         for stage in ("hash", "replace", "stats"):
             span = stage_spans.get(stage)
             if span is None:
@@ -396,12 +397,11 @@ def run_pipeline_stages(packets: int, flows: int, seed: int = 7) -> Dict:
                     span["count"],
                     span["total_s"],
                     span["total_s"] / max(span["count"], 1) * 1e6,
-                    span["total_s"] / staged_total,
+                    span["total_s"] / loop_total,
                 ]
             )
         variants[variant] = {
             "chunks": snap["counters"].get(f"pipeline.numpy.{tag}.chunks", 0),
-            "stalls": snap["counters"].get(f"pipeline.numpy.{tag}.stalls", 0),
             "pps": len(trace) / elapsed,
         }
     return {
@@ -454,7 +454,7 @@ def _kernel_sketch(variant: str, backend: str, seed: int):
 def run_kernel_sweep(
     packets: int, flows: int, seed: int = 7, repeats: int = 2
 ) -> Dict:
-    """Replace-stage kernel backends head to head on the staged pipeline.
+    """Replace-stage kernel backends head to head on the engine chunk loop.
 
     Runs each numpy variant once per available backend (``numpy``
     always; ``numba`` when importable) under a metrics registry, takes
@@ -585,11 +585,11 @@ def test_obs_overhead(record):
 
 
 def test_pipeline_stage_breakdown(record):
-    """Pytest entry: per-stage pipeline timing, schema-validated."""
+    """Pytest entry: per-step chunk-loop timing, schema-validated."""
     sweep = run_pipeline_stages(packets=120_000, flows=40_000)
     record(
         "bench_pipeline_stages",
-        "Staged pipeline: per-stage timing breakdown (numpy engines)",
+        PIPELINE_TITLE,
         PIPELINE_HEADERS,
         sweep["rows"],
         extra={
@@ -598,11 +598,13 @@ def test_pipeline_stage_breakdown(record):
             "variants": sweep["variants"],
         },
     )
-    stages = {(row[0], row[1]) for row in sweep["rows"]}
+    counts = {(row[0], row[1]): row[2] for row in sweep["rows"]}
     for variant in ("basic", "hardware"):
+        chunks = sweep["variants"][variant]["chunks"]
+        assert chunks > 0
         for stage in ("hash", "replace", "stats"):
-            assert (variant, stage) in stages, f"missing span {variant}/{stage}"
-        assert sweep["variants"][variant]["chunks"] > 0
+            assert (variant, stage) in counts, f"missing span {variant}/{stage}"
+            assert counts[variant, stage] == chunks, (variant, stage)
 
 
 def test_kernel_sweep(record):
@@ -972,11 +974,10 @@ def _drive_pipeline(args) -> tuple:
         )
     for variant, stats in sweep["variants"].items():
         print(
-            f"{variant}: {stats['chunks']} chunks, "
-            f"{stats['stalls']} stalls, {stats['pps']:,.0f} pps"
+            f"{variant}: {stats['chunks']} chunks, {stats['pps']:,.0f} pps"
         )
     payload = {
-        "title": "Staged pipeline: per-stage timing breakdown (numpy engines)",
+        "title": PIPELINE_TITLE,
         "headers": PIPELINE_HEADERS,
         "rows": sweep["rows"],
         "extra": {

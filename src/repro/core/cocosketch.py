@@ -233,26 +233,6 @@ class BasicCocoSketch(Sketch):
         self._seq = 0
         self.stats.reset()
 
-    resizable = True
-
-    def resize(self, new_l: int, seed: int = 0, rng=None) -> None:
-        """Re-hash recorded state to *new_l* buckets, in place.
-
-        Delegates to the Theorem 1 fold
-        (:func:`repro.extensions.merging.resize_cocosketch`) and adopts
-        the result's arrays and re-length'd hash closures; the family,
-        RNG stream and decision counters carry over untouched.
-        """
-        if new_l == self.l:
-            return
-        from repro.extensions.merging import resize_cocosketch
-
-        out = resize_cocosketch(self, new_l, seed=seed, rng=rng)
-        self.l = new_l
-        self._hash = out._hash
-        self._keys = out._keys
-        self._vals = out._vals
-
     def occupancy(self) -> float:
         """Fraction of buckets holding a key (diagnostics)."""
         filled = sum(

@@ -193,25 +193,6 @@ class HardwareCocoSketch(Sketch):
         self._seq = 0
         self.stats.reset()
 
-    resizable = True
-
-    def resize(self, new_l: int, seed: int = 0, rng=None) -> None:
-        """Re-hash recorded state to *new_l* buckets, in place.
-
-        The fold is per-array, so each array's estimator stays
-        individually unbiased and the median query keeps its law (see
-        :func:`repro.extensions.merging.resize_cocosketch`).
-        """
-        if new_l == self.l:
-            return
-        from repro.extensions.merging import resize_cocosketch
-
-        out = resize_cocosketch(self, new_l, seed=seed, rng=rng)
-        self.l = new_l
-        self._hash = out._hash
-        self._keys = out._keys
-        self._vals = out._vals
-
 
 class P4CocoSketch(HardwareCocoSketch):
     """Tofino variant: replacement probability via approximate division.

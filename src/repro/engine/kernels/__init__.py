@@ -1,7 +1,7 @@
-"""Runtime-dispatched compiled kernels for the staged pipeline hot path.
+"""Runtime-dispatched compiled kernels for the engines' chunk-loop hot path.
 
 The per-stage breakdown (``results/bench_pipeline_stages.json``) shows
-the ``replace`` stage eats 77–89% of staged time on both numpy
+the ``replace`` stage eats 77–89% of engine time on both numpy
 variants, so this package provides drop-in compiled implementations of
 the replace-stage inner loop (both rules) and the hash-stage index
 computation, selected at runtime:
@@ -29,8 +29,7 @@ the CLI's ``--profile``/``--metrics-out`` snapshot carries the backend
 name in its ``meta`` block.
 
 Dispatch never changes results: the compiled kernels consume the same
-ChunkSlot arrays, the same counter-based replay draws, and the same
-decision-counter semantics as the numpy kernels, and the differential
+counter-based replay draws and the same decision-counter semantics as the numpy kernels, and the differential
 tests (``tests/test_kernels.py``, ``tests/test_differential.py``)
 assert bit-identical state and stats across scalar/numpy/compiled.
 """
@@ -53,6 +52,9 @@ BACKEND_CHOICES = ("auto", "numba", "numpy", "python")
 
 #: Gauge name reporting the active backend per run.
 KERNEL_GAUGE = "pipeline.kernel"
+
+#: Gauge name reporting the engine's kernel chunk in packets.
+CHUNK_GAUGE = "pipeline.chunk"
 
 #: Numeric codes for the ``pipeline.kernel`` gauge (gauges are floats
 #: under ``repro.obs.metrics/v1``).
@@ -255,6 +257,7 @@ def warmup(kernels: KernelSet, d: int = 2) -> None:
 __all__ = [
     "BACKEND_CHOICES",
     "BACKEND_ENV",
+    "CHUNK_GAUGE",
     "KERNEL_BACKEND_CODES",
     "KERNEL_GAUGE",
     "KernelSet",

@@ -1,4 +1,4 @@
-"""Kernel source: the staged pipeline's inner loops in njit-able form.
+"""Kernel source: the engine chunk loop's inner kernels in njit-able form.
 
 These functions are the *source of truth* the compiled backends build
 from.  They are written in the restricted subset of Python that numba's

@@ -31,7 +31,7 @@ this for both engines).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -338,7 +338,7 @@ class ShardedSketch(Sketch):
         """Stream the trace through the shard workers, folding results in.
 
         The steady state is a three-way overlap: the driver partitions
-        stream block *k+1* while the workers' staged pipelines chew on
+        stream block *k+1* while the workers' engines chew on
         block *k*'s chunks, and each worker's final state is folded into
         the merged sketch as soon as it (and every lower-numbered
         shard) arrives — shard order keeps the single seeded merge
@@ -498,27 +498,6 @@ class ShardedSketch(Sketch):
         self._merge_rng = random.Random(
             mix64(self.spec.seed ^ _MERGE_STREAM_SALT)
         )
-
-    resizable = True
-
-    def resize(self, new_l: int, seed: int = 0, rng=None) -> None:
-        """Elastically re-geometry the pipeline to *new_l* buckets.
-
-        Updates the spec (the next ``process`` builds workers at the
-        new width — a fresh :class:`~repro.parallel.StreamDriver` per
-        call, so no live workers need resizing here) and re-hashes any
-        already-merged state through the pipeline's one seeded merge
-        stream, keeping results reproducible under ``spec.seed``.
-        """
-        if new_l < 1:
-            raise ValueError(f"new_l must be >= 1, got {new_l}")
-        if new_l == self.l:
-            return
-        if self._merged is not None:
-            self._merged.resize(new_l, rng=rng if rng is not None else self._merge_rng)
-        self.spec = replace(self.spec, l=new_l)
-        self.l = new_l
-        self._cost = None
 
     def occupancy(self) -> float:
         """Bucket occupancy of the merged sketch (0.0 before process)."""

@@ -1,27 +1,29 @@
-"""Numpy execution engine: columnar sketch state, staged batch updates.
+"""Numpy execution engine: columnar sketch state, chunked batch updates.
 
 Every sketch here keeps its state in flat numpy arrays (uint64 key
 columns, int64 counters) and consumes whole batches per call, so the
 per-packet pure-Python work of the scalar classes — d hash closures, RNG
 draws, list indexing — becomes a handful of array operations per batch.
 
-Execution is organised as a staged pipeline (:mod:`repro.engine.pipeline`):
-**pack** (slice input into cache-resident chunks, copy into
-pre-allocated ring slots) → **hash** (allocation-free mix64 into the
-slot's hash rows) → **replace** (the replacement-rule kernel mutating
-sketch state) → **stats** (fold the kernel's decision-counter delta
-into :class:`CocoStats` and the metrics registry).  ``process`` /
-``process_columns`` drive the ring; ``update_batch`` runs the same
-chunking + kernels inline (monolithic path), so both paths are
-bit-identical — a differential test asserts it.
+The two CocoSketch variants change state in one chunk loop
+(``_ColumnarKeyValueSketch._run_chunks``): input is sliced into kernel
+chunks of at most ``pipeline_chunk`` packets, and each chunk runs three
+named steps in order — **hash** (allocation-free mix64 into the
+scratch index rows) → **replace** (the replacement-rule kernel mutating
+sketch state, then the chunk's slim-replica delta) → **stats** (fold
+the kernel's decision-counter delta into :class:`CocoStats` and the
+metrics registry).  ``process``, ``process_columns`` and
+``update_batch`` are thin adapters onto that loop, so all three are
+bit-identical on the same stream — a differential test asserts it.
 
 Chunking every batch to ``pipeline_chunk`` packets keeps the kernel
 working set (key columns + hashes + sort scratch) cache-resident: the
-old monolithic path lost ~35% throughput at batch 65536 purely to
-cache misses, which the chunked pack stage removes.  The hardware
-variant and the compiled kernels chunk at :data:`MAX_PIPELINE_CHUNK`;
-the basic rule's epoch schedule derives its chunk from the geometry
-(:func:`epoch_chunk`), because its round count grows with chunk / l.
+old unchunked path lost ~35% throughput at batch 65536 purely to
+cache misses.  The hardware variant and the compiled kernels chunk at
+:data:`MAX_PIPELINE_CHUNK`; the basic rule's epoch schedule derives its
+chunk from the geometry (:func:`epoch_chunk`), because its round count
+grows with chunk / l.  Geometry, chunk and kernel scratch are fixed at
+construction: a sketch never changes width.
 
 Correctness contracts, enforced by ``tests/test_engine.py``:
 
@@ -70,11 +72,11 @@ import numpy as np
 
 from repro.engine.base import ExecutionEngine, register_engine
 from repro.engine.kernels import (
+    CHUNK_GAUGE,
     KERNEL_BACKEND_CODES,
     KERNEL_GAUGE,
     resolve_kernels,
 )
-from repro.engine.pipeline import CHUNK_GAUGE, Stage, StagedPipeline
 from repro.hashing.family import HashFamily, fold_columns
 from repro.obs.registry import get_registry
 from repro.obs.replay import (
@@ -155,7 +157,7 @@ StatsDelta = Tuple[int, int, int, int, int, List[int], Optional[int]]
 
 
 class _KernelScratch:
-    """Pre-allocated per-sketch work arrays sized to one pipeline chunk."""
+    """Pre-allocated per-sketch work arrays sized to one kernel chunk."""
 
     __slots__ = ("fold", "z", "t", "J", "pos", "t64", "flags")
 
@@ -169,52 +171,6 @@ class _KernelScratch:
         self.flags = np.empty(capacity, dtype=bool)
 
 
-class _HashStage(Stage):
-    """Fill the slot's hash rows: fold + mix64, allocation-free."""
-
-    name = "hash"
-
-    def __init__(self, sketch: "_ColumnarKeyValueSketch") -> None:
-        self._sketch = sketch
-
-    def run(self, slot) -> None:
-        n = slot.n
-        if n:
-            self._sketch._hash_chunk(slot.hi[:n], slot.lo[:n], n, slot.hashes)
-
-
-class _ReplaceStage(Stage):
-    """Run the replacement-rule kernel; park the stats delta on the slot."""
-
-    name = "replace"
-
-    def __init__(self, sketch: "_ColumnarKeyValueSketch") -> None:
-        self._sketch = sketch
-
-    def run(self, slot) -> None:
-        n = slot.n
-        if n:
-            slot.payload = self._sketch._update_chunk(
-                slot.hi[:n], slot.lo[:n], slot.sizes[:n],
-                slot.hashes, slot.seq_base,
-            )
-            self._sketch._emit_chunk_delta(slot.hashes, n)
-
-
-class _StatsStage(Stage):
-    """Fold the chunk's decision-counter delta into CocoStats + metrics."""
-
-    name = "stats"
-
-    def __init__(self, sketch: "_ColumnarKeyValueSketch") -> None:
-        self._sketch = sketch
-
-    def run(self, slot) -> None:
-        if slot.payload is not None:
-            self._sketch._fold_delta(slot.payload)
-            slot.payload = None
-
-
 class _ColumnarKeyValueSketch(Sketch):
     """Shared state/plumbing for the two columnar CocoSketch variants.
 
@@ -226,11 +182,10 @@ class _ColumnarKeyValueSketch(Sketch):
     vectorized = True
     emits_bucket_deltas = True
 
-    #: Kernel chunk size: both the staged pipeline's pack stage and the
-    #: monolithic ``update_batch`` slice input to at most this many
-    #: packets, keeping the per-chunk working set cache-resident.  Set
-    #: per instance from :meth:`_geometry_chunk` at construction and on
-    #: :meth:`resize`, the only points where the geometry changes.
+    #: Kernel chunk size: every entry point slices input to at most
+    #: this many packets per kernel call, keeping the per-chunk working
+    #: set cache-resident.  Set per instance from :meth:`_geometry_chunk`
+    #: at construction; the geometry never changes afterwards.
     pipeline_chunk = MAX_PIPELINE_CHUNK
 
     #: Metric-name variant tag ("basic" / "hw"), set per subclass.
@@ -258,8 +213,9 @@ class _ColumnarKeyValueSketch(Sketch):
         # (or REPRO_KERNELS / auto-detected numba), else the numpy
         # paths below.  Resolved once per sketch at construction.
         self._kernels = resolve_kernels(kernels)
-        self._kernels_override = kernels
         self.pipeline_chunk = self._geometry_chunk()
+        self._scratch = _KernelScratch(self.pipeline_chunk, d)
+        self._chunk_counter = f"pipeline.numpy.{self._variant}.chunks"
         self._seeds_arr = np.asarray(self._family.seeds, dtype=np.uint64)
         self._usize = np.uint64(l)
         self._counts = np.zeros(4 + d, dtype=np.int64)
@@ -280,72 +236,78 @@ class _ColumnarKeyValueSketch(Sketch):
         # Array-row offsets turning (i, j) into a flat bucket id.
         self._row_offsets = (np.arange(d, dtype=np.int64) * l)[:, None]
         self._l_bits = max((l - 1).bit_length(), 1)
-        self._scratch: Optional[_KernelScratch] = None
-        self._pipe: Optional[StagedPipeline] = None
 
     def _geometry_chunk(self) -> int:
-        """Kernel chunk for the current geometry and kernel backend."""
+        """Kernel chunk for the geometry and kernel backend."""
         return MAX_PIPELINE_CHUNK
 
-    # -- staged execution ---------------------------------------------
+    # -- the chunk loop -----------------------------------------------
 
-    def _ensure_scratch(self) -> _KernelScratch:
-        if self._scratch is None:
-            self._scratch = _KernelScratch(self.pipeline_chunk, self.d)
-        return self._scratch
+    def _run_chunks(self, hi, lo, w) -> None:
+        """Apply one columnar block, chunk by chunk, in arrival order.
 
-    def _staged_pipeline(self) -> StagedPipeline:
-        """The sketch's pipeline: hash → replace → stats over one ring."""
-        if self._pipe is None:
-            self._ensure_scratch()
-            self._pipe = StagedPipeline(
-                [_HashStage(self), _ReplaceStage(self), _StatsStage(self)],
-                chunk=self.pipeline_chunk,
-                hash_rows=self.d,
-                name=f"numpy.{self._variant}",
-                kernel=self._kernels.name,
-            )
-        return self._pipe
-
-    def _feed_pipeline(self, pipe: StagedPipeline, hi, lo, sizes) -> None:
-        pipe.feed(hi, lo, sizes, self._seq)
-        self._seq += len(sizes)
+        Each chunk runs hash → replace → stats.  The replace step also
+        emits the chunk's bucket delta, so an attached sink sees chunks
+        in exact update order.  With the registry enabled every step is
+        a ``pipeline.stage.<step>`` span (delta emission inside the
+        replace span) and each chunk counts once in
+        ``pipeline.numpy.<variant>.chunks``.
+        """
+        n = len(w)
+        if n == 0:
+            return
+        chunk = self.pipeline_chunk
+        J = self._scratch.J
+        obs = get_registry()
+        if obs.enabled:
+            obs.set_gauge(KERNEL_GAUGE, KERNEL_BACKEND_CODES[self._kernels.name])
+            obs.set_gauge(CHUNK_GAUGE, float(chunk))
+        for start in range(0, n, chunk):
+            stop = min(start + chunk, n)
+            m = stop - start
+            chi = hi[start:stop]
+            clo = lo[start:stop]
+            with obs.span("pipeline.stage.hash"):
+                self._hash_chunk(chi, clo, m, J)
+            with obs.span("pipeline.stage.replace"):
+                delta = self._update_chunk(chi, clo, w[start:stop], J, self._seq)
+                self._emit_chunk_delta(J, m)
+            self._seq += m
+            with obs.span("pipeline.stage.stats"):
+                self._fold_delta(delta)
+            obs.inc(self._chunk_counter)
 
     def process(
         self,
         packets: Iterable[Tuple[int, int]],
         batch_size: Optional[int] = None,
     ) -> None:
-        """Feed a packet source through the staged pipeline.
+        """Feed a packet source through the chunk loop.
 
-        Columnar sources (a Trace) stream straight into the ring; plain
-        iterables are buffered into columns first.  *batch_size* caps
-        the feed granularity (chunks never exceed ``pipeline_chunk``
-        regardless); the default streams at the pipeline's own chunk.
+        Columnar sources (a Trace) stream straight in; plain iterables
+        are buffered into columns first.  *batch_size* caps the feed
+        granularity (chunks never exceed ``pipeline_chunk`` regardless);
+        the default feeds one kernel chunk at a time.
         """
         if batch_size is not None and batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         step = batch_size if batch_size is not None else self.pipeline_chunk
         with get_registry().span("sketch.process"):
-            pipe = self._staged_pipeline()
             batches = getattr(packets, "batches", None)
             if batches is not None:
                 for bhi, blo, bsizes in batches(step):
-                    self._feed_pipeline(pipe, bhi, blo, bsizes)
-            else:
-                keys: list = []
-                szs: list = []
-                for key, size in packets:
-                    keys.append(key)
-                    szs.append(size)
-                    if len(keys) >= step:
-                        bhi, blo, bw = as_columns(keys, szs)
-                        self._feed_pipeline(pipe, bhi, blo, bw)
-                        keys, szs = [], []
-                if keys:
-                    bhi, blo, bw = as_columns(keys, szs)
-                    self._feed_pipeline(pipe, bhi, blo, bw)
-            pipe.flush()
+                    self._run_chunks(*as_columns((bhi, blo), bsizes))
+                return
+            keys: list = []
+            szs: list = []
+            for key, size in packets:
+                keys.append(key)
+                szs.append(size)
+                if len(keys) >= step:
+                    self._run_chunks(*as_columns(keys, szs))
+                    keys, szs = [], []
+            if keys:
+                self._run_chunks(*as_columns(keys, szs))
 
     def process_columns(
         self,
@@ -354,60 +316,36 @@ class _ColumnarKeyValueSketch(Sketch):
         sizes: "np.ndarray",
         batch_size: Optional[int] = None,
     ) -> None:
-        """Stream one pre-packed columnar block through the pipeline.
+        """Feed one pre-packed columnar block through the chunk loop.
 
         Same routing as :meth:`process` on a columnar source; the
-        sharded workers call this per received chunk, so the staged
-        chunk boundaries (hence replay draws and RNG consumption) match
-        the unsharded run whenever upstream blocks arrive in
+        sharded workers call this per received chunk, so the chunk
+        boundaries (hence replay draws and RNG consumption) match the
+        unsharded run whenever upstream blocks arrive in
         ``pipeline_chunk`` multiples.
         """
         if batch_size is not None and batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         hi, lo, w = as_columns((hi, lo), sizes)
-        n = len(w)
-        if n == 0:
-            return
         step = batch_size if batch_size is not None else self.pipeline_chunk
-        pipe = self._staged_pipeline()
-        for start in range(0, n, step):
-            stop = min(start + step, n)
-            self._feed_pipeline(pipe, hi[start:stop], lo[start:stop], w[start:stop])
-        pipe.flush()
-
-    # -- monolithic path (same kernels, inline) -----------------------
+        for start in range(0, len(w), step):
+            stop = start + step
+            self._run_chunks(hi[start:stop], lo[start:stop], w[start:stop])
 
     def update_batch(
         self, keys: KeyBatch, sizes: Optional[Sequence[int]] = None
     ) -> None:
         hi, lo, w = as_columns(keys, sizes)
-        n = len(w)
-        if n == 0:
+        if len(w) == 0:
             return
-        chunk = self.pipeline_chunk
-        s = self._ensure_scratch()
-        obs = get_registry()
-        if obs.enabled:
-            obs.set_gauge(KERNEL_GAUGE, KERNEL_BACKEND_CODES[self._kernels.name])
-            obs.set_gauge(CHUNK_GAUGE, float(chunk))
-        with obs.span(self._span_update):
-            for start in range(0, n, chunk):
-                stop = min(start + chunk, n)
-                m = stop - start
-                chi = hi[start:stop]
-                clo = lo[start:stop]
-                cw = w[start:stop]
-                self._hash_chunk(chi, clo, m, s.J)
-                delta = self._update_chunk(chi, clo, cw, s.J, self._seq)
-                self._seq += m
-                self._fold_delta(delta)
-                self._emit_chunk_delta(s.J, m)
+        with get_registry().span(self._span_update):
+            self._run_chunks(hi, lo, w)
 
     # -- per-chunk kernels --------------------------------------------
 
     def _hash_chunk(self, hi, lo, n: int, out: "np.ndarray") -> None:
         """Hash one chunk into *out* rows — allocation-free mix64."""
-        s = self._ensure_scratch()
+        s = self._scratch
         fold = s.fold[:n]
         np.bitwise_xor(hi, lo, out=fold)
         if self._kernels.hash_indices is not None:
@@ -416,7 +354,7 @@ class _ColumnarKeyValueSketch(Sketch):
             self._family.index_arrays_into(fold, self.l, out, s.z[:n], s.t[:n])
 
     def _update_chunk(self, hi, lo, w, J, seq_base: int) -> StatsDelta:
-        """Replace-stage dispatch: compiled kernel when active, else numpy."""
+        """Replace-step dispatch: compiled kernel when active, else numpy."""
         if self._kernels.compiled:
             return self._update_chunk_kernel(hi, lo, w, J, seq_base)
         return self._update_chunk_numpy(hi, lo, w, J, seq_base)
@@ -501,45 +439,6 @@ class _ColumnarKeyValueSketch(Sketch):
     def occupancy(self) -> float:
         """Fraction of buckets holding a key (diagnostics)."""
         return float(self._occupied.mean())
-
-    resizable = True
-
-    def resize(self, new_l: int, seed: int = 0, rng=None) -> None:
-        """Re-hash the column state to *new_l* buckets, in place.
-
-        The Theorem 1 fold (:func:`~repro.extensions.merging.
-        resize_cocosketch`) produces the resized arrays; this method
-        adopts them and rebuilds every piece of state the old length
-        was baked into: the flat views, the row-offset table, the
-        packed-sort bit budget, the kernel chunk, and the staged
-        pipeline + kernel scratch (dropped here, lazily rebuilt at the
-        next batch so chunk buffers and the kernel dispatch re-bind to
-        the new geometry).  The hash family, RNG stream, replay seed and
-        decision counters carry over — resizing is invisible to the
-        replacement law.
-        """
-        if new_l == self.l:
-            return
-        from repro.extensions.merging import resize_cocosketch
-
-        out = resize_cocosketch(self, new_l, seed=seed, rng=rng)
-        d = self.d
-        self.l = new_l
-        self._usize = np.uint64(new_l)
-        self._key_hi = out._key_hi
-        self._key_lo = out._key_lo
-        self._occupied = out._occupied
-        self._vals = out._vals
-        self._key_hi_flat = self._key_hi.reshape(-1)
-        self._key_lo_flat = self._key_lo.reshape(-1)
-        self._occupied_flat = self._occupied.reshape(-1)
-        self._vals_flat = self._vals.reshape(-1)
-        self._row_offsets = (np.arange(d, dtype=np.int64) * new_l)[:, None]
-        self._l_bits = max((new_l - 1).bit_length(), 1)
-        self._scratch = None
-        self._pipe = None
-        self._kernels = resolve_kernels(self._kernels_override)
-        self.pipeline_chunk = self._geometry_chunk()
 
     def export_columns(self):
         """Occupied-bucket state as ``(hi, lo, values)`` columns.

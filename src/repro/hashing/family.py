@@ -200,7 +200,7 @@ class HashFamily:
         Writes row *i* of *out* (an int64 ``(d, >= n)`` array) for each
         hash function; *z* and *t* are caller-owned uint64 scratch of
         length ``n = len(keys)``.  Bit-identical to
-        :meth:`index_arrays` — the staged pipeline's hash stage uses
+        :meth:`index_arrays` — the engines' chunk-loop hash step uses
         this to keep the hot path free of per-chunk allocation.
         """
         if self.backend != "mix64":

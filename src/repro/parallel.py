@@ -14,18 +14,16 @@ per-batch pool barrier.  Each worker
    (shard 0 keeps the spec's natural stream, which makes a one-shard
    run bit-identical to an unsharded sketch under the same seed),
 3. consumes arriving ``(hi, lo, sizes)`` chunks through the engine's
-   normal streaming path (:meth:`Sketch.process_columns` — the staged
-   pipeline for the numpy engines), timing only that region, and
+   normal streaming path (:meth:`Sketch.process_columns` — the chunk
+   loop for the numpy engines), timing only that region, and
 4. on end-of-stream returns each shard's state as a
    :mod:`repro.core.serialize` blob — the same wire format a switch
    would export — plus a
    :class:`~repro.metrics.throughput.WorkerThroughput` report.
 
-Backpressure is credit-based end to end: every worker's input queue
+Backpressure is credit-based: every worker's input queue
 holds at most :data:`WORKER_CREDITS` chunks, so a slow worker stalls
-the driver's scatter loop instead of buffering the whole trace, and
-inside each worker the engine's own ring buffer
-(:mod:`repro.engine.pipeline`) bounds chunks in flight per stage.
+the driver's scatter loop instead of buffering the whole trace.
 
 ``processes=False`` runs the same driver/worker code path inline
 (including the serialise round-trip), so serial and parallel execution
@@ -49,18 +47,16 @@ from repro.sketches.base import Sketch
 
 _WORKER_RNG_SALT = 0x51A8D
 _EPOCH_RNG_SALT = 0xE70C4
-_RESIZE_RNG_SALT = 0x4E5A17
 
 #: Driver scatter granularity in packets.  A power of two and a
 #: multiple of every engine ``pipeline_chunk`` (a power of two in
 #: [512, 16384], derived from the geometry), so the chunk boundaries a
-#: worker's staged pipeline sees match an unsharded run's exactly (the
+#: worker's engine sees match an unsharded run's exactly (the
 #: shards=1 bit-identity tests rely on this).
 STREAM_BATCH = 65536
 
 #: Chunks a worker's input queue may hold before the driver's scatter
-#: loop blocks — the process-level analogue of the ring buffer's
-#: credits.
+#: loop blocks.
 WORKER_CREDITS = 4
 
 #: One shard's columnar packet stream: (keys_hi, keys_lo, sizes).
@@ -95,18 +91,6 @@ def epoch_stream_seed(base_seed: int, epoch: int) -> int:
     if epoch == 0:
         return base_seed
     return mix64((base_seed ^ _EPOCH_RNG_SALT) + epoch * 0x9E3779B97F4A7C15)
-
-
-def resize_stream_seed(base_seed: int, shard: int) -> int:
-    """Decorrelated fold-RNG seed for one shard's elastic resize.
-
-    Inline shards and worker-process shards derive the per-shard seed
-    through the same function, so a resize lands bit-identically
-    regardless of worker placement.
-    """
-    return mix64(
-        (base_seed ^ _RESIZE_RNG_SALT) + shard * 0x9E3779B97F4A7C15
-    )
 
 
 def _reseed_sketch(sketch: Sketch, base_seed: int, shard: int) -> None:
@@ -207,11 +191,8 @@ def _stream_worker(spec, shards, batch_size, collect, in_q, out_q, epoch=0) -> N
     processes than shards); each keeps its own sketch, registry and
     timers, so the reports stay per-shard regardless of placement.
 
-    Two message kinds arrive on the queue: data chunks
-    ``(shard, hi, lo, sizes)`` and control tuples ``("resize", shard,
-    new_l, seed)`` — the latter re-hash the shard's live state in
-    place (the daemon's elastic geometry, shipped to persistent
-    workers).  ``None`` ends the stream.
+    Data chunks arrive on the queue as ``(shard, hi, lo, sizes)``;
+    ``None`` ends the stream.
     """
     if spec.engine != "scalar":
         # Warm the JIT before the first timed chunk: with a shared
@@ -225,10 +206,6 @@ def _stream_worker(spec, shards, batch_size, collect, in_q, out_q, epoch=0) -> N
         message = in_q.get()
         if message is None:
             break
-        if message[0] == "resize":
-            _, shard, new_l, seed = message
-            runs[shard].sketch.resize(new_l, seed=seed)
-            continue
         shard, hi, lo, sizes = message
         runs[shard].consume(hi, lo, sizes, batch_size)
     for shard in shards:
@@ -367,26 +344,6 @@ class StreamDriver:
             self._inline[shard].consume(hi, lo, sizes, self._batch_size)
             return
         self._queues[shard].put((shard, hi, lo, sizes))
-
-    def resize(self, new_l: int, base_seed: int = 0) -> None:
-        """Re-hash every shard's live state to *new_l* buckets.
-
-        Inline shards resize synchronously; worker-process shards get a
-        ``("resize", ...)`` control tuple on their input queue, ordered
-        FIFO with the data chunks, so the resize lands between the same
-        two chunks it would inline.  Per-shard fold seeds come from
-        :func:`resize_stream_seed` in both placements.
-        """
-        if self._closed:
-            raise RuntimeError("driver already closed")
-        if new_l < 1:
-            raise ValueError(f"new_l must be >= 1, got {new_l}")
-        for shard in range(self.shards):
-            seed = resize_stream_seed(base_seed, shard)
-            if self._inline is not None:
-                self._inline[shard].sketch.resize(new_l, seed=seed)
-            else:
-                self._queues[shard].put(("resize", shard, new_l, seed))
 
     def results(self) -> Iterator[ShardResult]:
         """Close the stream and yield shard results as workers finish.

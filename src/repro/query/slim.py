@@ -10,8 +10,8 @@ and serves every read.
 
 How the sync works:
 
-* The fat engines emit a delta per processed chunk from the staged
-  pipeline's ``replace`` stage (:mod:`repro.engine.pipeline`): the
+* The fat engines emit a delta per processed chunk from the replace
+  step of their chunk loop (:mod:`repro.engine.vectorized`): the
   post-chunk rows of every candidate bucket the chunk may have written
   (:class:`BucketDelta`, at most ``d * chunk`` rows against ``d * l``
   state).  Scalar sketches emit their full flow table per block instead

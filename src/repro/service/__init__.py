@@ -5,7 +5,7 @@ paper's OVS integration, §7) measure *continuously* and answer queries
 against live state.  This package is that system layer:
 
 * :class:`MeasurementDaemon` — a long-lived ingestion loop over the
-  staged pipeline / :class:`~repro.parallel.StreamDriver` sharded
+  engines' chunk loop / :class:`~repro.parallel.StreamDriver` sharded
   backend, rotating measurement epochs on packet-count or wall-clock
   boundaries and freezing each closed epoch as an immutable snapshot
   (:mod:`repro.core.serialize` epoch wire kind).

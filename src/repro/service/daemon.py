@@ -2,7 +2,7 @@
 
 Turns the batch engine into a system.  One :class:`MeasurementDaemon`
 owns a sequence of epochs; inside each epoch an :class:`EpochBuilder`
-drives the staged pipeline through the sharded
+drives the engines' chunk loop through the sharded
 :class:`~repro.parallel.StreamDriver`, and at every rotation boundary
 the builder's state freezes into an immutable
 :class:`~repro.service.epochs.EpochSnapshot`.
@@ -27,7 +27,7 @@ Live reads never perturb that.  The default read path is the *slim*
 one: a :class:`~repro.query.slim.SlimReplica` bootstrapped lazily from
 the fat arrays (a per-array memcpy under the ingest lock, once per
 epoch) and kept fresh by compact per-chunk deltas the engines emit from
-the staged pipeline's replace stage — a read is a bounded delta drain
+their chunk loop's replace step — a read is a bounded delta drain
 under the replica's own lock, not a serialize-and-extract under the
 ingest lock.  The *fat* path (``view="fat"``) keeps the original
 semantics: serialise the flushed shard state under the ingest lock and
@@ -50,7 +50,7 @@ import numpy as np
 
 from repro.control.governor import GovernorConfig, ResourceGovernor, Signals
 from repro.core.serialize import dump_sketch, load_sketch
-from repro.engine.pipeline import CHUNK_GAUGE
+from repro.engine.kernels import CHUNK_GAUGE
 from repro.engine.sharded import (
     PARTITION_STRATEGIES,
     SketchSpec,

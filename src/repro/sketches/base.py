@@ -224,8 +224,8 @@ class Sketch(abc.ABC):
         sketches consume batch slices (engine default size when
         *batch_size* is None), scalar sketches run the per-packet loop
         — so a one-shard streamed run replays the unsharded execution
-        bit for bit.  The staged-pipeline engines override this to feed
-        their ring directly.
+        bit for bit.  The columnar CocoSketch engines override this to
+        feed their chunk loop directly.
         """
         n = len(sizes)
         if n == 0:
@@ -259,29 +259,4 @@ class Sketch(abc.ABC):
             "Sketch.reset() with a cheap state re-initialisation (see "
             "BasicCocoSketch.reset for the pattern) to enable reuse "
             "across windows"
-        )
-
-    #: True when the sketch supports in-place elastic :meth:`resize` —
-    #: the CocoSketch variants, where the Theorem 1 fold lets recorded
-    #: state move to a new array length without bias.  Deterministic
-    #: counter arrays (CM/Count) and facades leave it False.
-    resizable: bool = False
-
-    def resize(self, new_l: int, seed: int = 0, rng=None) -> None:
-        """Re-hash the sketch's arrays to *new_l* buckets, in place.
-
-        Geometry is a runtime property: growing re-hashes every
-        recorded bucket into a wider array, shrinking folds buckets
-        together through the Theorem 1 coin flip
-        (:func:`repro.extensions.merging.resize_cocosketch`), so
-        per-flow expectations are preserved either way (Lemma 3
-        unbiasedness of partial-key aggregates follows).  Randomness is
-        injected via *seed*/*rng* exactly as in the merge path.  Must
-        be called at a quiescent point — never concurrently with an
-        update batch.
-        """
-        raise NotImplementedError(
-            f"{type(self).__name__} does not support elastic resize(); "
-            "only the CocoSketch variants can re-hash their recorded "
-            "state without bias (resizable=False)"
         )

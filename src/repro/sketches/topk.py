@@ -25,7 +25,6 @@ class TopKHeap:
         self.k = k
         self._heap: List[Tuple[float, int]] = []
         self._sizes: Dict[int, float] = {}
-        self._dirty = False
 
     def __len__(self) -> int:
         return len(self._sizes)
@@ -39,7 +38,6 @@ class TopKHeap:
         if key in sizes:
             if estimate > sizes[key]:
                 sizes[key] = estimate
-                self._dirty = True
             return
         if len(sizes) < self.k:
             sizes[key] = estimate
@@ -54,9 +52,12 @@ class TopKHeap:
             heapq.heappush(self._heap, (estimate, key))
 
     def _ensure_clean_min(self) -> None:
-        """Re-sync the heap top with updated estimates (lazy repair)."""
-        if not self._dirty:
-            return
+        """Re-sync the heap top with updated estimates (lazy repair).
+
+        Raised estimates leave stale entries anywhere in the heap, so
+        the top is validated before every comparison; only stale
+        entries that reach the top are ever repaired.
+        """
         sizes = self._sizes
         heap = self._heap
         while heap:
@@ -68,7 +69,6 @@ class TopKHeap:
                 heapq.heappop(heap)
             else:
                 break
-        self._dirty = False
 
     def table(self) -> Dict[int, float]:
         """Snapshot ``{key: estimate}`` of the tracked flows."""

@@ -6,8 +6,9 @@ Five families of guarantees, matching docs/governance.md:
   deterministic: grow/shrink thresholds, budget/floor clamps, the
   anti-flap shrink veto, resize cool-down and skew-triggered
   repartition all behave exactly as specified.
-* **Resize statistics** — grow/shrink re-hash folds preserve Lemma-3
-  partial-key unbiasedness, gated through the shared stat harness so
+* **Resize statistics** — grow/shrink re-hash folds
+  (``resize_cocosketch``, which ``EpochStore.merged_range`` runs on
+  ranges straddling a resize) preserve Lemma-3 partial-key unbiasedness, gated through the shared stat harness so
   ``REPRO_STAT_*`` margins apply.
 * **Slim/fat consistency** — the slim replica's answers stay bit-exact
   against the fat path across a staged geometry change (the replica
@@ -38,6 +39,7 @@ from repro.engine.base import buckets_for_memory
 from repro.engine.kernels import BACKEND_ENV, resolve_kernels
 from repro.engine.sharded import SketchSpec
 from repro.engine.vectorized import MAX_PIPELINE_CHUNK, NumpyCocoSketch
+from repro.extensions.merging import resize_cocosketch
 from repro.flowkeys.key import FIVE_TUPLE
 from repro.service import MeasurementDaemon, ServiceConfig
 from repro.sketches.base import COUNTER_BYTES, DEFAULT_KEY_BYTES
@@ -176,6 +178,8 @@ RESIZE_SPECS = random_partial_specs(2, seed=3)
 
 
 class TestResizeUnbiasedness:
+    """The cross-geometry fold ``EpochStore.merged_range`` runs."""
+
     @pytest.mark.parametrize("spec", RESIZE_SPECS, ids=lambda s: s.name)
     @pytest.mark.parametrize("path", ["grow", "shrink", "round-trip"])
     def test_resize_preserves_partial_key_unbiasedness(self, spec, path):
@@ -183,9 +187,9 @@ class TestResizeUnbiasedness:
             sketch = NumpyCocoSketch(d=2, l=512, seed=seed)
             sketch.process(RESIZE_TRACE)
             if path in ("grow", "round-trip"):
-                sketch.resize(1024, seed=seed + 101)
+                sketch = resize_cocosketch(sketch, 1024, seed=seed + 101)
             if path in ("shrink", "round-trip"):
-                sketch.resize(256, seed=seed + 202)
+                sketch = resize_cocosketch(sketch, 256, seed=seed + 202)
             return sketch
 
         assert_partial_key_unbiased_states(

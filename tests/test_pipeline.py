@@ -1,32 +1,24 @@
-"""Staged-pipeline unit tests: ring mechanics, backpressure, and the
-staged-vs-monolithic bit-identity contract of the numpy engines.
+"""Chunk-loop tests for the numpy CocoSketch engines.
 
-The ring/stage tests drive :mod:`repro.engine.pipeline` directly with
-recording stages; the differential tests assert that
-``process_columns`` (the staged ring) and ``update_batch`` (the inline
-monolithic path) produce byte-identical sketch state and identical
-``CocoStats`` on both numpy CocoSketch variants — they share the same
-per-chunk kernels, so any divergence means the scheduler changed a
-decision.
+``process``, ``process_columns`` and ``update_batch`` are adapters onto
+one per-chunk loop (hash → replace → stats).  These tests pin the
+loop's step order and metrics, the geometry-derived kernel chunk, the
+three entry points' byte-identical state and ``CocoStats``, and that an
+engine is freed as soon as its last reference drops.
 """
+
+import gc
+import weakref
 
 import numpy as np
 import pytest
 
 from repro import obs
 from repro.engine.kernels import (
+    CHUNK_GAUGE,
     KERNEL_BACKEND_CODES,
     KERNEL_GAUGE,
     numba_available,
-)
-from repro.engine.pipeline import (
-    CHUNK_GAUGE,
-    ChunkSlot,
-    FnStage,
-    PipelineStalled,
-    RingBuffer,
-    Stage,
-    StagedPipeline,
 )
 from repro.engine.vectorized import (
     MAX_PIPELINE_CHUNK,
@@ -36,10 +28,12 @@ from repro.engine.vectorized import (
 )
 from repro.parallel import STREAM_BATCH
 from repro.service.daemon import DEFAULT_CHUNK
+from repro.traffic.synthetic import zipf_trace
 
 VARIANTS = [NumpyCocoSketch, NumpyHardwareCocoSketch]
 
 KERNEL_BACKENDS = [
+    pytest.param("numpy", id="kernel-numpy"),
     pytest.param("python", id="kernel-python"),
     pytest.param(
         "numba",
@@ -50,6 +44,8 @@ KERNEL_BACKENDS = [
     ),
 ]
 
+STAGES = ("hash", "replace", "stats")
+
 
 def columns(n, start=0):
     """Distinct, position-identifying (hi, lo, sizes) columns."""
@@ -57,229 +53,6 @@ def columns(n, start=0):
     hi = lo ^ np.uint64(0xABCD)
     sizes = np.arange(start, start + n, dtype=np.int64) + 1
     return hi, lo, sizes
-
-
-class Recorder(Stage):
-    """Terminal stage keeping a copy of every chunk it consumes."""
-
-    name = "record"
-
-    def __init__(self):
-        self.chunks = []
-
-    def run(self, slot):
-        self.chunks.append(
-            (slot.seq_base, slot.lo[: slot.n].copy(), slot.sizes[: slot.n].copy())
-        )
-
-
-class Gate(Stage):
-    """Stage that refuses to consume until opened."""
-
-    name = "gate"
-
-    def __init__(self):
-        self.open = False
-        self.seen = 0
-
-    def ready(self):
-        return self.open
-
-    def run(self, slot):
-        self.seen += 1
-
-
-# -- ChunkSlot ---------------------------------------------------------
-
-
-def test_slot_validates_capacity():
-    with pytest.raises(ValueError):
-        ChunkSlot(0)
-
-
-def test_slot_load_rejects_oversized_chunk():
-    slot = ChunkSlot(4)
-    hi, lo, sizes = columns(5)
-    with pytest.raises(ValueError):
-        slot.load(hi, lo, sizes, 0)
-
-
-def test_slot_load_copies_and_resets_payload():
-    slot = ChunkSlot(8, hash_rows=2)
-    hi, lo, sizes = columns(3)
-    slot.payload = "stale"
-    slot.load(hi, lo, sizes, 7)
-    assert slot.n == 3
-    assert slot.seq_base == 7
-    assert slot.payload is None
-    assert np.array_equal(slot.lo[:3], lo)
-    # The slot owns a copy: mutating the source must not leak in.
-    lo[0] = 999
-    assert slot.lo[0] != 999
-    assert slot.hashes.shape == (2, 8)
-
-
-# -- RingBuffer --------------------------------------------------------
-
-
-def test_ring_validates_arguments():
-    with pytest.raises(ValueError):
-        RingBuffer([], consumers=1)
-    with pytest.raises(ValueError):
-        RingBuffer([ChunkSlot(4)], consumers=0)
-
-
-def test_ring_credit_accounting():
-    ring = RingBuffer([ChunkSlot(4) for _ in range(3)], consumers=1)
-    assert ring.credits == 3 and ring.in_flight == 0
-    assert ring.acquire() is not None
-    ring.publish()
-    assert ring.credits == 2 and ring.occupancy == pytest.approx(1 / 3)
-    ring.advance(0)
-    assert ring.credits == 3 and ring.retired == 1
-
-
-def test_ring_acquire_counts_stalls_when_full():
-    ring = RingBuffer([ChunkSlot(4) for _ in range(2)], consumers=1)
-    for _ in range(2):
-        assert ring.acquire() is not None
-        ring.publish()
-    assert ring.acquire() is None
-    assert ring.stalls == 1
-    ring.advance(0)
-    assert ring.acquire() is not None
-
-
-def test_ring_wraps_around_reusing_slots():
-    ring = RingBuffer([ChunkSlot(4) for _ in range(2)], consumers=1)
-    seen = []
-    for i in range(7):
-        slot = ring.acquire()
-        seen.append(id(slot))
-        ring.publish()
-        ring.advance(0)
-    # Counts are monotone; the two physical slots alternate.
-    assert ring.published == ring.retired == 7
-    assert len(set(seen)) == 2
-    assert seen[0] == seen[2] and seen[1] == seen[3]
-
-
-def test_ring_stage_ordering():
-    """Stage k only sees slots its upstream stage has finished."""
-    ring = RingBuffer([ChunkSlot(4) for _ in range(3)], consumers=2)
-    ring.acquire()
-    ring.publish()
-    assert ring.available(0)
-    assert not ring.available(1)  # upstream (stage 0) hasn't advanced
-    ring.advance(0)
-    assert ring.available(1)
-    ring.advance(1)
-    assert ring.retired == 1
-
-
-# -- StagedPipeline mechanics -----------------------------------------
-
-
-def test_pipeline_validates_arguments():
-    with pytest.raises(ValueError):
-        StagedPipeline([], chunk=4)
-    with pytest.raises(ValueError):
-        StagedPipeline([Recorder()], chunk=0)
-
-
-def test_zero_length_feed_publishes_nothing():
-    rec = Recorder()
-    pipe = StagedPipeline([rec], chunk=4, name="unit")
-    hi, lo, sizes = columns(0)
-    pipe.feed(hi, lo, sizes)
-    pipe.flush()
-    assert pipe.ring.published == 0
-    assert rec.chunks == []
-    assert pipe.backlog == 0
-
-
-def test_feed_slices_into_chunks_in_order():
-    rec = Recorder()
-    pipe = StagedPipeline([rec], chunk=4, name="unit")
-    hi, lo, sizes = columns(10)
-    pipe.feed(hi, lo, sizes, seq_start=100)
-    pipe.flush()
-    assert [len(c[2]) for c in rec.chunks] == [4, 4, 2]
-    assert [c[0] for c in rec.chunks] == [100, 104, 108]
-    assert np.array_equal(np.concatenate([c[1] for c in rec.chunks]), lo)
-    assert np.array_equal(np.concatenate([c[2] for c in rec.chunks]), sizes)
-
-
-def test_single_stage_pipeline_wraps_past_ring_capacity():
-    """A feed of many more chunks than slots reuses the ring cleanly."""
-    rec = Recorder()
-    pipe = StagedPipeline([rec], chunk=4, slots=2, name="unit")
-    hi, lo, sizes = columns(40)
-    pipe.feed(hi, lo, sizes)
-    pipe.flush()
-    assert len(rec.chunks) == 10
-    assert pipe.ring.published == pipe.ring.retired == 10
-    assert np.array_equal(np.concatenate([c[1] for c in rec.chunks]), lo)
-    assert pipe.backlog == 0
-
-
-def test_multi_stage_chunks_traverse_stages_in_dataflow_order():
-    order = []
-    stages = [
-        FnStage("first", lambda slot: order.append(("first", slot.seq_base))),
-        FnStage("second", lambda slot: order.append(("second", slot.seq_base))),
-    ]
-    pipe = StagedPipeline(stages, chunk=4, name="unit")
-    hi, lo, sizes = columns(8)
-    pipe.feed(hi, lo, sizes)
-    pipe.flush()
-    # Per chunk, "first" precedes "second"; all chunks retire.
-    for seq in (0, 4):
-        assert order.index(("first", seq)) < order.index(("second", seq))
-    assert pipe.ring.retired == 2
-
-
-def test_backpressure_stall_and_resume():
-    gate = Gate()
-    pipe = StagedPipeline([gate], chunk=4, slots=4, name="unit")
-    hi, lo, sizes = columns(16)
-    pipe.feed(hi, lo, sizes)  # fills all 4 slots, none consumed
-    assert pipe.backlog == 4
-    extra = columns(4, start=16)
-    with pytest.raises(PipelineStalled):
-        pipe.feed(*extra)
-    assert pipe.ring.stalls >= 1
-    # Opening the stage lets the same feed go through and drain.
-    gate.open = True
-    pipe.feed(*extra)
-    pipe.flush()
-    assert gate.seen == 5
-    assert pipe.backlog == 0
-
-
-def test_flush_raises_when_stage_never_ready():
-    gate = Gate()
-    pipe = StagedPipeline([gate], chunk=4, name="unit")
-    hi, lo, sizes = columns(4)
-    pipe.feed(hi, lo, sizes)
-    with pytest.raises(PipelineStalled):
-        pipe.flush()
-
-
-def test_pipeline_metrics_under_collection():
-    rec = Recorder()
-    with obs.collecting() as reg:
-        pipe = StagedPipeline([rec], chunk=4, name="unit")
-        hi, lo, sizes = columns(12)
-        pipe.feed(hi, lo, sizes)
-        pipe.flush()
-    snap = reg.snapshot()
-    assert snap["counters"]["pipeline.unit.chunks"] == 3
-    assert snap["spans"]["pipeline.stage.record"]["count"] == 3
-    assert "pipeline.unit.occupancy" in snap["gauges"]
-
-
-# -- staged vs monolithic differential --------------------------------
 
 
 def trace_columns(n, flows, seed):
@@ -308,58 +81,166 @@ def assert_identical(a, b):
     assert list(sa.evictions) == list(sb.evictions)
 
 
+def n_chunks(n, step, chunk):
+    """Kernel chunks the loop runs for *n* packets fed in *step* slices."""
+    return sum(-(-min(step, n - start) // chunk) for start in range(0, n, step))
+
+
+def record_steps(sketch, log):
+    """Wrap the loop's per-chunk steps on *sketch* to log their calls."""
+    for name in ("_hash_chunk", "_update_chunk", "_emit_chunk_delta", "_fold_delta"):
+        original = getattr(sketch, name)
+
+        def step(*args, _name=name, _original=original):
+            log.append((_name, args))
+            return _original(*args)
+
+        setattr(sketch, name, step)
+
+
+# -- the chunk loop ------------------------------------------------------
+
+
+def test_pipeline_validates_arguments():
+    sketch = NumpyCocoSketch(d=2, l=64, seed=1)
+    hi, lo, sizes = columns(8)
+    with pytest.raises(ValueError):
+        sketch.process_columns(hi, lo, sizes, batch_size=0)
+    with pytest.raises(ValueError):
+        sketch.process(zip(lo.tolist(), sizes.tolist()), batch_size=0)
+
+
+def test_zero_length_feed_publishes_nothing():
+    """A zero-length feed runs no chunk step and leaves seq where it was."""
+    sketch = NumpyCocoSketch(d=2, l=64, seed=1)
+    hi, lo, sizes = columns(5)
+    sketch.process_columns(hi, lo, sizes)
+    log = []
+    record_steps(sketch, log)
+    hi, lo, sizes = columns(0)
+    sketch.process_columns(hi, lo, sizes)
+    sketch.update_batch((hi, lo), sizes)
+    sketch.process(iter(()))
+    assert log == []
+    assert sketch._seq == 5
+    assert sketch.stats.packets == 5
+
+
+def test_feed_slices_into_chunks_in_order():
+    """Kernel chunks cover the input in order, keyed on global seq."""
+    sketch = NumpyCocoSketch(d=2, l=64, seed=1)
+    chunk = sketch.pipeline_chunk
+    hi, lo, sizes = columns(2 * chunk + 100)
+    log = []
+    record_steps(sketch, log)
+    sketch.process_columns(hi[:100], lo[:100], sizes[:100])
+    sketch.process_columns(hi[100:], lo[100:], sizes[100:])
+    updates = [args for name, args in log if name == "_update_chunk"]
+    assert [len(a[2]) for a in updates] == [100, chunk, chunk]
+    assert [a[4] for a in updates] == [0, 100, 100 + chunk]
+    assert np.array_equal(np.concatenate([a[1] for a in updates]), lo)
+    assert np.array_equal(np.concatenate([a[2] for a in updates]), sizes)
+    assert sketch._seq == len(sizes)
+
+
+def test_multi_stage_chunks_traverse_stages_in_dataflow_order():
+    """Per chunk: hash, replace, delta emission, then the stats fold."""
+    sketch = NumpyHardwareCocoSketch(d=2, l=64, seed=1)
+    hi, lo, sizes = columns(sketch.pipeline_chunk + 10)
+    log = []
+    record_steps(sketch, log)
+    sketch.update_batch((hi, lo), sizes)
+    order = ["_hash_chunk", "_update_chunk", "_emit_chunk_delta", "_fold_delta"]
+    assert [name for name, _ in log] == order * 2
+
+
+def test_pipeline_metrics_under_collection():
+    """Every entry point counts chunks and times the three steps per chunk."""
+    hi, lo, sizes = trace_columns(6_000, 800, seed=2)
+    for cls, tag in ((NumpyCocoSketch, "basic"), (NumpyHardwareCocoSketch, "hw")):
+        sketch = cls(d=2, l=64, seed=1, kernels="numpy")
+        chunk = sketch.pipeline_chunk
+        with obs.collecting() as reg:
+            sketch.process_columns(hi, lo, sizes)
+            sketch.update_batch((hi, lo), sizes)
+            sketch.process(zip(lo.tolist(), sizes.tolist()), batch_size=1000)
+        snap = reg.snapshot()
+        n = len(sizes)
+        chunks = 2 * n_chunks(n, n, chunk) + n_chunks(n, 1000, chunk)
+        assert snap["counters"][f"pipeline.numpy.{tag}.chunks"] == chunks
+        for stage in STAGES:
+            assert snap["spans"][f"pipeline.stage.{stage}"]["count"] == chunks
+        assert snap["counters"][f"engine.numpy.{tag}.batches"] == chunks
+
+
+def test_pipeline_reports_kernel_gauge():
+    hi, lo, sizes = columns(8)
+    for backend in ("numpy", "python"):
+        sketch = NumpyCocoSketch(d=2, l=64, seed=1, kernels=backend)
+        with obs.collecting() as reg:
+            sketch.process_columns(hi, lo, sizes)
+        snap = reg.snapshot()
+        assert snap["gauges"][KERNEL_GAUGE] == KERNEL_BACKEND_CODES[backend]
+        assert snap["gauges"][CHUNK_GAUGE] == sketch.pipeline_chunk
+
+
 @pytest.mark.parametrize("cls", VARIANTS, ids=lambda c: c.__name__)
-def test_staged_matches_monolithic(cls):
-    """process_columns (ring) == update_batch (inline), multi-chunk."""
-    hi, lo, sizes = trace_columns(40_000, 5_000, seed=3)
-    mono = cls(d=2, l=64, seed=9)
-    staged = cls(d=2, l=64, seed=9)
-    mono.update_batch((hi, lo), sizes)
-    staged.process_columns(hi, lo, sizes)
-    assert_identical(mono, staged)
-    assert staged._pipe.backlog == 0
+def test_engine_freed_when_last_reference_drops(cls):
+    """No reference cycle keeps a processed engine (and its arrays) alive."""
+    hi, lo, sizes = trace_columns(3_000, 500, seed=6)
+    sketch = cls(d=2, l=64, seed=1)
+    sketch.process(zip(lo.tolist(), sizes.tolist()))
+    sketch.process_columns(hi, lo, sizes)
+    sketch.update_batch((hi, lo), sizes)
+    ref = weakref.ref(sketch)
+    gc.disable()
+    try:
+        del sketch
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+# -- entry points agree -------------------------------------------------
+
+
+def entry_point_states(cls, trace, hi, lo, sizes, batch, **kw):
+    """The same stream through process, process_columns and update_batch."""
+    via_process = cls(**kw)
+    via_process.process(trace, batch_size=batch)
+    via_columns = cls(**kw)
+    via_columns.process_columns(hi, lo, sizes, batch_size=batch)
+    via_batches = cls(**kw)
+    step = batch or len(sizes)
+    for start in range(0, len(sizes), step):
+        stop = start + step
+        via_batches.update_batch((hi[start:stop], lo[start:stop]), sizes[start:stop])
+    return via_process, via_columns, via_batches
 
 
 @pytest.mark.parametrize("cls", VARIANTS, ids=lambda c: c.__name__)
 @pytest.mark.parametrize("backend", KERNEL_BACKENDS)
-def test_staged_matches_monolithic_with_kernels(cls, backend):
-    """The bit-identity contract holds per kernel backend too.
+def test_entry_points_match(cls, backend):
+    """process == process_columns == update_batch, state and stats.
 
-    Both paths dispatch through the same ``_update_chunk``, so the
-    compiled backends inherit the staged == monolithic guarantee; this
-    pins it, including RNG-consumption alignment in default (non-replay)
-    mode.
+    All three feed the same chunk loop, so at any feed granularity they
+    run the same kernel chunks, draw the same RNG stream and end in
+    byte-identical state.  Feeds in ``pipeline_chunk`` multiples also
+    match one unsliced ``update_batch`` (the chunk boundaries coincide).
     """
-    hi, lo, sizes = trace_columns(12_000, 2_000, seed=3)
-    mono = cls(d=2, l=64, seed=9, kernels=backend)
-    staged = cls(d=2, l=64, seed=9, kernels=backend)
-    mono.update_batch((hi, lo), sizes)
-    staged.process_columns(hi, lo, sizes)
-    assert_identical(mono, staged)
-    assert staged._pipe.kernel == backend
-
-
-def test_pipeline_reports_kernel_gauge():
-    rec = Recorder()
-    with obs.collecting() as reg:
-        pipe = StagedPipeline([rec], chunk=4, name="unit", kernel="numpy")
-        hi, lo, sizes = columns(8)
-        pipe.feed(hi, lo, sizes)
-        pipe.flush()
-    snap = reg.snapshot()
-    assert snap["gauges"][KERNEL_GAUGE] == KERNEL_BACKEND_CODES["numpy"]
-    assert snap["gauges"][CHUNK_GAUGE] == 4
-
-
-def test_pipeline_without_kernel_name_emits_no_gauge():
-    rec = Recorder()
-    with obs.collecting() as reg:
-        pipe = StagedPipeline([rec], chunk=4, name="unit")
-        hi, lo, sizes = columns(8)
-        pipe.feed(hi, lo, sizes)
-        pipe.flush()
-    assert KERNEL_GAUGE not in reg.snapshot()["gauges"]
-    assert CHUNK_GAUGE not in reg.snapshot()["gauges"]
+    packets = 12_000 if backend == "python" else 40_000
+    trace = zipf_trace(packets, packets // 8, alpha=1.1, seed=3)
+    hi, lo, sizes = next(trace.batches(len(trace)))
+    kw = dict(d=2, l=64, seed=9, kernels=backend)
+    whole = cls(**kw)
+    whole.update_batch((hi, lo), sizes)
+    chunk = whole.pipeline_chunk
+    for batch in (None, chunk, 3 * chunk, 1000):
+        states = entry_point_states(cls, trace, hi, lo, sizes, batch, **kw)
+        for state in states[1:]:
+            assert_identical(states[0], state)
+        if batch is None or batch % chunk == 0:
+            assert_identical(whole, states[0])
 
 
 # -- geometry-derived kernel chunk ---------------------------------------
@@ -396,38 +277,29 @@ def test_basic_chunk_follows_geometry():
     ids=["hw-numpy", "hw-compiled", "basic-compiled"],
 )
 def test_hardware_and_compiled_chunks_stay_at_maximum(cls, kernels):
-    sketch = cls(8, 188, kernels=kernels)
-    assert sketch.pipeline_chunk == MAX_PIPELINE_CHUNK
-    sketch.resize(1505)
-    assert sketch.pipeline_chunk == MAX_PIPELINE_CHUNK
+    for l in (188, 1505):
+        sketch = cls(8, l, kernels=kernels)
+        assert sketch.pipeline_chunk == MAX_PIPELINE_CHUNK
+        assert sketch._scratch.J.shape == (8, MAX_PIPELINE_CHUNK)
 
 
-def test_basic_chunk_changes_on_resize_only():
+def test_basic_chunk_is_fixed_at_construction():
+    """Each width gets its chunk and scratch once; runs never change it."""
     hi, lo, sizes = trace_columns(6_000, 1_500, seed=4)
-    sketch = NumpyCocoSketch(8, 188, seed=2, kernels="numpy")
-    assert sketch.pipeline_chunk == 512
-    sketch.process_columns(hi, lo, sizes)
-    sketch.update_batch((hi, lo), sizes)
-    sketch.reset()
-    sketch.resize(188)  # same width: a no-op
-    assert sketch.pipeline_chunk == 512
-    assert sketch._staged_pipeline().chunk == 512
-
-    sketch.resize(1505, seed=1)
-    assert sketch.pipeline_chunk == 4096
-    with obs.collecting() as reg:
-        sketch.process_columns(hi, lo, sizes)
-    assert reg.snapshot()["gauges"][CHUNK_GAUGE] == 4096
-    assert sketch._pipe.chunk == 4096
-    # The pipeline's chunk counter sees the new granularity.
-    chunks = reg.snapshot()["counters"]["pipeline.numpy.basic.chunks"]
-    assert chunks == -(-len(sizes) // 4096)
-
-    sketch.resize(188, seed=1)
-    assert sketch.pipeline_chunk == 512
-    with obs.collecting() as reg:
-        sketch.update_batch((hi, lo), sizes)
-    assert reg.snapshot()["gauges"][CHUNK_GAUGE] == 512
+    for l, chunk in ((188, 512), (1505, 4096)):
+        sketch = NumpyCocoSketch(8, l, seed=2, kernels="numpy")
+        assert sketch.pipeline_chunk == chunk
+        assert sketch._scratch.J.shape == (8, chunk)
+        with obs.collecting() as reg:
+            sketch.process_columns(hi, lo, sizes)
+            sketch.update_batch((hi, lo), sizes)
+        snap = reg.snapshot()
+        assert snap["gauges"][CHUNK_GAUGE] == chunk
+        assert snap["counters"]["pipeline.numpy.basic.chunks"] == 2 * n_chunks(
+            len(sizes), len(sizes), chunk
+        )
+        sketch.reset()
+        assert sketch.pipeline_chunk == chunk
 
 
 @pytest.mark.parametrize("cls", VARIANTS, ids=lambda c: c.__name__)
@@ -435,8 +307,8 @@ def test_staged_matches_monolithic_split_feeds(cls):
     """Streaming in pipeline_chunk multiples matches one big batch.
 
     This is the boundary contract the sharded driver relies on: its
-    stream blocks are pipeline_chunk multiples, so per-worker staged
-    execution replays the unsharded chunk schedule exactly.
+    stream blocks are pipeline_chunk multiples, so each worker's chunk
+    loop replays the unsharded chunk schedule exactly.
     """
     hi, lo, sizes = trace_columns(40_000, 5_000, seed=5)
     mono = cls(d=2, l=64, seed=9)
@@ -457,7 +329,7 @@ def test_staged_matches_monolithic_hw_replay_any_split():
 
     Draws are keyed on the global packet sequence number, so even feed
     granularities that do not line up with pipeline_chunk reproduce the
-    monolithic run bit for bit.  (The basic rule's epoch grouping is
+    one-batch run bit for bit.  (The basic rule's epoch grouping is
     chunk-shaped by design, so it only guarantees identity at chunk
     multiples — the test above.)
     """
@@ -491,10 +363,14 @@ def test_process_matches_update_batch_on_iterables(cls):
 def test_empty_inputs_are_noops(cls):
     sketch = cls(d=2, l=16, seed=1)
     empty = np.empty(0, dtype=np.uint64)
-    sketch.process_columns(empty, empty, np.empty(0, dtype=np.int64))
-    sketch.update_batch((empty, empty), np.empty(0, dtype=np.int64))
+    with obs.collecting() as reg:
+        sketch.process_columns(empty, empty, np.empty(0, dtype=np.int64))
+        sketch.update_batch((empty, empty), np.empty(0, dtype=np.int64))
     assert sketch.stats.packets == 0
+    assert sketch._seq == 0
     assert not sketch._occupied.any()
+    snap = reg.snapshot()  # no kernel chunk ran: nothing counted or timed
+    assert not snap["counters"] and not snap["spans"]
 
 
 @pytest.mark.parametrize("cls", VARIANTS, ids=lambda c: c.__name__)
@@ -509,7 +385,7 @@ def test_reset_clears_pipeline_state(cls):
     assert not sketch._occupied.any()
     assert sketch.stats.packets == 0
     # A fresh sketch (same seed) over the same stream reproduces the
-    # same state twice — the staged path is deterministic end to end.
+    # same state twice — the chunk loop is deterministic end to end.
     one = cls(d=2, l=32, seed=2)
     two = cls(d=2, l=32, seed=2)
     one.process_columns(hi, lo, sizes)

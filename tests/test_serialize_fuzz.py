@@ -36,6 +36,7 @@ from repro.core.serialize import (
     load_sketch,
 )
 from repro.engine.vectorized import NumpyCocoSketch, NumpyHardwareCocoSketch
+from repro.extensions.merging import resize_cocosketch
 from repro.obs.registry import MetricsRegistry
 
 ALL_SKETCH_CLASSES = [
@@ -283,12 +284,11 @@ class TestEpochRoundTrip:
 
 
 class TestResizedRoundTrip:
-    """Resize must leave the codec a fixpoint at the *new* geometry.
+    """A resize fold must leave the codec a fixpoint at the *new* geometry.
 
-    Elastic daemons serialize sketches after in-place ``resize()``
-    calls, so the wire format has to round-trip whatever live geometry
-    the governor lands on — including epoch snapshots whose outer
-    header must report the post-resize ``l``.
+    ``EpochStore.merged_range`` re-hashes epochs across a resize with
+    :func:`resize_cocosketch`, and an epoch snapshot's outer header must
+    report whatever width its builder ran at.
     """
 
     @pytest.mark.parametrize("cls", ALL_SKETCH_CLASSES)
@@ -305,7 +305,7 @@ class TestResizedRoundTrip:
         d, l = geometry
         sketch = _build(cls, d, l, seed, packets)
         before = sum(sketch.flow_table().values())
-        sketch.resize(new_l, seed=seed + 1)
+        sketch = resize_cocosketch(sketch, new_l, seed=seed + 1)
         assert sketch.l == new_l
         if cls in (BasicCocoSketch, NumpyCocoSketch):
             # The re-hash fold conserves mass under the basic rule;
@@ -325,9 +325,8 @@ class TestResizedRoundTrip:
     def test_epoch_header_tracks_resized_geometry(
         self, geometry, new_l, packets
     ):
-        d, l = geometry
-        sketch = _build(NumpyCocoSketch, d, l, 11, packets)
-        sketch.resize(new_l, seed=5)
+        d, _ = geometry
+        sketch = _build(NumpyCocoSketch, d, new_l, 11, packets)
         wire = dump_epoch(7, 1000, len(packets), 3.25, dump_sketch(sketch))
         meta, restored = load_epoch(wire)
         assert (meta["d"], meta["l"]) == (d, new_l)
