@@ -141,7 +141,6 @@ class TenantManager:
                     seed=mix64(spec.seed + (i + 1) * 0x9E3779B97F4A7C15),
                 ),
                 shards=1,
-                processes=False,
                 epoch_packets=None,
                 epoch_seconds=None,
                 governor=None,

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 import struct
-from typing import Dict, Tuple, Union
+from typing import Dict, Union
 
 import numpy as np
 
@@ -222,27 +222,6 @@ def load_sketch(blob: bytes) -> AnyCocoSketch:
 def blob_size(d: int, l: int) -> int:
     """Size in bytes of a serialised sketch with this geometry."""
     return _HEADER.size + 8 * d + d * l * 24
-
-
-def peek_geometry(blob: bytes) -> Tuple[int, int, int]:
-    """``(d, l, key_bytes)`` from a sketch blob's header, nothing parsed.
-
-    The cheap geometry probe elastic services use to tag epoch
-    snapshots and detect resize boundaries without deserialising the
-    bucket arrays.
-    """
-    if len(blob) < _HEADER.size:
-        raise SerializationError("blob shorter than header")
-    magic, version, kind, d, l, key_bytes, _sc = _HEADER.unpack(
-        blob[: _HEADER.size]
-    )
-    if magic != _MAGIC:
-        raise SerializationError(f"bad magic {magic!r}")
-    if kind in (METRICS_KIND, EPOCH_KIND):
-        raise SerializationError(
-            f"kind {kind} carries no sketch geometry in its own right"
-        )
-    return d, l, key_bytes
 
 
 def dump_metrics(snapshot: Dict) -> bytes:

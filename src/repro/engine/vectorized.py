@@ -214,7 +214,8 @@ class _ColumnarKeyValueSketch(Sketch):
         # paths below.  Resolved once per sketch at construction.
         self._kernels = resolve_kernels(kernels)
         self.pipeline_chunk = self._geometry_chunk()
-        self._scratch = _KernelScratch(self.pipeline_chunk, d)
+        # Allocated by the first chunk; copies and mirrors never run one.
+        self._scratch: Optional[_KernelScratch] = None
         self._chunk_counter = f"pipeline.numpy.{self._variant}.chunks"
         self._seeds_arr = np.asarray(self._family.seeds, dtype=np.uint64)
         self._usize = np.uint64(l)
@@ -256,7 +257,12 @@ class _ColumnarKeyValueSketch(Sketch):
         n = len(w)
         if n == 0:
             return
+        if not self._vals.flags.writeable:
+            # Frozen state: refuse up front (np.add.at ignores the flag).
+            raise ValueError(f"{self.name} state is read-only")
         chunk = self.pipeline_chunk
+        if self._scratch is None:
+            self._scratch = _KernelScratch(chunk, self.d)
         J = self._scratch.J
         obs = get_registry()
         if obs.enabled:

@@ -12,7 +12,8 @@ per-batch pool barrier.  Each worker
    hash-family seed everywhere, so the results are mergeable),
 2. decorrelates each shard's replacement RNG from the other shards
    (shard 0 keeps the spec's natural stream, which makes a one-shard
-   run bit-identical to an unsharded sketch under the same seed),
+   run bit-identical to an unsharded sketch under the same seed) —
+   both via :func:`build_shard_sketch`, shared with the service daemon,
 3. consumes arriving ``(hi, lo, sizes)`` chunks through the engine's
    normal streaming path (:meth:`Sketch.process_columns` — the chunk
    loop for the numpy engines), timing only that region, and
@@ -93,18 +94,22 @@ def epoch_stream_seed(base_seed: int, epoch: int) -> int:
     return mix64((base_seed ^ _EPOCH_RNG_SALT) + epoch * 0x9E3779B97F4A7C15)
 
 
-def _reseed_sketch(sketch: Sketch, base_seed: int, shard: int) -> None:
-    """Swap the sketch's replacement RNG for the worker's own stream.
+def build_shard_sketch(spec, shard: int, epoch: int = 0) -> Sketch:
+    """The spec's sketch on the ``(epoch, shard)`` replacement stream.
 
-    The hash family is untouched — it must stay identical across
-    workers for the merge to be legal.
+    Shard 0 of epoch 0 keeps the spec's natural stream.  The hash family
+    is untouched: it must stay identical across shards and epochs for
+    their states to merge.
     """
-    seed = worker_seed(base_seed, shard)
-    rng = getattr(sketch, "_rng", None)
-    if isinstance(rng, random.Random):
-        sketch._rng = random.Random(seed)
-    elif isinstance(rng, np.random.Generator):
-        sketch._rng = np.random.Generator(np.random.PCG64(seed))
+    sketch = spec.build()
+    if shard or epoch:
+        seed = worker_seed(epoch_stream_seed(spec.seed, epoch), shard)
+        rng = getattr(sketch, "_rng", None)
+        if isinstance(rng, random.Random):
+            sketch._rng = random.Random(seed)
+        elif isinstance(rng, np.random.Generator):
+            sketch._rng = np.random.Generator(np.random.PCG64(seed))
+    return sketch
 
 
 def stream_batch_for(batch_size: Optional[int]) -> int:
@@ -128,13 +133,9 @@ class _ShardRun:
 
     __slots__ = ("shard", "sketch", "registry", "packets", "elapsed", "cpu")
 
-    def __init__(self, spec, shard: int, collect: bool, epoch: int = 0) -> None:
+    def __init__(self, spec, shard: int, collect: bool) -> None:
         self.shard = shard
-        self.sketch = spec.build()
-        if shard or epoch:
-            _reseed_sketch(
-                self.sketch, epoch_stream_seed(spec.seed, epoch), shard
-            )
+        self.sketch = build_shard_sketch(spec, shard)
         # Shard-local registry: collected here, shipped back as a wire
         # blob, folded into the collector's registry per shard.
         self.registry = MetricsRegistry() if collect else None
@@ -184,7 +185,7 @@ class _ShardRun:
         )
 
 
-def _stream_worker(spec, shards, batch_size, collect, in_q, out_q, epoch=0) -> None:
+def _stream_worker(spec, shards, batch_size, collect, in_q, out_q) -> None:
     """Process entry point: consume chunks until the end-of-stream mark.
 
     One worker may own several shards (when the driver runs fewer
@@ -201,7 +202,7 @@ def _stream_worker(spec, shards, batch_size, collect, in_q, out_q, epoch=0) -> N
         from repro.engine.kernels import resolve_kernels, warmup
 
         warmup(resolve_kernels(None), spec.d)
-    runs = {shard: _ShardRun(spec, shard, collect, epoch) for shard in shards}
+    runs = {shard: _ShardRun(spec, shard, collect) for shard in shards}
     while True:
         message = in_q.get()
         if message is None:
@@ -251,11 +252,6 @@ class StreamDriver:
         collect_metrics: When true each shard runs under its own
             :class:`~repro.obs.registry.MetricsRegistry` and ships the
             snapshot back as a blob.
-        epoch: Measurement-epoch index.  Epoch 0 (the default) replays
-            today's replacement streams exactly; a daemon rotating
-            epochs passes the epoch id so each epoch's shards draw from
-            independent streams (see :func:`epoch_stream_seed`) while
-            staying mergeable across epochs.
     """
 
     def __init__(
@@ -265,19 +261,16 @@ class StreamDriver:
         processes: Union[bool, int, None] = True,
         batch_size: Optional[int] = None,
         collect_metrics: bool = False,
-        epoch: int = 0,
     ) -> None:
         if shards < 1:
             raise ValueError(f"shards must be >= 1, got {shards}")
         self.shards = shards
-        self.epoch = epoch
         self._batch_size = batch_size
         self._closed = False
         pool = _pool_size(processes, shards)
         if pool == 0:
             self._inline = [
-                _ShardRun(spec, shard, collect_metrics, epoch)
-                for shard in range(shards)
+                _ShardRun(spec, shard, collect_metrics) for shard in range(shards)
             ]
             self._queues = None
             self._procs: List = []
@@ -294,7 +287,7 @@ class StreamDriver:
                 target=_stream_worker,
                 args=(
                     spec, owned, batch_size, collect_metrics,
-                    in_q, self._out_q, epoch,
+                    in_q, self._out_q,
                 ),
             )
             proc.start()
@@ -303,36 +296,13 @@ class StreamDriver:
         # shard -> its owner's input queue
         self._queues = [self._in_qs[shard % pool] for shard in range(shards)]
 
-    @property
-    def inline(self) -> bool:
-        """True when every shard runs in this process (snapshot-able)."""
-        return self._inline is not None
-
+    # Kept while benchmarks/ledger/tracer.py patches it as a layer.
     def live_blobs(self) -> Optional[List[bytes]]:
-        """Serialise every shard's *current* state without closing.
-
-        Only available in inline mode, where the shard sketches live in
-        this process — the read half of an always-on service: a query
-        plane can snapshot mid-stream state while ingestion continues.
-        The caller is responsible for not racing :meth:`send` (the
-        service daemon holds its ingest lock across both).  Returns
-        ``None`` when shards run in worker processes.
-        """
+        """Each inline shard's current state as a blob (``None`` when
+        shards run in worker processes); must not race :meth:`send`."""
         if self._inline is None:
             return None
         return [dump_sketch(run.sketch) for run in self._inline]
-
-    def live_sketches(self) -> Optional[List]:
-        """The in-process shard sketches, in shard order (inline only).
-
-        The slim read plane's attachment surface: the service bootstraps
-        replica mirrors from — and attaches delta sinks to — these exact
-        objects.  Like :meth:`live_blobs`, callers must not race
-        :meth:`send`; returns ``None`` when shards run in workers.
-        """
-        if self._inline is None:
-            return None
-        return [run.sketch for run in self._inline]
 
     def send(self, shard: int, hi, lo, sizes) -> None:
         """Ship one chunk to *shard* (blocks when its credits run out)."""

@@ -4,11 +4,11 @@ The batch pipeline measures run-to-completion; deployments (the
 paper's OVS integration, §7) measure *continuously* and answer queries
 against live state.  This package is that system layer:
 
-* :class:`MeasurementDaemon` — a long-lived ingestion loop over the
-  engines' chunk loop / :class:`~repro.parallel.StreamDriver` sharded
-  backend, rotating measurement epochs on packet-count or wall-clock
-  boundaries and freezing each closed epoch as an immutable snapshot
-  (:mod:`repro.core.serialize` epoch wire kind).
+* :class:`MeasurementDaemon` — a long-lived ingestion loop over
+  in-process shard engines, rotating measurement epochs on
+  packet-count or wall-clock boundaries and freezing each closed epoch
+  as an immutable snapshot holding a read-only sketch (exported through
+  the :mod:`repro.core.serialize` epoch wire kind by ``to_bytes()``).
 * :class:`EpochStore` — bounded history of frozen epochs plus
   time-travel: any contiguous epoch range merges into one queryable
   sketch through the unbiased Theorem 1 fold.
@@ -19,8 +19,8 @@ against live state.  This package is that system layer:
 Live reads default to the fat/slim split
 (:class:`~repro.query.slim.SlimReplica`): the fat update plane streams
 compact deltas into a slim replica, so queries are served from a
-bounded delta drain instead of a serialize-and-extract under the
-ingest lock, and every answer carries ``packets_behind`` staleness.
+bounded delta drain instead of a copy-and-merge under the ingest
+lock, and every answer carries ``packets_behind`` staleness.
 
 See ``docs/service.md`` for the lifecycle and the epoch model.
 """

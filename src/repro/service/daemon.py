@@ -2,10 +2,11 @@
 
 Turns the batch engine into a system.  One :class:`MeasurementDaemon`
 owns a sequence of epochs; inside each epoch an :class:`EpochBuilder`
-drives the engines' chunk loop through the sharded
-:class:`~repro.parallel.StreamDriver`, and at every rotation boundary
-the builder's state freezes into an immutable
-:class:`~repro.service.epochs.EpochSnapshot`.
+owns the epoch's shard engines and feeds their chunk loop, and at every
+rotation boundary the shards fold, in process, into the read-only
+sketch of an immutable :class:`~repro.service.epochs.EpochSnapshot`.
+State becomes bytes only when a snapshot is exported
+(:meth:`~repro.service.epochs.EpochSnapshot.to_bytes`).
 
 Determinism contract (what the bit-identity suite gates): an epoch's
 snapshot is a pure function of *(spec, shards, strategy, chunk, the
@@ -28,10 +29,10 @@ one: a :class:`~repro.query.slim.SlimReplica` bootstrapped lazily from
 the fat arrays (a per-array memcpy under the ingest lock, once per
 epoch) and kept fresh by compact per-chunk deltas the engines emit from
 their chunk loop's replace step — a read is a bounded delta drain
-under the replica's own lock, not a serialize-and-extract under the
-ingest lock.  The *fat* path (``view="fat"``) keeps the original
-semantics: serialise the flushed shard state under the ingest lock and
-merge the copy *outside* the lock with its own ephemeral stream.
+under the replica's own lock, not a copy-and-merge under the ingest
+lock.  The *fat* path (``view="fat"``) copies the flushed shard state
+arrays under the ingest lock and merges the copies *outside* the lock
+with their own ephemeral stream.
 Either way emission is read-only, so ingestion's RNG streams are never
 advanced by a read.
 """
@@ -44,12 +45,13 @@ import random
 import threading
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.control.governor import GovernorConfig, ResourceGovernor, Signals
-from repro.core.serialize import dump_sketch, load_sketch
+# Imported only as layers benchmarks/ledger/tracer.py patches (no calls here).
+from repro.core.serialize import dump_sketch, load_sketch  # noqa: F401
 from repro.engine.kernels import CHUNK_GAUGE
 from repro.engine.sharded import (
     PARTITION_STRATEGIES,
@@ -61,10 +63,16 @@ from repro.extensions.windowed import split_budget
 from repro.flowkeys.key import FullKeySpec
 from repro.hashing.family import mix64
 from repro.obs.registry import TIME_EDGES, MetricsRegistry
-from repro.parallel import StreamDriver
+from repro.parallel import build_shard_sketch
 from repro.query.planner import QueryPlanner
 from repro.query.slim import SlimReplica
-from repro.service.epochs import EpochSnapshot, EpochStore, epoch_merge_seed
+from repro.service.epochs import (
+    EpochSnapshot,
+    EpochStore,
+    epoch_merge_seed,
+    freeze,
+    frozen_copy,
+)
 
 _LIVE_MERGE_SALT = 0x11FE5
 _GOLDEN_LIVE = 0x9E3779B97F4A7C15
@@ -86,11 +94,8 @@ def _sketch_occupancy(sketch) -> float:
     occ = getattr(sketch, "occupancy", None)
     if occ is not None:
         return float(occ())
-    keys = getattr(sketch, "_keys", None)
-    if keys is not None:
-        filled = sum(1 for row in keys for k in row if k is not None)
-        return filled / (sketch.d * sketch.l)
-    return 0.0
+    filled = sum(k is not None for row in sketch._keys for k in row)
+    return filled / (sketch.d * sketch.l)
 
 
 @dataclass
@@ -103,13 +108,8 @@ class ServiceConfig:
         key_spec: Full-key spec of the traffic (drives the query plane).
         shards: Worker sketch count.
         strategy: ``"hash"`` (flow-pure) or ``"round-robin"`` partitioner.
-        processes: Worker placement, as in :class:`StreamDriver`.  The
-            default ``False`` runs shards inline — required for live
-            (unrotated-epoch) queries, which snapshot in-process state.
         chunk: Engine feed granularity; arrivals are re-blocked to this
             before the engines see them (the determinism contract).
-        batch_size: Per-worker ``process_columns`` slice; defaults to
-            *chunk* so one feed block is one engine chunk.
         epoch_packets: Rotate after exactly this many packets (boundary
             splits mid-block when needed).  ``None`` — no packet bound.
         epoch_seconds: Rotate when the live epoch is older than this at
@@ -154,9 +154,7 @@ class ServiceConfig:
     key_spec: FullKeySpec
     shards: int = 1
     strategy: str = "hash"
-    processes: Union[bool, int, None] = False
     chunk: int = DEFAULT_CHUNK
-    batch_size: Optional[int] = None
     epoch_packets: Optional[int] = None
     epoch_seconds: Optional[float] = None
     history: int = 64
@@ -228,11 +226,11 @@ class ServiceConfig:
 
 
 class EpochBuilder:
-    """Accumulates one epoch's traffic through the sharded driver.
+    """Accumulates one epoch's traffic in its own shard engines.
 
     Arrivals buffer until a full ``chunk`` is available, then flush as
     exact chunk-sized blocks: partitioned at the epoch-local stream
-    offset and scattered to the per-shard engines.  The tail shorter
+    offset and fed to the per-shard engines.  The tail shorter
     than a chunk flushes only at :meth:`close`, so engine-visible block
     boundaries are a function of the packet sequence alone.
     """
@@ -242,17 +240,14 @@ class EpochBuilder:
         config: ServiceConfig,
         epoch: int,
         start_seq: int,
-        spec: Optional[SketchSpec] = None,
-        partition_seed: Optional[int] = None,
+        spec: SketchSpec,
+        partition_seed: int,
     ) -> None:
         self.config = config
-        # The governed daemon threads its *current* (possibly resized)
-        # spec and partition seed in; plain daemons fall back to the
-        # config's frozen values, preserving the seed behaviour.
-        self.spec = spec if spec is not None else config.spec
-        self.partition_seed = (
-            partition_seed if partition_seed is not None else self.spec.seed
-        )
+        # The daemon's *current* (possibly resized) spec and partition
+        # seed; epoch 0 starts from the config's own.
+        self.spec = spec
+        self.partition_seed = partition_seed
         self.epoch = epoch
         self.start_seq = start_seq
         self.packets = 0  # accepted: flushed + buffered
@@ -261,13 +256,10 @@ class EpochBuilder:
         self.opened_at = time.monotonic()
         self._pend: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         self._pend_n = 0
-        self._driver = StreamDriver(
-            self.spec,
-            config.shards,
-            processes=config.processes,
-            batch_size=config.batch_size or config.chunk,
-            epoch=epoch,
-        )
+        self._shards = [
+            build_shard_sketch(self.spec, shard, epoch)
+            for shard in range(config.shards)
+        ]
 
     def feed(self, hi, lo, sizes) -> None:
         """Accept one columnar block (any length, including empty)."""
@@ -314,66 +306,34 @@ class EpochBuilder:
         for shard, (shi, slo, ssz) in enumerate(parts):
             if len(ssz):
                 self.shard_packets[shard] += len(ssz)
-                self._driver.send(shard, shi, slo, ssz)
+                self._shards[shard].process_columns(shi, slo, ssz, cfg.chunk)
         self.flushed += len(sizes)
 
-    def live_blobs(self) -> Tuple[int, List[bytes]]:
-        """``(flushed packets, per-shard state blobs)`` without closing.
-
-        Requires inline workers; the caller must hold the daemon's
-        ingest lock so the copy is not racing :meth:`feed`.
-        """
-        blobs = self._driver.live_blobs()
-        if blobs is None:
-            raise ServiceError(
-                "live views need inline shards (ServiceConfig.processes=False)"
-            )
-        return self.flushed, blobs
-
     def live_sketches(self) -> List:
-        """The in-process shard sketch objects, in shard order.
-
-        The slim replica's bootstrap/sink-attachment surface.  Same
-        locking contract as :meth:`live_blobs`; raises when shards run
-        in worker processes.
-        """
-        sketches = self._driver.live_sketches()
-        if sketches is None:
-            raise ServiceError(
-                "live views need inline shards (ServiceConfig.processes=False)"
-            )
-        return sketches
-
-    def engine_chunk(self) -> Optional[int]:
-        """The shard engines' kernel chunk in packets.
-
-        ``None`` when shards run in worker processes or the engine has
-        no kernel chunk (the scalar engine).
-        """
-        sketches = self._driver.live_sketches()
-        if not sketches:
-            return None
-        return getattr(sketches[0], "pipeline_chunk", None)
+        """The live shard engines in shard order (the read plane's
+        surface; read them under the ingest lock, never racing :meth:`feed`)."""
+        return self._shards
 
     def close(self, closed_at: Optional[float] = None) -> EpochSnapshot:
-        """Flush the tail, drain the driver, freeze the snapshot."""
+        """Flush the tail and freeze the shards into the epoch's snapshot.
+
+        Shards fold on the epoch's merge stream; a lone shard is copied,
+        so the snapshot never holds a live engine.
+        """
         self._flush(full_only=False)
-        results = sorted(self._driver.results(), key=lambda r: r[0])
-        blobs = [r[1] for r in results]
-        if len(blobs) == 1:
-            blob = blobs[0]
+        if len(self._shards) == 1:
+            sketch = frozen_copy(self._shards[0])
         else:
             rng = random.Random(
                 epoch_merge_seed(self.config.spec.seed, self.epoch)
             )
-            merged = merge_many([load_sketch(b) for b in blobs], rng=rng)
-            blob = dump_sketch(merged)
+            sketch = freeze(merge_many(self._shards, rng=rng))
         return EpochSnapshot(
             epoch=self.epoch,
             start_seq=self.start_seq,
             packets=self.packets,
             closed_at=time.time() if closed_at is None else closed_at,
-            blob=blob,
+            sketch=sketch,
         )
 
 
@@ -520,12 +480,10 @@ class MeasurementDaemon:
             if not self._builder.packets:
                 if self._pending_l is not None and self._pending_l != self._spec.l:
                     self._apply_geometry_locked(self._pending_l)
-                    self._pending_l = None
                     old = self._builder
                     self._builder = self._open_builder_locked(
                         epoch=old.epoch, start_seq=old.start_seq
                     )
-                    old.close()  # drain the replaced builder's workers
                     if self._replica is not None:
                         # Same epoch tag, new shape: force the next slim
                         # read to re-bootstrap instead of serving mirrors
@@ -549,7 +507,7 @@ class MeasurementDaemon:
             spec=self._spec,
             partition_seed=self._partition_seed,
         )
-        chunk = builder.engine_chunk()
+        chunk = getattr(builder.live_sketches()[0], "pipeline_chunk", None)
         if chunk is not None:
             self.registry.set_gauge(CHUNK_GAUGE, float(chunk))
         return builder
@@ -578,7 +536,7 @@ class MeasurementDaemon:
             counts = builder.shard_packets
             mean = sum(counts) / len(counts) if counts else 0.0
             imbalance = max(counts) / mean if mean else 1.0
-            occupancy = _sketch_occupancy(load_sketch(snap.blob))
+            occupancy = _sketch_occupancy(snap.sketch)
             decision = self._governor.decide(
                 Signals(
                     epoch=snap.epoch,
@@ -627,7 +585,7 @@ class MeasurementDaemon:
         try:
             self.stop_feeder()
         except ServiceError as exc:
-            feeder_error = exc  # still release the workers below
+            feeder_error = exc  # still freeze the final epoch below
         with self._lock:
             if self._closed:
                 if feeder_error is not None:
@@ -636,8 +594,6 @@ class MeasurementDaemon:
             self._closed = True
             if self._builder.packets:
                 self._store_locked(self._builder.close())
-            else:
-                self._builder.close()  # drain the driver's workers
         if self._tenants is not None:
             self._tenants.close()
         if feeder_error is not None:
@@ -731,11 +687,14 @@ class MeasurementDaemon:
             block = self._queue.get()
             if block is None:
                 return
+            if self._ingest_error is not None:
+                # Dead feeder: keep draining to the sentinel so a blocked
+                # offer() or stop_feeder() returns and then raises.
+                continue
             try:
                 self.ingest(*block)
             except BaseException as exc:  # surfaced via offer/stop_feeder
                 self._ingest_error = exc
-                return
 
     # ------------------------------------------------------------------
     # read path
@@ -772,10 +731,10 @@ class MeasurementDaemon:
         ingest lock, for the epoch check plus a per-array memcpy
         bootstrap.
 
-        ``view="fat"`` serves the original serialize-and-merge path:
-        the shard-state copy happens under the ingest lock, the merge
-        runs outside it with an ephemeral stream seeded by the view's
-        version, so concurrent readers rebuild identical views.
+        ``view="fat"`` serves the copy-and-merge path: the shard state
+        arrays are copied under the ingest lock, the merge runs outside
+        it with an ephemeral stream seeded by the view's version, so
+        concurrent readers rebuild identical views.
         """
         if view is None:
             view = self.default_live_view
@@ -827,19 +786,16 @@ class MeasurementDaemon:
             ):
                 self.registry.inc("service.live.cache.hits")
                 return cached_version, cached_planner
-            flushed, blobs = self._builder.live_blobs()
-            version = (epoch, flushed)
+            version = (epoch, self._builder.flushed)
             if cached_version == version:
                 self.registry.inc("service.live.cache.hits")
                 return version, cached_planner
-        if len(blobs) == 1:
-            sketch = load_sketch(blobs[0])
-        else:
-            rng = random.Random(
-                mix64(self.config.spec.seed ^ _LIVE_MERGE_SALT)
-                ^ mix64(epoch * _GOLDEN_LIVE + flushed)
-            )
-            sketch = merge_many([load_sketch(b) for b in blobs], rng=rng)
+            copies = [frozen_copy(s) for s in self._builder.live_sketches()]
+        rng = random.Random(  # unused by merge_many for one shard
+            mix64(self.config.spec.seed ^ _LIVE_MERGE_SALT)
+            ^ mix64(epoch * _GOLDEN_LIVE + version[1])
+        )
+        sketch = merge_many(copies, rng=rng)
         planner = QueryPlanner(sketch, self.config.key_spec, version=version)
         self._publish_live_view(version, planner)
         return version, planner

@@ -1,9 +1,10 @@
 """Frozen measurement epochs: snapshots, history, time-travel merges.
 
 An epoch is an immutable unit of measurement: once the daemon rotates,
-its snapshot never changes, so the read path can cache aggressively
-and a query against epoch ``k`` returns the same rows forever.  Epoch
-snapshots share one hash family (they come from one
+its snapshot holds a read-only in-process sketch (bytes only at
+:meth:`EpochSnapshot.to_bytes`), so the read path can cache
+aggressively and a query against epoch ``k`` returns the same rows
+forever.  Epoch snapshots share one hash family (they come from one
 :class:`~repro.engine.sharded.SketchSpec`), which is exactly the
 precondition for the unbiased Theorem 1 merge — so any contiguous
 range of epochs folds into a single queryable sketch whose per-flow
@@ -17,8 +18,14 @@ import threading
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.serialize import dump_epoch, load_epoch, load_sketch
-from repro.extensions.merging import merge_many, resize_cocosketch
+from repro.core.serialize import dump_epoch, dump_sketch, load_epoch
+from repro.core.serialize import load_sketch  # a layer benchmarks/ledger/tracer.py patches
+from repro.extensions.merging import (
+    _blank_like,
+    _is_columnar,
+    merge_many,
+    resize_cocosketch,
+)
 from repro.hashing.family import mix64
 
 _EPOCH_MERGE_SALT = 0x5E4C7
@@ -44,51 +51,70 @@ def range_merge_seed(base_seed: int, lo: int, hi: int) -> int:
     )
 
 
+_COLUMNAR_STATE = ("_key_hi", "_key_lo", "_occupied", "_vals")
+
+
+def freeze(sketch):
+    """Make *sketch*'s bucket state read-only in place; returns it.
+
+    Flags each columnar state array *and* its earlier-made ``*_flat``
+    view; scalar bucket rows become tuples.  Later updates raise.
+    """
+    if _is_columnar(sketch):
+        for name in _COLUMNAR_STATE:
+            getattr(sketch, name).flags.writeable = False
+            getattr(sketch, name + "_flat").flags.writeable = False
+    else:
+        sketch._keys = tuple(tuple(row) for row in sketch._keys)
+        sketch._vals = tuple(tuple(row) for row in sketch._vals)
+    return sketch
+
+
+def frozen_copy(sketch):
+    """A read-only copy of *sketch*'s bucket state sharing only its hash
+    family (no delta sink, RNG position or kernel scratch)."""
+    copy = _blank_like(sketch)
+    if _is_columnar(sketch):
+        for name in _COLUMNAR_STATE:
+            getattr(copy, name)[:] = getattr(sketch, name)
+    else:  # freeze() copies the rows into fresh tuples
+        copy._keys, copy._vals = sketch._keys, sketch._vals
+    return freeze(copy)
+
+
 @dataclass(frozen=True)
 class EpochSnapshot:
-    """One closed epoch: rotation metadata plus the frozen sketch blob."""
+    """One closed epoch: rotation metadata plus its read-only sketch."""
 
     epoch: int
     start_seq: int
     packets: int
     closed_at: float
-    blob: bytes
+    sketch: object
 
     def to_bytes(self) -> bytes:
         """Wire form (:func:`repro.core.serialize.dump_epoch`)."""
         return dump_epoch(
-            self.epoch, self.start_seq, self.packets, self.closed_at, self.blob
+            self.epoch, self.start_seq, self.packets, self.closed_at,
+            dump_sketch(self.sketch),
         )
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "EpochSnapshot":
         """Rebuild from :meth:`to_bytes` output (clean errors on damage)."""
         meta, sketch = load_epoch(data)
-        from repro.core.serialize import dump_sketch
-
         return cls(
             epoch=meta["epoch"],
             start_seq=meta["start_seq"],
             packets=meta["packets"],
             closed_at=meta["closed_at"],
-            blob=dump_sketch(sketch),
+            sketch=freeze(sketch),
         )
 
-    def sketch(self):
-        """Deserialise the frozen sketch (a fresh object per call)."""
-        return load_sketch(self.blob)
-
     def geometry(self) -> Tuple[int, int]:
-        """``(d, l)`` the epoch was cut at — a header peek, no parse.
-
-        Elastic services compare adjacent epochs' geometry to detect
-        resize boundaries (the slim replica re-bootstraps across one,
-        the range fold normalises across them).
-        """
-        from repro.core.serialize import peek_geometry
-
-        d, l, _kb = peek_geometry(self.blob)
-        return d, l
+        """``(d, l)`` the epoch was cut at; adjacent epochs that differ
+        straddle a governor resize."""
+        return self.sketch.d, self.sketch.l
 
     def meta(self) -> Dict:
         """JSON-ready metadata row (what ``/epochs`` serves)."""
@@ -161,7 +187,8 @@ class EpochStore:
         seeded by ``(seed, lo, hi)``, so it is deterministic.  It is not
         memoized: each call folds afresh (the daemon caches the planner
         extracted from it, see ``MeasurementDaemon.range_planner``).
-        A one-epoch range is that epoch's sketch.  Raises KeyError
+        A one-epoch range is that epoch's read-only sketch; a fold or
+        re-hash builds new sketches.  Raises KeyError
         when any epoch in the range is missing (never silently skips a
         hole: an estimate over ``lo..hi`` must cover all of it).
         """
@@ -174,7 +201,7 @@ class EpochStore:
                     f"epochs {missing} not in store (evicted or unrotated)"
                 )
             snaps = [self._snaps[e] for e in range(lo, hi + 1)]
-        sketches = [s.sketch() for s in snaps]
+        sketches = [s.sketch for s in snaps]
         if len(sketches) == 1:
             return sketches[0]
         rng = random.Random(range_merge_seed(self.seed, lo, hi))

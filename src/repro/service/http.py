@@ -18,7 +18,7 @@ Endpoints (all GET, JSON responses):
 
 Live queries take ``view=slim`` (the default when the replica is
 enabled) or ``view=fat`` to pick the read path — the incrementally
-synced slim replica vs the serialize-and-merge fat path (see
+synced slim replica vs the copy-and-merge fat path (see
 docs/service.md).
 
 Multi-tenant daemons additionally accept ``tenant=NAME`` on ``/query``

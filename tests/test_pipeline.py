@@ -277,22 +277,28 @@ def test_basic_chunk_follows_geometry():
     ids=["hw-numpy", "hw-compiled", "basic-compiled"],
 )
 def test_hardware_and_compiled_chunks_stay_at_maximum(cls, kernels):
+    hi, lo, sizes = trace_columns(64, 16, seed=4)
     for l in (188, 1505):
         sketch = cls(8, l, kernels=kernels)
         assert sketch.pipeline_chunk == MAX_PIPELINE_CHUNK
+        sketch.process_columns(hi, lo, sizes)
         assert sketch._scratch.J.shape == (8, MAX_PIPELINE_CHUNK)
 
 
 def test_basic_chunk_is_fixed_at_construction():
-    """Each width gets its chunk and scratch once; runs never change it."""
+    """Each width gets its chunk once and its scratch on the first chunk;
+    runs never change either."""
     hi, lo, sizes = trace_columns(6_000, 1_500, seed=4)
     for l, chunk in ((188, 512), (1505, 4096)):
         sketch = NumpyCocoSketch(8, l, seed=2, kernels="numpy")
         assert sketch.pipeline_chunk == chunk
-        assert sketch._scratch.J.shape == (8, chunk)
+        assert sketch._scratch is None  # never-fed sketches hold no scratch
         with obs.collecting() as reg:
             sketch.process_columns(hi, lo, sizes)
+            scratch = sketch._scratch
+            assert scratch.J.shape == (8, chunk)
             sketch.update_batch((hi, lo), sizes)
+        assert sketch._scratch is scratch
         snap = reg.snapshot()
         assert snap["gauges"][CHUNK_GAUGE] == chunk
         assert snap["counters"]["pipeline.numpy.basic.chunks"] == 2 * n_chunks(

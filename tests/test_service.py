@@ -20,6 +20,8 @@ Three families of guarantees, matching the service's design contract
   and shutdown drains every in-flight block.
 """
 
+import dataclasses
+import gc
 import http.client
 import json
 import random
@@ -30,12 +32,13 @@ import time
 import urllib.error
 import urllib.parse
 import urllib.request
+import weakref
 
 import numpy as np
 import pytest
 
 from repro.control import GovernorConfig
-from repro.core.serialize import dump_sketch, load_sketch
+from repro.core.serialize import dump_epoch, dump_sketch
 from repro.engine.kernels import BACKEND_ENV
 from repro.engine.sharded import SketchSpec
 from repro.extensions.windowed import WindowedMeasurement, split_budget
@@ -94,6 +97,14 @@ def run_daemon(config, trace, block, threaded=False):
     return [daemon.store.get(e) for e in daemon.store.ids()]
 
 
+def wire(snaps):
+    """Each snapshot's ``to_bytes()`` with its wall-clock stamp zeroed.
+
+    ``closed_at`` is the only field not determined by the packets.
+    """
+    return [dataclasses.replace(s, closed_at=0.0).to_bytes() for s in snaps]
+
+
 #: d=8 at a narrow width under a governor that grows it to 512 after
 #: the first epoch: the basic engine's kernel chunk follows the width
 #: (512 -> 1024), so this backend exercises a chunk change at rotation.
@@ -145,7 +156,7 @@ class TestEpochBitIdentity:
 
         reference = offline_epoch_run(cfg(), trace.batches(4_096))
         if "governor" in geometry:
-            chunks = [load_sketch(s.blob).pipeline_chunk for s in reference]
+            chunks = [s.sketch.pipeline_chunk for s in reference]
             assert chunks[0] == 512 and chunks[-1] == 1024, chunks
         assert [s.packets for s in reference] == expected
         assert [s.epoch for s in reference] == list(range(len(expected)))
@@ -155,12 +166,12 @@ class TestEpochBitIdentity:
         # Different submission framing, synchronous ingestion.
         for block in (123, 1_777, packets):
             snaps = run_daemon(cfg(), trace, block)
-            assert [s.blob for s in snaps] == [s.blob for s in reference]
+            assert wire(snaps) == wire(reference)
             assert [s.packets for s in snaps] == expected
 
         # Background feeder thread (queue + backpressure) — same bytes.
         threaded = run_daemon(cfg(), trace, 1_024, threaded=True)
-        assert [s.blob for s in threaded] == [s.blob for s in reference]
+        assert wire(threaded) == wire(reference)
 
     @pytest.mark.parametrize("engine", ["scalar", "numpy"])
     def test_single_epoch_equals_monolithic(self, engine):
@@ -172,7 +183,11 @@ class TestEpochBitIdentity:
         mono = config.spec.build()
         hi, lo, sizes = next(iter(trace.batches(9_000)))
         mono.process_columns(hi, lo, sizes, CHUNK)
-        assert snaps[0].blob == dump_sketch(mono)
+        snap = snaps[0]
+        assert snap.to_bytes() == dump_epoch(
+            snap.epoch, snap.start_seq, snap.packets, snap.closed_at,
+            dump_sketch(mono),
+        )
 
     def test_epochs_share_hash_family_but_not_rng_streams(self):
         # Same packets fed to epoch 0 and epoch 1 produce different
@@ -184,7 +199,7 @@ class TestEpochBitIdentity:
         assert len(snaps) == 2
         from repro.extensions.merging import merge_cocosketch
 
-        a, b = snaps[0].sketch(), snaps[1].sketch()
+        a, b = snaps[0].sketch, snaps[1].sketch
         merged = merge_cocosketch(a, b, seed=9)  # raises if families differ
         total = sum(merged.flow_table().values())
         assert total == pytest.approx(trace.total_size)
@@ -198,7 +213,7 @@ class TestEpochBitIdentity:
         trace = make_trace(5)
         snaps = run_daemon(make_config(epoch_packets=1), trace, 2)
         assert [s.packets for s in snaps] == [1] * 5
-        total = sum(sum(s.sketch().flow_table().values()) for s in snaps)
+        total = sum(sum(s.sketch.flow_table().values()) for s in snaps)
         assert total == pytest.approx(trace.total_size)
 
 
@@ -223,15 +238,15 @@ class TestEpochMergeAndStore:
         # Sub-range mass equals the covered epochs' pack. sizes.
         sub = build_store().merged_range(1, 2)
         covered = sum(
-            sum(s.sketch().flow_table().values()) for s in snaps[1:]
+            sum(s.sketch.flow_table().values()) for s in snaps[1:]
         )
         assert sum(sub.flow_table().values()) == pytest.approx(covered)
 
     def test_store_bounds_history_and_rejects_holes(self):
         store = EpochStore(history=3, seed=0)
-        blob = dump_sketch(SketchSpec(l=8).build())
+        sketch = SketchSpec(l=8).build()
         for epoch in range(5):
-            store.add(EpochSnapshot(epoch, epoch * 10, 10, 0.0, blob))
+            store.add(EpochSnapshot(epoch, epoch * 10, 10, 0.0, sketch))
         assert store.ids() == [2, 3, 4]
         with pytest.raises(KeyError):
             store.get(0)
@@ -240,7 +255,7 @@ class TestEpochMergeAndStore:
         with pytest.raises(ValueError):
             store.merged_range(4, 2)
         with pytest.raises(ValueError):
-            store.add(EpochSnapshot(4, 0, 10, 0.0, blob))
+            store.add(EpochSnapshot(4, 0, 10, 0.0, sketch))
         assert len(store) == 3
 
     def test_epoch_snapshot_wire_round_trip(self):
@@ -248,7 +263,8 @@ class TestEpochMergeAndStore:
             make_config(epoch_packets=2_000), make_trace(4_000), 999
         )
         for snap in snaps:
-            assert EpochSnapshot.from_bytes(snap.to_bytes()) == snap
+            data = snap.to_bytes()
+            assert EpochSnapshot.from_bytes(data).to_bytes() == data
 
 
 class TestMergedEpochUnbiasedness:
@@ -788,7 +804,64 @@ class TestDaemonLifecycle:
             daemon.offer(bad, bad, np.ones(3, dtype=np.int64))
         with pytest.raises(ServiceError, match="ingest thread died"):
             daemon.close()
-        assert daemon.closed  # workers were still released
+        assert daemon.closed  # the final epoch was still frozen
+
+    def test_dead_feeder_with_a_full_queue_does_not_hang_close(self):
+        """Regression: a feeder that died with blocks still queued left
+        ``close()`` blocked forever on ``stop_feeder()``'s sentinel put."""
+        daemon = MeasurementDaemon(make_config(queue_blocks=1))
+        daemon.start()
+        bad = np.zeros(3, dtype=np.uint64)
+        with daemon._lock:  # parks the ingest thread inside ingest()
+            daemon.offer(bad, bad, None)  # len(None) kills the ingest thread
+            deadline = time.monotonic() + 10
+            while not daemon._queue.empty() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            daemon.offer(bad, bad, np.ones(3, dtype=np.int64))  # queue full
+        raised = []
+
+        def close():
+            try:
+                daemon.close()
+            except ServiceError as exc:
+                raised.append(exc)
+
+        closer = threading.Thread(target=close, daemon=True)
+        closer.start()
+        closer.join(timeout=10)
+        assert not closer.is_alive(), "close() hung behind a dead feeder"
+        assert len(raised) == 1 and "ingest thread died" in str(raised[0])
+        assert daemon.closed
+
+
+class TestFrozenEpochs:
+    """A closed epoch is a read-only sketch that retains no live engine."""
+
+    @pytest.mark.parametrize(
+        "engine,shards", [("numpy", 1), ("numpy", 2), ("scalar", 1)]
+    )
+    def test_closed_epoch_is_frozen_and_detached(self, engine, shards):
+        trace = make_trace(3 * CHUNK)
+        daemon = MeasurementDaemon(make_config(engine=engine, shards=shards))
+        gc.disable()  # only reference counting may free the engines
+        try:
+            _ingest(daemon, trace, block=1_000)
+            # Both live views touch the engines: the slim bootstrap
+            # attaches delta sinks, the fat view copies them.
+            daemon.live_planner(view="slim")
+            daemon.live_planner(view="fat")
+            refs = [weakref.ref(s) for s in daemon._builder.live_sketches()]
+            assert len(refs) == shards
+            snap = daemon.rotate()
+            assert [ref() for ref in refs] == [None] * shards
+        finally:
+            gc.enable()
+        frozen = snap.to_bytes()
+        hi, lo, sizes = next(iter(trace.batches(CHUNK)))
+        with pytest.raises((ValueError, TypeError)):
+            snap.sketch.process_columns(hi, lo, sizes)
+        assert snap.to_bytes() == frozen == snap.to_bytes()
+        daemon.close()
 
 
 def _ingest(daemon, trace, block=500):
