@@ -23,9 +23,8 @@ their states agree.
 
 from __future__ import annotations
 
-import json
 import struct
-from typing import Dict, Union
+from typing import Union
 
 import numpy as np
 
@@ -48,12 +47,9 @@ _KINDS = {
 }
 _CLASSES = {number: cls for cls, number in _KINDS.items()}
 
-#: Wire kind for a metrics snapshot payload (sharded workers ship their
-#: registry snapshot back to the collector alongside sketch blobs).
-METRICS_KIND = 5
-
 #: Wire kind for a frozen measurement epoch: rotation metadata wrapped
 #: around an embedded sketch blob (the service daemon's snapshot files).
+#: Kind 5 is retired and stays unassigned.
 EPOCH_KIND = 6
 
 _EPOCH_META = struct.Struct("<QQQdI")
@@ -176,11 +172,6 @@ def load_sketch(blob: bytes) -> AnyCocoSketch:
         raise SerializationError(f"bad magic {magic!r}")
     if version != _VERSION:
         raise SerializationError(f"unsupported version {version}")
-    if kind == METRICS_KIND:
-        raise SerializationError(
-            "blob holds a metrics snapshot, not sketch state; "
-            "use load_metrics()"
-        )
     if kind == EPOCH_KIND:
         raise SerializationError(
             "blob holds an epoch snapshot, not bare sketch state; "
@@ -224,59 +215,6 @@ def blob_size(d: int, l: int) -> int:
     return _HEADER.size + 8 * d + d * l * 24
 
 
-def dump_metrics(snapshot: Dict) -> bytes:
-    """Serialise a metrics snapshot to the shared wire format.
-
-    Layout: the common header with ``kind`` = :data:`METRICS_KIND` and
-    zeroed geometry fields, then ``payload_len u32 | payload`` where the
-    payload is the snapshot as compact UTF-8 JSON.  Workers in
-    :mod:`repro.parallel` ship these next to their sketch blobs.
-    """
-    if not isinstance(snapshot, dict):
-        raise SerializationError(
-            f"snapshot must be a dict, got {type(snapshot).__name__}"
-        )
-    payload = json.dumps(snapshot, separators=(",", ":")).encode("utf-8")
-    return b"".join(
-        [
-            _HEADER.pack(_MAGIC, _VERSION, METRICS_KIND, 0, 0, 0, 0),
-            struct.pack("<I", len(payload)),
-            payload,
-        ]
-    )
-
-
-def load_metrics(blob: bytes) -> Dict:
-    """Reconstruct a metrics snapshot from :func:`dump_metrics` output."""
-    if len(blob) < _HEADER.size + 4:
-        raise SerializationError("metrics blob shorter than header")
-    magic, version, kind, _d, _l, _kb, _sc = _HEADER.unpack(
-        blob[: _HEADER.size]
-    )
-    if magic != _MAGIC:
-        raise SerializationError(f"bad magic {magic!r}")
-    if version != _VERSION:
-        raise SerializationError(f"unsupported version {version}")
-    if kind != METRICS_KIND:
-        raise SerializationError(
-            f"kind {kind} is not a metrics snapshot (expected "
-            f"{METRICS_KIND}); use load_sketch()"
-        )
-    (length,) = struct.unpack_from("<I", blob, _HEADER.size)
-    payload = blob[_HEADER.size + 4 :]
-    if len(payload) != length:
-        raise SerializationError(
-            f"metrics payload length {len(payload)} != declared {length}"
-        )
-    try:
-        snapshot = json.loads(payload.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise SerializationError(f"metrics payload is not JSON: {exc}")
-    if not isinstance(snapshot, dict):
-        raise SerializationError("metrics payload must be a JSON object")
-    return snapshot
-
-
 def dump_epoch(
     epoch: int,
     start_seq: int,
@@ -309,7 +247,7 @@ def dump_epoch(
     if (
         len(sketch_blob) < _HEADER.size
         or sketch_blob[:4] != _MAGIC
-        or sketch_blob[6] in (METRICS_KIND, EPOCH_KIND)
+        or sketch_blob[6] not in _CLASSES
     ):
         raise SerializationError(
             "embedded payload is not a sketch blob"

@@ -14,8 +14,9 @@ deployment.  This module turns that into a horizontal scaling lever:
    the driver partitions one stream block while the workers consume the
    previous one through bounded queues — no per-batch pool barrier.
    Workers share one hash-family seed (mergeable state) but draw
-   replacement decisions from decorrelated streams; state returns
-   through the :mod:`repro.core.serialize` wire format.
+   replacement decisions from decorrelated streams.  In process mode a
+   worker's state crosses back through the :mod:`repro.core.serialize`
+   wire format; inline runs hand their sketches over as objects.
 3. **Combine** — the collector folds worker sketches through the
    unbiased merge (:func:`repro.extensions.merging.merge_cocosketch`)
    *incrementally, in shard order, as each worker's state arrives* —
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -279,9 +280,9 @@ class ShardedSketch(Sketch):
         spec: Per-worker sketch configuration (one hash family for all).
         shards: Worker count (1 replays unsharded execution exactly).
         strategy: ``"hash"`` (flow-pure) or ``"round-robin"``.
-        processes: ``True`` — a multiprocessing pool; int — bounded
-            pool; ``False`` — sequential in-process workers (identical
-            results; handy for tests and tiny traces).
+        processes: ``True`` — one worker process per shard; ``False``
+            — sequential in-process workers (identical results; handy
+            for tests and tiny traces).
         batch_size: Per-worker update batch; ``None`` = engine default.
 
     ``process()`` runs the full scatter/measure/merge pipeline; the
@@ -299,7 +300,7 @@ class ShardedSketch(Sketch):
         spec: SketchSpec,
         shards: int,
         strategy: str = "hash",
-        processes: Union[bool, int, None] = True,
+        processes: bool = True,
         batch_size: Optional[int] = None,
     ) -> None:
         if shards < 1:
@@ -344,13 +345,13 @@ class ShardedSketch(Sketch):
         shard) arrives — shard order keeps the single seeded merge
         stream reproducible.  Wall time covers the
         partition/stream/gather pipeline; the folds run interleaved
-        with still-active workers but their own time is tracked
-        separately (``merge_elapsed_s``), since merging scales with
-        sketch geometry, not packets.
+        with still-active workers but their own time, with the
+        driver's loading of process-mode worker state, is tracked
+        separately (``merge_elapsed_s``), since both scale with sketch
+        geometry, not packets.
         """
         import time
 
-        from repro.core.serialize import load_metrics, load_sketch
         from repro.extensions.merging import merge_cocosketch
         from repro.obs.registry import get_registry
         from repro.parallel import StreamDriver, stream_batch_for
@@ -391,7 +392,7 @@ class ShardedSketch(Sketch):
             for result in driver.results():
                 pending[result[0]] = result
                 while next_fold in pending:
-                    shard, blob, packets_n, elapsed, cpu, mblob = (
+                    shard, sketch, packets_n, elapsed, cpu, metrics = (
                         pending.pop(next_fold)
                     )
                     self.worker_reports.append(
@@ -402,11 +403,10 @@ class ShardedSketch(Sketch):
                             cpu_s=cpu,
                         )
                     )
-                    if reg.enabled and mblob is not None:
-                        reg.merge_snapshot(load_metrics(mblob))
+                    if reg.enabled and metrics is not None:
+                        reg.merge_snapshot(metrics)
                     with reg.span("shard.merge"):
                         fold_start = time.perf_counter()
-                        sketch = load_sketch(blob)
                         if self._merged is None:
                             self._merged = sketch
                         else:
@@ -415,6 +415,7 @@ class ShardedSketch(Sketch):
                             )
                         merge_elapsed += time.perf_counter() - fold_start
                     next_fold += 1
+            merge_elapsed += driver.load_elapsed_s
         self.merge_elapsed_s += merge_elapsed
         self.wall_elapsed_s += (
             time.perf_counter() - wall_start - merge_elapsed

@@ -87,10 +87,6 @@ def _check_mergeable(a: Sketch, b: Sketch) -> None:
         raise ValueError("hash families differ; sketches are not mergeable")
 
 
-# Backwards-compatible alias (geometry/family check only).
-_check_same_family = _check_mergeable
-
-
 def _resolve_rng(rng: Optional[random.Random], seed: int, salt: int) -> random.Random:
     if rng is not None:
         return rng

@@ -18,8 +18,8 @@ rules follow:
   without loss (same-name histograms must share edges).
 * **Plain data out.**  :meth:`MetricsRegistry.snapshot` returns a
   JSON-safe dict in the schema documented (and validated) by
-  :mod:`repro.obs.schema`; the wire form for worker→collector transport
-  is :func:`repro.core.serialize.dump_metrics`.
+  :mod:`repro.obs.schema`; worker processes return it to the collector
+  as-is (the multiprocessing queue pickles it).
 
 Registries are process-local and not thread-safe: each worker process
 builds its own and ships a snapshot home (see :mod:`repro.parallel`).

@@ -1,48 +1,52 @@
 """Multi-worker measurement driver: stream, sketch, gather.
 
-This is the worker-pool half of the sharded pipeline
+This is the worker half of the sharded pipeline
 (:mod:`repro.engine.sharded` owns partitioning and the queryable
 facade).  Execution is *streaming*: the driver launches one persistent
-worker per shard group up front, then scatters columnar chunks to them
-through bounded queues while it keeps partitioning the next block — no
-per-batch pool barrier.  Each worker
+worker process per shard up front, then scatters columnar chunks to
+them through bounded queues while it keeps partitioning the next block
+— no per-batch pool barrier.  Each worker
 
-1. rebuilds its shard sketches from a
+1. rebuilds its shard sketch from a
    :class:`~repro.engine.sharded.SketchSpec` (same geometry and
    hash-family seed everywhere, so the results are mergeable),
-2. decorrelates each shard's replacement RNG from the other shards
-   (shard 0 keeps the spec's natural stream, which makes a one-shard
-   run bit-identical to an unsharded sketch under the same seed) —
-   both via :func:`build_shard_sketch`, shared with the service daemon,
+2. decorrelates its replacement RNG from the other shards (shard 0
+   keeps the spec's natural stream, which makes a one-shard run
+   bit-identical to an unsharded sketch under the same seed) — both via
+   :func:`build_shard_sketch`, shared with the service daemon,
 3. consumes arriving ``(hi, lo, sizes)`` chunks through the engine's
    normal streaming path (:meth:`Sketch.process_columns` — the chunk
    loop for the numpy engines), timing only that region, and
-4. on end-of-stream returns each shard's state as a
-   :mod:`repro.core.serialize` blob — the same wire format a switch
-   would export — plus a
-   :class:`~repro.metrics.throughput.WorkerThroughput` report.
+4. on end-of-stream ships its state back across the process boundary
+   as a :mod:`repro.core.serialize` blob — the same wire format a
+   switch would export — with its timings and, when collecting, its
+   metrics snapshot dict.  The driver loads the blob, so
+   :meth:`StreamDriver.results` always yields sketch objects.
 
-Backpressure is credit-based: every worker's input queue
-holds at most :data:`WORKER_CREDITS` chunks, so a slow worker stalls
-the driver's scatter loop instead of buffering the whole trace.
+Backpressure is credit-based: every worker's input queue holds at most
+:data:`WORKER_CREDITS` chunks, so a slow worker stalls the driver's
+scatter loop instead of buffering the whole trace.  The driver waits in
+bounded polls that check each worker's liveness: a worker that raises
+or dies surfaces as :class:`ShardWorkerError` instead of a hang.
 
-``processes=False`` runs the same driver/worker code path inline
-(including the serialise round-trip), so serial and parallel execution
-produce identical sketches — tests exploit this for speed.
+``processes=False`` runs the same per-shard code inline, with no
+serialisation at all; serial and parallel execution produce identical
+sketches — tests exploit this for speed.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import queue
 import random
 import time
-from typing import Iterator, List, Optional, Sequence, Tuple, Union
+import traceback
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.serialize import dump_metrics, dump_sketch
+from repro.core.serialize import dump_sketch, load_sketch
 from repro.hashing.family import mix64
-from repro.metrics.throughput import WorkerThroughput
 from repro.obs.registry import MetricsRegistry, set_registry
 from repro.sketches.base import Sketch
 
@@ -60,12 +64,27 @@ STREAM_BATCH = 65536
 #: loop blocks.
 WORKER_CREDITS = 4
 
-#: One shard's columnar packet stream: (keys_hi, keys_lo, sizes).
-ShardColumns = Tuple["np.ndarray", "np.ndarray", "np.ndarray"]
+#: Seconds the driver blocks on a worker queue before it checks that
+#: the workers are still alive.
+_POLL_S = 0.2
 
-#: What one shard returns: (shard, sketch blob, packets, elapsed_s,
-#: cpu_s, metrics blob or None).
-ShardResult = Tuple[int, bytes, int, float, float, Optional[bytes]]
+#: What one shard returns: (shard, sketch, packets, elapsed_s, cpu_s,
+#: metrics snapshot dict or None).
+ShardResult = Tuple[int, Sketch, int, float, float, Optional[dict]]
+
+
+class ShardWorkerError(RuntimeError):
+    """A shard worker raised or exited before returning its state."""
+
+    def __init__(self, shard: int, detail: str) -> None:
+        # Both fields in ``args``, so the error pickles across the
+        # process boundary intact.
+        super().__init__(shard, detail)
+        self.shard = shard
+        self.detail = detail
+
+    def __str__(self) -> str:
+        return f"shard {self.shard} worker failed: {self.detail}"
 
 
 def worker_seed(base_seed: int, shard: int) -> int:
@@ -136,8 +155,8 @@ class _ShardRun:
     def __init__(self, spec, shard: int, collect: bool) -> None:
         self.shard = shard
         self.sketch = build_shard_sketch(spec, shard)
-        # Shard-local registry: collected here, shipped back as a wire
-        # blob, folded into the collector's registry per shard.
+        # Shard-local registry: collected here, returned as a snapshot
+        # dict, folded into the collector's registry per shard.
         self.registry = MetricsRegistry() if collect else None
         self.packets = 0
         self.elapsed = 0.0
@@ -165,136 +184,122 @@ class _ShardRun:
         self.packets += len(sizes)
 
     def finalize(self) -> ShardResult:
-        """Serialise state (and metrics) for the trip back to the driver."""
-        metrics_blob = None
+        """The shard's sketch, timings and metrics snapshot."""
+        metrics = None
         if self.registry is not None:
             self.registry.inc("worker.packets", self.packets)
             stats = getattr(self.sketch, "stats", None)
             if stats is not None:
                 stats.publish(self.registry, prefix="sketch.")
-            metrics_blob = dump_metrics(
-                self.registry.snapshot(meta={"shard": self.shard})
-            )
+            metrics = self.registry.snapshot(meta={"shard": self.shard})
         return (
             self.shard,
-            dump_sketch(self.sketch),
+            self.sketch,
             self.packets,
             self.elapsed,
             self.cpu,
-            metrics_blob,
+            metrics,
         )
 
 
-def _stream_worker(spec, shards, batch_size, collect, in_q, out_q) -> None:
-    """Process entry point: consume chunks until the end-of-stream mark.
+def _stream_worker(spec, shard, batch_size, collect, in_q, out_q) -> None:
+    """Process entry point: consume one shard's chunks until ``None``.
 
-    One worker may own several shards (when the driver runs fewer
-    processes than shards); each keeps its own sketch, registry and
-    timers, so the reports stay per-shard regardless of placement.
-
-    Data chunks arrive on the queue as ``(shard, hi, lo, sizes)``;
-    ``None`` ends the stream.
+    Data chunks arrive as ``(hi, lo, sizes)``.  On success the worker
+    ships its :class:`_ShardRun` result with the sketch dumped to a
+    blob.  On failure it keeps draining to the end-of-stream mark (so
+    the driver's sends never stall on a dead consumer) and then ships a
+    :class:`ShardWorkerError` instead.
     """
-    if spec.engine != "scalar":
-        # Warm the JIT before the first timed chunk: with a shared
-        # NUMBA_CACHE_DIR (see repro.engine.kernels) the first worker
-        # compiles once and every sibling loads the cached binaries.
-        from repro.engine.kernels import resolve_kernels, warmup
+    error = None
+    try:
+        if spec.engine != "scalar":
+            # Warm the JIT before the first timed chunk: with a shared
+            # NUMBA_CACHE_DIR (see repro.engine.kernels) the first
+            # worker compiles once and every sibling loads the cached
+            # binaries.
+            from repro.engine.kernels import resolve_kernels, warmup
 
-        warmup(resolve_kernels(None), spec.d)
-    runs = {shard: _ShardRun(spec, shard, collect) for shard in shards}
+            warmup(resolve_kernels(None), spec.d)
+        run = _ShardRun(spec, shard, collect)
+    except Exception:
+        error = traceback.format_exc()
     while True:
         message = in_q.get()
         if message is None:
             break
-        shard, hi, lo, sizes = message
-        runs[shard].consume(hi, lo, sizes, batch_size)
-    for shard in shards:
-        out_q.put(runs[shard].finalize())
-
-
-def _pool_size(processes: Union[bool, int, None], shards: int) -> int:
-    """Worker process count; 0 means run serially in-process.
-
-    ``True`` gives every shard its own process — workers must actually
-    run concurrently for the capacity/wall comparison to mean anything,
-    even when the host has fewer cores (contention then shows up in the
-    per-worker timings, as it would in deployment).
-    """
-    if processes is True:
-        return shards
-    if processes in (False, None):
-        return 0
-    count = int(processes)
-    if count < 0:
-        raise ValueError(f"processes must be >= 0, got {processes}")
-    return min(count, shards)
+        if error is None:
+            try:
+                run.consume(*message, batch_size)
+            except Exception:
+                error = traceback.format_exc()
+    if error is None:
+        try:
+            result = run.finalize()
+            out_q.put((shard, dump_sketch(result[1])) + result[2:])
+            return
+        except Exception:
+            error = traceback.format_exc()
+    out_q.put(ShardWorkerError(shard, error))
 
 
 class StreamDriver:
     """Scatter columnar chunks to persistent shard workers, gather state.
 
-    The streaming replacement for the old scatter/``pool.map``/gather
-    barrier: workers start once, consume chunks as the driver sends
-    them (overlapping with the driver's partitioning of the next
-    block), and ship their serialized state when :meth:`results` closes
-    the stream.
+    Workers start once, consume chunks as the driver sends them
+    (overlapping with the driver's partitioning of the next block), and
+    return their state when :meth:`results` closes the stream.
 
     Args:
         spec: Per-worker :class:`~repro.engine.sharded.SketchSpec`.
         shards: Total shard count; each shard owns one sketch.
-        processes: ``True`` — one OS process per shard; an int — at
-            most that many processes (shards are dealt round-robin
-            across them); ``False``/``None`` — run every shard inline
-            in this process through the same code path.
+        processes: ``True`` — one OS process per shard; ``False`` — run
+            every shard inline in this process.
         batch_size: Per-worker ``process_columns`` slice; ``None`` lets
             each engine use its own streaming default.
         collect_metrics: When true each shard runs under its own
-            :class:`~repro.obs.registry.MetricsRegistry` and ships the
-            snapshot back as a blob.
+            :class:`~repro.obs.registry.MetricsRegistry` and returns its
+            snapshot with the results.
     """
 
     def __init__(
         self,
         spec,
         shards: int,
-        processes: Union[bool, int, None] = True,
+        processes: bool = True,
         batch_size: Optional[int] = None,
         collect_metrics: bool = False,
     ) -> None:
         if shards < 1:
             raise ValueError(f"shards must be >= 1, got {shards}")
         self.shards = shards
+        #: Seconds :meth:`results` spent loading worker blobs (state
+        #: transfer, which scales with geometry rather than packets).
+        self.load_elapsed_s = 0.0
         self._batch_size = batch_size
         self._closed = False
-        pool = _pool_size(processes, shards)
-        if pool == 0:
+        self._procs: List = []
+        if not processes:
             self._inline = [
                 _ShardRun(spec, shard, collect_metrics) for shard in range(shards)
             ]
-            self._queues = None
-            self._procs: List = []
             return
         self._inline = None
         ctx = multiprocessing.get_context()
         self._out_q = ctx.Queue()
         self._in_qs = []
-        self._procs = []
-        for w in range(pool):
-            owned = list(range(w, shards, pool))
+        for shard in range(shards):
             in_q = ctx.Queue(maxsize=WORKER_CREDITS)
             proc = ctx.Process(
                 target=_stream_worker,
                 args=(
-                    spec, owned, batch_size, collect_metrics,
+                    spec, shard, batch_size, collect_metrics,
                     in_q, self._out_q,
                 ),
             )
             proc.start()
             self._in_qs.append(in_q)
             self._procs.append(proc)
-        # shard -> its owner's input queue
-        self._queues = [self._in_qs[shard % pool] for shard in range(shards)]
 
     # Kept while benchmarks/ledger/tracer.py patches it as a layer.
     def live_blobs(self) -> Optional[List[bytes]]:
@@ -313,85 +318,86 @@ class StreamDriver:
         if self._inline is not None:
             self._inline[shard].consume(hi, lo, sizes, self._batch_size)
             return
-        self._queues[shard].put((shard, hi, lo, sizes))
+        self._put(shard, (hi, lo, sizes))
 
     def results(self) -> Iterator[ShardResult]:
         """Close the stream and yield shard results as workers finish.
 
         Results arrive in completion order (shard order when inline);
-        exactly one per shard, empty shards included.
+        exactly one per shard, empty shards included.  A worker that
+        raised or died raises :class:`ShardWorkerError` here, after the
+        remaining workers are stopped.
         """
         self._closed = True
         if self._inline is not None:
             for run in self._inline:
                 yield run.finalize()
             return
-        for in_q in self._in_qs:
-            in_q.put(None)
-        for _ in range(self.shards):
-            yield self._out_q.get()
+        try:
+            for shard in range(self.shards):
+                self._put(shard, None)
+            pending = set(range(self.shards))
+            while pending:
+                result = self._get(pending)
+                if isinstance(result, ShardWorkerError):
+                    raise result
+                pending.discard(result[0])
+                start = time.perf_counter()
+                sketch = load_sketch(result[1])
+                self.load_elapsed_s += time.perf_counter() - start
+                yield (result[0], sketch) + result[2:]
+        except BaseException:
+            self._abort()
+            raise
         for proc in self._procs:
             proc.join()
 
+    def _put(self, shard: int, message) -> None:
+        """Queue *message* for *shard*, failing if its worker is gone."""
+        in_q = self._in_qs[shard]
+        while True:
+            try:
+                in_q.put(message, timeout=_POLL_S)
+                return
+            except queue.Full:
+                code = self._procs[shard].exitcode
+                if code is not None:
+                    self._abort()
+                    raise ShardWorkerError(
+                        shard, f"worker exited with code {code}"
+                    ) from None
 
-def run_sharded(
-    spec,
-    shard_columns: Sequence[ShardColumns],
-    processes: Union[bool, int, None] = True,
-    batch_size: Optional[int] = None,
-    collect_metrics: bool = False,
-) -> Tuple[List[bytes], List[WorkerThroughput], float, List[Optional[bytes]]]:
-    """Run one engine-backed sketch per shard over pre-partitioned columns.
+    def _get(self, pending):
+        """Next worker message, failing if a *pending* worker is gone.
 
-    The batch facade over :class:`StreamDriver` (the sharded facade
-    streams instead — see ``ShardedSketch.process``): chunks each
-    shard's columns at the stream granularity, interleaves the sends
-    across shards so workers fill evenly, and gathers state.
+        Liveness is read before the wait: a worker that exited before
+        it began has already flushed everything it sent, so an empty
+        wait after that means its result is never coming.
+        """
+        while True:
+            dead = [
+                s for s in sorted(pending) if self._procs[s].exitcode is not None
+            ]
+            try:
+                return self._out_q.get(timeout=_POLL_S)
+            except queue.Empty:
+                if dead:
+                    code = self._procs[dead[0]].exitcode
+                    raise ShardWorkerError(
+                        dead[0],
+                        f"worker exited with code {code} before "
+                        f"returning its state",
+                    ) from None
 
-    Args:
-        spec: The per-worker :class:`~repro.engine.sharded.SketchSpec`.
-        shard_columns: One ``(hi, lo, sizes)`` triple per shard, in
-            shard order (see ``partition_columns``).
-        processes: ``True`` — one OS process per shard; an int — at
-            most that many processes; ``False`` — run every worker
-            sequentially in this process (identical results, no pool
-            overhead).
-        batch_size: Per-worker update slice; ``None`` lets each sketch
-            route itself exactly like ``Sketch.process``.
-        collect_metrics: When true each worker installs its own
-            :class:`~repro.obs.registry.MetricsRegistry`, publishes its
-            sketch's decision counters into it, and ships the snapshot
-            back as a :func:`~repro.core.serialize.dump_metrics` blob.
-
-    Returns:
-        ``(blobs, reports, wall_elapsed_s, metrics_blobs)`` — serialized
-        sketch state and per-worker timing in shard order, the
-        wall-clock time of the whole scatter/process/gather section, and
-        per-shard metrics blobs (``None`` entries unless
-        ``collect_metrics``).
-    """
-    shards = len(shard_columns)
-    step = stream_batch_for(batch_size)
-    wall_start = time.perf_counter()
-    driver = StreamDriver(spec, shards, processes, batch_size, collect_metrics)
-    longest = max((len(cols[2]) for cols in shard_columns), default=0)
-    for start in range(0, longest, step):
-        for shard, (hi, lo, sizes) in enumerate(shard_columns):
-            stop = min(start + step, len(sizes))
-            if start < stop:
-                driver.send(
-                    shard, hi[start:stop], lo[start:stop], sizes[start:stop]
-                )
-    outs: List[Optional[ShardResult]] = [None] * shards
-    for result in driver.results():
-        outs[result[0]] = result
-    wall_elapsed = time.perf_counter() - wall_start
-    blobs = [out[1] for out in outs]
-    reports = [
-        WorkerThroughput(
-            shard=out[0], packets=out[2], elapsed_s=out[3], cpu_s=out[4]
-        )
-        for out in outs
-    ]
-    metrics_blobs = [out[5] for out in outs]
-    return blobs, reports, wall_elapsed, metrics_blobs
+    def _abort(self) -> None:
+        """Stop every worker and drop undelivered chunks."""
+        self._closed = True
+        for proc in self._procs:
+            if proc.exitcode is None:
+                proc.terminate()
+        for proc in self._procs:
+            proc.join()
+        for in_q in self._in_qs:
+            # A chunk buffered for a dead worker must not block exit.
+            in_q.cancel_join_thread()
+            in_q.close()

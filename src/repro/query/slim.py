@@ -181,33 +181,20 @@ class SlimReplica:
     :class:`MetricsRegistry` (merged into snapshots by the daemon), so
     readers never contend on the ingest registry.
 
-    ``max_pending_rows`` bounds queued-delta memory: when exceeded, the
-    push compacts the queue into the mirrors in-line (still O(pending),
-    but pending is now bounded), so an unread replica can't grow
-    without limit under sustained ingestion.
+    ``max_pending_rows`` (``8·d·l``, re-derived when a bootstrap
+    changes the geometry) bounds queued-delta memory: when exceeded,
+    the push compacts the queue into the mirrors in-line (still
+    O(pending), but pending is now bounded), so an unread replica can't
+    grow without limit under sustained ingestion.  A few multiples of
+    the full state per shard: compaction then triggers about as often
+    as a read that lagged several whole-table rewrites would have paid.
     """
 
-    def __init__(
-        self,
-        spec,
-        key_spec,
-        shards: int,
-        max_pending_rows: Optional[int] = None,
-    ) -> None:
-        self._auto_pending = max_pending_rows is None
-        if max_pending_rows is None:
-            # Default: a few multiples of the full state per shard —
-            # compaction then triggers about as often as a read that
-            # lagged several whole-table rewrites would have paid.
-            max_pending_rows = 8 * spec.d * spec.l
-        if max_pending_rows < 1:
-            raise ValueError(
-                f"max_pending_rows must be >= 1, got {max_pending_rows}"
-            )
+    def __init__(self, spec, key_spec, shards: int) -> None:
         self.spec = spec
         self.key_spec = key_spec
         self.shards = shards
-        self.max_pending_rows = max_pending_rows
+        self.max_pending_rows = 8 * spec.d * spec.l
         self.registry = MetricsRegistry()
         self._lock = threading.Lock()
         self.epoch = -1  # -1: not bootstrapped yet
@@ -259,14 +246,13 @@ class SlimReplica:
 
         *spec* carries the fat shards' *current* spec when the daemon
         runs under elastic geometry: mirrors are rebuilt at the new
-        shape, and the auto-derived pending-row bound re-scales with
-        the state size it protects.
+        shape, and the pending-row bound re-scales with the state size
+        it protects.
         """
         with self._lock:
             if spec is not None and spec != self.spec:
                 self.spec = spec
-                if self._auto_pending:
-                    self.max_pending_rows = 8 * spec.d * spec.l
+                self.max_pending_rows = 8 * spec.d * spec.l
                 self.registry.inc("slim.geometry.rebootstraps")
             self.epoch = epoch
             self.start_seq = int(start_seq)

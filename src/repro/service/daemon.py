@@ -84,6 +84,10 @@ _GOLDEN_LIVE = 0x9E3779B97F4A7C15
 #: this block and engine chunk boundaries follow the re-blocking.
 DEFAULT_CHUNK = 16384
 
+#: Blocks the background ingest queue holds before
+#: :meth:`MeasurementDaemon.offer` blocks.
+QUEUE_BLOCKS = 8
+
 
 class ServiceError(RuntimeError):
     """Daemon misuse or unavailable state (closed daemon, no live view)."""
@@ -115,8 +119,6 @@ class ServiceConfig:
         epoch_seconds: Rotate when the live epoch is older than this at
             the next ingest.  ``None`` — no wall-clock bound.
         history: Closed epochs retained by the store.
-        queue_blocks: Bound of the background ingest queue
-            (:meth:`MeasurementDaemon.offer` blocks when full).
         live_refresh_packets: Freshness/throughput trade-off for live
             reads.  ``0`` (default) rebuilds the live view whenever new
             packets have flushed; a positive value keeps serving the
@@ -124,16 +126,6 @@ class ServiceConfig:
             in the same epoch — readers see a slightly stale but still
             version-consistent snapshot, and heavy query load stops
             stealing ingest cycles.  Honoured by both read paths.
-        slim_sync: Maintain the slim read replica
-            (:class:`~repro.query.slim.SlimReplica`).  On by default;
-            the replica costs nothing until the first ``view="slim"``
-            read actually bootstraps it.  ``False`` disables the slim
-            view entirely (reads fall back to the fat path).
-        slim_max_pending_rows: Queued-delta row bound before the
-            replica compacts in-line; ``None`` uses the replica's
-            default (a few multiples of the state size).
-        live_view: Default live read path: ``"slim"``, ``"fat"``, or
-            ``None`` (auto — slim when the replica is enabled).
         governor: Elastic-geometry control loop
             (:class:`~repro.control.governor.GovernorConfig`).  When
             set, the daemon samples occupancy/skew at every rotation
@@ -158,11 +150,7 @@ class ServiceConfig:
     epoch_packets: Optional[int] = None
     epoch_seconds: Optional[float] = None
     history: int = 64
-    queue_blocks: int = 8
     live_refresh_packets: int = 0
-    slim_sync: bool = True
-    slim_max_pending_rows: Optional[int] = None
-    live_view: Optional[str] = None
     governor: Optional[GovernorConfig] = None
     tenants: Optional[Tuple[str, ...]] = None
     tenant_memory_bytes: Optional[int] = None
@@ -185,27 +173,11 @@ class ServiceConfig:
             raise ValueError(
                 f"epoch_seconds must be > 0, got {self.epoch_seconds}"
             )
-        if self.queue_blocks < 1:
-            raise ValueError(
-                f"queue_blocks must be >= 1, got {self.queue_blocks}"
-            )
         if self.live_refresh_packets < 0:
             raise ValueError(
                 f"live_refresh_packets must be >= 0, "
                 f"got {self.live_refresh_packets}"
             )
-        if self.slim_max_pending_rows is not None and self.slim_max_pending_rows < 1:
-            raise ValueError(
-                f"slim_max_pending_rows must be >= 1, "
-                f"got {self.slim_max_pending_rows}"
-            )
-        if self.live_view not in (None, "slim", "fat"):
-            raise ValueError(
-                f"live_view must be 'slim', 'fat' or None, "
-                f"got {self.live_view!r}"
-            )
-        if self.live_view == "slim" and not self.slim_sync:
-            raise ValueError("live_view='slim' requires slim_sync=True")
         if self.tenants is not None:
             names = tuple(self.tenants)
             if not names:
@@ -392,16 +364,9 @@ class MeasurementDaemon:
             None,
         )
         self._planners: Dict[Tuple[int, int], QueryPlanner] = {}
-        self._replica: Optional[SlimReplica] = (
-            SlimReplica(
-                config.spec,
-                config.key_spec,
-                config.shards,
-                max_pending_rows=config.slim_max_pending_rows,
-            )
-            if config.slim_sync
-            else None
-        )
+        # The slim read replica costs nothing until the first slim
+        # read bootstraps it.
+        self._replica = SlimReplica(config.spec, config.key_spec, config.shards)
 
     # ------------------------------------------------------------------
     # write path
@@ -452,20 +417,6 @@ class MeasurementDaemon:
                 "service.epoch.packets", self._builder.packets
             )
 
-    def ingest_pairs(self, pairs) -> None:
-        """Feed ``(key, size)`` tuples (packs one columnar block)."""
-        from repro.flowkeys.columns import pack_key_columns
-
-        keys = []
-        sizes = []
-        for key, size in pairs:
-            keys.append(key)
-            sizes.append(size)
-        if not keys:
-            return
-        hi, lo = pack_key_columns(keys)
-        self.ingest(hi, lo, np.asarray(sizes, dtype=np.int64))
-
     def rotate(self) -> Optional[EpochSnapshot]:
         """Force a rotation now; no-op (returns None) on an empty epoch.
 
@@ -484,11 +435,10 @@ class MeasurementDaemon:
                     self._builder = self._open_builder_locked(
                         epoch=old.epoch, start_seq=old.start_seq
                     )
-                    if self._replica is not None:
-                        # Same epoch tag, new shape: force the next slim
-                        # read to re-bootstrap instead of serving mirrors
-                        # whose geometry no longer matches the fat state.
-                        self._replica.invalidate()
+                    # Same epoch tag, new shape: force the next slim
+                    # read to re-bootstrap instead of serving mirrors
+                    # whose geometry no longer matches the fat state.
+                    self._replica.invalidate()
                 self._pending_l = None
                 return None
             return self._rotate_locked()
@@ -651,7 +601,7 @@ class MeasurementDaemon:
                 raise ServiceError("daemon is closed")
             if self._thread is not None:
                 raise ServiceError("feeder already running")
-            self._queue = queue.Queue(maxsize=self.config.queue_blocks)
+            self._queue = queue.Queue(maxsize=QUEUE_BLOCKS)
             self._thread = threading.Thread(
                 target=self._ingest_loop, name="repro-service-ingest",
                 daemon=True,
@@ -699,18 +649,6 @@ class MeasurementDaemon:
     # ------------------------------------------------------------------
     # read path
 
-    def live_version(self) -> Tuple[int, int]:
-        """Current ``(epoch, flushed packets)`` — the live view's id."""
-        with self._lock:
-            return self._builder.epoch, self._builder.flushed
-
-    @property
-    def default_live_view(self) -> str:
-        """The live view served when a reader names none."""
-        if self.config.live_view is not None:
-            return self.config.live_view
-        return "slim" if self._replica is not None else "fat"
-
     def live_planner(
         self, view: Optional[str] = None
     ) -> Tuple[Tuple[int, int], QueryPlanner]:
@@ -722,12 +660,12 @@ class MeasurementDaemon:
         reader, versions are monotone; ``live_refresh_packets``
         staleness budgets apply on both paths.
 
-        ``view="slim"`` (the default when the replica is enabled)
-        serves the incrementally-synced replica.  In steady state —
-        replica already bootstrapped into the current epoch — the read
-        never touches the ingest lock at all: it is a bounded delta
-        drain under the replica's own lock, so it cannot queue behind
-        an in-flight chunk.  Only the first read of an epoch takes the
+        ``view="slim"`` (the default, also for ``None``) serves the
+        incrementally-synced replica.  In steady state — replica
+        already bootstrapped into the current epoch — the read never
+        touches the ingest lock at all: it is a bounded delta drain
+        under the replica's own lock, so it cannot queue behind an
+        in-flight chunk.  Only the first read of an epoch takes the
         ingest lock, for the epoch check plus a per-array memcpy
         bootstrap.
 
@@ -736,19 +674,13 @@ class MeasurementDaemon:
         it with an ephemeral stream seeded by the view's version, so
         concurrent readers rebuild identical views.
         """
-        if view is None:
-            view = self.default_live_view
         if view == "fat":
             return self._fat_live_planner()
-        if view != "slim":
+        if view not in (None, "slim"):
             raise ValueError(
                 f"unknown live view {view!r}; choose 'slim' or 'fat'"
             )
         replica = self._replica
-        if replica is None:
-            raise ServiceError(
-                "slim live view disabled (ServiceConfig.slim_sync=False)"
-            )
         # Steady-state fast path: both reads are single references (a
         # stale glimpse at worst), and a rotation racing past the check
         # only means this read serves the just-rotated epoch's final
@@ -898,19 +830,14 @@ class MeasurementDaemon:
         }
         with self._lock:
             snap = self.registry.snapshot(meta=meta)
-        extras = []
-        replica = self._replica
-        if replica is not None:
-            extras.append(replica.metrics_snapshot())
+        extras = [self._replica.metrics_snapshot()]
         if self._tenants is not None:
             extras.append(self._tenants.metrics_snapshot())
-        if extras:
-            merged = MetricsRegistry()
-            merged.merge_snapshot(snap)
-            for extra in extras:
-                merged.merge_snapshot(extra)
-            snap = merged.snapshot(meta=meta)
-        return snap
+        merged = MetricsRegistry()
+        merged.merge_snapshot(snap)
+        for extra in extras:
+            merged.merge_snapshot(extra)
+        return merged.snapshot(meta=meta)
 
     def status(self) -> dict:
         """JSON-ready daemon status (what ``/epochs`` wraps)."""

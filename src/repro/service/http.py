@@ -158,7 +158,7 @@ class _Handler(BaseHTTPRequestHandler):
                 "kind": "live",
                 "epoch": epoch,
                 "packets": packets,
-                "view": view or daemon.default_live_view,
+                "view": view or "slim",
                 "staleness": {
                     "packets_behind": daemon.packets_behind(epoch, packets)
                 },

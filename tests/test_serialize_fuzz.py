@@ -1,19 +1,17 @@
 """Property/fuzz tests for the wire format (:mod:`repro.core.serialize`).
 
 Hypothesis drives random geometry, random traffic and random header
-corruption through every wire kind — the five sketch kinds (0-4), the
-metrics-snapshot kind (5) and the epoch-snapshot kind (6) — asserting
-two properties:
+corruption through every wire kind — the five sketch kinds (0-4) and
+the epoch-snapshot kind (6) — asserting two properties:
 
 * **Round-trip fixpoint** — ``dump(load(dump(x))) == dump(x)`` for
-  sketches (byte equality is the strongest state-identity check the
-  codec offers) and ``load(dump(snap)) == snap`` for metrics snapshots.
+  sketches and epochs (byte equality is the strongest state-identity
+  check the codec offers).
 * **Corruption rejection** — any header mutation (magic, version, kind,
   truncation, geometry/length lies) raises :class:`SerializationError`,
   never a garbage sketch or a non-codec exception.
 """
 
-import json
 import struct
 
 import pytest
@@ -24,20 +22,16 @@ from repro.core.cocosketch import BasicCocoSketch
 from repro.core.hardware import HardwareCocoSketch, P4CocoSketch
 from repro.core.serialize import (
     EPOCH_KIND,
-    METRICS_KIND,
     SerializationError,
     _EPOCH_META,
     _HEADER,
     dump_epoch,
-    dump_metrics,
     dump_sketch,
     load_epoch,
-    load_metrics,
     load_sketch,
 )
 from repro.engine.vectorized import NumpyCocoSketch, NumpyHardwareCocoSketch
 from repro.extensions.merging import resize_cocosketch
-from repro.obs.registry import MetricsRegistry
 
 ALL_SKETCH_CLASSES = [
     BasicCocoSketch,
@@ -78,57 +72,6 @@ class TestSketchRoundTrip:
         assert restored.flow_table() == sketch.flow_table()
 
 
-class TestMetricsRoundTrip:
-    snapshot_ops = st.lists(
-        st.one_of(
-            st.tuples(
-                st.just("inc"),
-                st.text("abc.xyz", min_size=1, max_size=12),
-                st.integers(0, 1 << 40),
-            ),
-            st.tuples(
-                st.just("gauge"),
-                st.text("abc.xyz", min_size=1, max_size=12),
-                st.floats(allow_nan=False, allow_infinity=False, width=32),
-            ),
-            st.tuples(
-                st.just("observe"),
-                st.text("abc.xyz", min_size=1, max_size=12),
-                st.floats(0, 1e9, allow_nan=False),
-            ),
-        ),
-        max_size=30,
-    )
-
-    @given(ops=snapshot_ops)
-    @settings(max_examples=30, deadline=None)
-    def test_snapshot_roundtrip(self, ops):
-        registry = MetricsRegistry()
-        for op, name, value in ops:
-            if op == "inc":
-                registry.inc(name, value)
-            elif op == "gauge":
-                registry.set_gauge(name, value)
-            else:
-                registry.observe(name, value)
-        snapshot = registry.snapshot(meta={"source": "fuzz"})
-        assert load_metrics(dump_metrics(snapshot)) == json.loads(
-            json.dumps(snapshot)
-        )
-
-    def test_empty_snapshot_roundtrip(self):
-        snapshot = MetricsRegistry().snapshot()
-        assert load_metrics(dump_metrics(snapshot)) == snapshot
-
-    def test_kind_mismatch_both_directions(self):
-        sketch_blob = dump_sketch(BasicCocoSketch(1, 4, seed=0))
-        metrics_blob = dump_metrics(MetricsRegistry().snapshot())
-        with pytest.raises(SerializationError, match="use load_sketch"):
-            load_metrics(sketch_blob)
-        with pytest.raises(SerializationError, match="use load_metrics"):
-            load_sketch(metrics_blob)
-
-
 def _valid_sketch_blob():
     sketch = _build(BasicCocoSketch, 2, 16, 7, [(i * 97, i + 1) for i in range(40)])
     return dump_sketch(sketch)
@@ -150,7 +93,8 @@ class TestCorruptionRejection:
         elif mutation == "version":
             struct.pack_into("<H", blob, 4, data.draw(st.integers(2, 0xFFFF)))
         elif mutation == "kind":
-            blob[6] = data.draw(st.integers(6, 255))
+            # Kind 5 is retired: no loader accepts it.
+            blob[6] = data.draw(st.integers(5, 255))
         elif mutation == "seed_count":
             # Header seed count must equal d; lie about it.
             struct.pack_into(
@@ -163,63 +107,6 @@ class TestCorruptionRejection:
             blob += bytes(data.draw(st.integers(1, 64)))
         with pytest.raises(SerializationError):
             load_sketch(bytes(blob))
-
-    @given(data=st.data())
-    @settings(max_examples=40, deadline=None)
-    def test_metrics_mutations_rejected(self, data):
-        blob = bytearray(dump_metrics(MetricsRegistry().snapshot()))
-        mutation = data.draw(
-            st.sampled_from(
-                ["magic", "version", "kind", "length", "truncate", "payload"]
-            )
-        )
-        if mutation == "magic":
-            blob[data.draw(st.integers(0, 3))] ^= data.draw(st.integers(1, 255))
-        elif mutation == "version":
-            struct.pack_into("<H", blob, 4, data.draw(st.integers(2, 0xFFFF)))
-        elif mutation == "kind":
-            blob[6] = data.draw(
-                st.integers(0, 255).filter(lambda k: k != METRICS_KIND)
-            )
-        elif mutation == "length":
-            # Declared payload length disagrees with the actual bytes.
-            (declared,) = struct.unpack_from("<I", blob, _HEADER.size)
-            lie = data.draw(
-                st.integers(0, 1 << 20).filter(lambda v: v != declared)
-            )
-            struct.pack_into("<I", blob, _HEADER.size, lie)
-        elif mutation == "truncate":
-            cut = data.draw(st.integers(1, len(blob) - 1))
-            blob = blob[:cut]
-        else:
-            # Valid header + length, payload is not JSON.
-            junk = data.draw(st.binary(min_size=1, max_size=40).filter(
-                lambda b: not _is_json_object(b)
-            ))
-            blob = bytearray(
-                blob[: _HEADER.size]
-                + struct.pack("<I", len(junk))
-                + junk
-            )
-        with pytest.raises(SerializationError):
-            load_metrics(bytes(blob))
-
-    def test_non_dict_json_payload_rejected(self):
-        payload = b"[1, 2, 3]"
-        blob = (
-            _HEADER.pack(b"CCSK", 1, METRICS_KIND, 0, 0, 0, 0)
-            + struct.pack("<I", len(payload))
-            + payload
-        )
-        with pytest.raises(SerializationError, match="JSON object"):
-            load_metrics(blob)
-
-
-def _is_json_object(raw: bytes) -> bool:
-    try:
-        return isinstance(json.loads(raw.decode("utf-8")), dict)
-    except (UnicodeDecodeError, json.JSONDecodeError):
-        return False
 
 
 epoch_metas = st.tuples(
@@ -265,13 +152,11 @@ class TestEpochRoundTrip:
             load_sketch(wire)
         with pytest.raises(SerializationError, match="use load_sketch"):
             load_epoch(sketch_blob)
-        with pytest.raises(SerializationError):
-            load_metrics(wire)
 
     def test_rejects_non_sketch_payload(self):
-        metrics_blob = dump_metrics(MetricsRegistry().snapshot())
+        epoch_blob = dump_epoch(0, 0, 0, 0.0, _valid_sketch_blob())
         with pytest.raises(SerializationError, match="not a sketch"):
-            dump_epoch(0, 0, 0, 0.0, metrics_blob)
+            dump_epoch(0, 0, 0, 0.0, epoch_blob)
         with pytest.raises(SerializationError, match="not a sketch"):
             dump_epoch(0, 0, 0, 0.0, b"junk")
 

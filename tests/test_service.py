@@ -54,6 +54,7 @@ from repro.service import (
     ServiceServer,
     offline_epoch_run,
 )
+from repro.service.daemon import QUEUE_BLOCKS
 from repro.sketches.base import COUNTER_BYTES, DEFAULT_KEY_BYTES
 from repro.traffic.synthetic import zipf_trace
 
@@ -755,42 +756,22 @@ class TestDaemonLifecycle:
 
     def test_live_view_selection_and_errors(self):
         daemon = MeasurementDaemon(make_config())
-        assert daemon.default_live_view == "slim"
         with pytest.raises(ValueError):
             daemon.live_planner(view="bogus")
-        daemon.close()
-
-        with pytest.raises(ValueError):
-            make_config(live_view="bogus")
-        with pytest.raises(ValueError):
-            make_config(slim_sync=False, live_view="slim")
-        with pytest.raises(ValueError):
-            make_config(slim_max_pending_rows=0)
-
-        fat_only = MeasurementDaemon(make_config(slim_sync=False))
-        assert fat_only.default_live_view == "fat"
         trace = make_trace(CHUNK)
         for hi, lo, sizes in trace.batches(CHUNK):
-            fat_only.ingest(hi, lo, sizes)
-        version, _ = fat_only.live_planner()  # auto -> fat
-        assert version == (0, CHUNK)
-        with pytest.raises(ServiceError):
-            fat_only.live_planner(view="slim")
-        with ServiceServer(fat_only) as server:
-            with pytest.raises(urllib.error.HTTPError) as err:
-                _get(_sql_url(server.url, SOAK_SQL, view="slim"))
-            assert err.value.code == 409
+            daemon.ingest(hi, lo, sizes)
+        with ServiceServer(daemon) as server:
             with pytest.raises(urllib.error.HTTPError) as err:
                 _get(_sql_url(server.url, SOAK_SQL, view="nope"))
             assert err.value.code == 400
             with pytest.raises(urllib.error.HTTPError) as err:
                 _get(_sql_url(server.url, SOAK_SQL, epoch=0, view="fat"))
             assert err.value.code == 400  # view is live-only
-            status, payload = _get(_sql_url(server.url, SOAK_SQL, view="fat"))
+            status, payload = _get(_sql_url(server.url, SOAK_SQL))
             assert status == 200
-            assert payload["epoch"]["view"] == "fat"
-            assert payload["epoch"]["staleness"]["packets_behind"] == 0
-        fat_only.close()
+            assert payload["epoch"]["view"] == "slim"  # the default
+        daemon.close()
 
     def test_ingest_error_surfaces_through_offer(self):
         daemon = MeasurementDaemon(make_config())
@@ -809,7 +790,7 @@ class TestDaemonLifecycle:
     def test_dead_feeder_with_a_full_queue_does_not_hang_close(self):
         """Regression: a feeder that died with blocks still queued left
         ``close()`` blocked forever on ``stop_feeder()``'s sentinel put."""
-        daemon = MeasurementDaemon(make_config(queue_blocks=1))
+        daemon = MeasurementDaemon(make_config())
         daemon.start()
         bad = np.zeros(3, dtype=np.uint64)
         with daemon._lock:  # parks the ingest thread inside ingest()
@@ -817,7 +798,9 @@ class TestDaemonLifecycle:
             deadline = time.monotonic() + 10
             while not daemon._queue.empty() and time.monotonic() < deadline:
                 time.sleep(0.01)
-            daemon.offer(bad, bad, np.ones(3, dtype=np.int64))  # queue full
+            for _ in range(QUEUE_BLOCKS):
+                daemon.offer(bad, bad, np.ones(3, dtype=np.int64))
+            assert daemon._queue.full()
         raised = []
 
         def close():

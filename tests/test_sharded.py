@@ -9,9 +9,12 @@ Three layers of guarantees:
   reference within the harness margins (:mod:`tests.stat_harness`).
 """
 
+import threading
+
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.core.serialize import dump_sketch, load_sketch
 from repro.engine import get_engine
 from repro.engine.sharded import (
@@ -22,7 +25,12 @@ from repro.engine.sharded import (
     shard_assignments,
 )
 from repro.flowkeys.key import FIVE_TUPLE
-from repro.parallel import run_sharded, worker_seed
+from repro.parallel import (
+    WORKER_CREDITS,
+    ShardWorkerError,
+    StreamDriver,
+    worker_seed,
+)
 from repro.tasks.harness import FullKeyEstimator
 from repro.traffic.synthetic import zipf_trace
 from tests.stat_harness import (
@@ -154,13 +162,31 @@ class TestShardedPipeline:
         sketch.process(tiny_trace)
         assert _total_mass(sketch.merged) == tiny_trace.total_size
 
-    def test_pool_matches_serial_bit_for_bit(self, tiny_trace):
-        spec = SketchSpec(engine="scalar", d=2, l=128, seed=6)
+    @pytest.mark.parametrize("variant", ["basic", "hardware"])
+    @pytest.mark.parametrize("engine", ["scalar", "numpy"])
+    def test_pool_matches_serial_bit_for_bit(self, tiny_trace, engine, variant):
+        spec = SketchSpec(engine=engine, variant=variant, d=2, l=128, seed=6)
         serial = ShardedSketch(spec, 2, processes=False)
         serial.process(tiny_trace)
-        pooled = ShardedSketch(spec, 2, processes=2)
+        pooled = ShardedSketch(spec, 2, processes=True)
         pooled.process(tiny_trace)
         assert dump_sketch(pooled.merged) == dump_sketch(serial.merged)
+
+    def test_pool_metrics_match_serial(self, tiny_trace):
+        """Worker snapshots cross the process boundary intact."""
+        spec = SketchSpec(engine="numpy", d=2, l=128, seed=6)
+        counters = []
+        for processes in (False, True):
+            with obs.collecting() as reg:
+                ShardedSketch(spec, 2, processes=processes).process(tiny_trace)
+            counters.append({
+                name: value
+                for name, value in reg.snapshot()["counters"].items()
+                if name.startswith("sketch.") or name == "worker.packets"
+            })
+        assert counters[0] == counters[1]
+        assert counters[0]["worker.packets"] == len(tiny_trace)
+        assert counters[0]["sketch.packets"] == len(tiny_trace)
 
     def test_repeated_process_accumulates(self, tiny_trace):
         spec = SketchSpec(engine="numpy", d=2, l=256, seed=2)
@@ -195,20 +221,14 @@ class TestShardedPipeline:
             == 4 * spec.build().memory_bytes()
         )
 
-    def test_run_sharded_reports_in_shard_order(self, tiny_trace):
+    def test_worker_reports_in_shard_order(self, tiny_trace):
         spec = SketchSpec(engine="scalar", d=2, l=128, seed=6)
-        hi, lo, sizes = _columns(tiny_trace)
-        parts = partition_columns(hi, lo, sizes, 3, "hash", spec.seed)
-        blobs, reports, wall, metrics_blobs = run_sharded(
-            spec, parts, processes=False
-        )
+        sketch = ShardedSketch(spec, 3, processes=False)
+        sketch.process(tiny_trace)
+        reports = sketch.worker_reports
         assert [r.shard for r in reports] == [0, 1, 2]
-        assert sum(r.packets for r in reports) == len(sizes)
-        assert wall >= 0.0
-        assert metrics_blobs == [None, None, None]
-        assert all(
-            load_sketch(blob).flow_table() is not None for blob in blobs
-        )
+        assert sum(r.packets for r in reports) == len(tiny_trace)
+        assert sketch.wall_elapsed_s >= 0.0
 
     def test_estimator_shards_mode_rejects_double_sharding(self):
         sharded = ShardedSketch(SketchSpec(), 2)
@@ -219,6 +239,63 @@ class TestShardedPipeline:
         sketch = load_sketch(dump_sketch(SketchSpec(d=1, l=8).build()))
         with pytest.raises(ValueError):
             SketchSpec.from_sketch(sketch)
+
+
+class TestDriverLiveness:
+    """A shard worker that raises or dies fails the driver, never hangs it."""
+
+    @staticmethod
+    def _run_bounded(fn):
+        """Run *fn* in a thread joined with a 10 s timeout; its error."""
+        raised = []
+
+        def target():
+            try:
+                fn()
+            except BaseException as exc:
+                raised.append(exc)
+
+        thread = threading.Thread(target=target, daemon=True)
+        thread.start()
+        thread.join(timeout=10)
+        assert not thread.is_alive(), "driver hung behind a failed worker"
+        assert len(raised) == 1, raised
+        return raised[0]
+
+    def test_raising_worker_fails_results(self, tiny_trace):
+        spec = SketchSpec(engine="numpy", d=2, l=128, seed=6)
+        hi, lo, sizes = _columns(tiny_trace)
+        driver = StreamDriver(spec, 2, processes=True)
+
+        def run():
+            driver.send(0, hi[:10], lo[:10], sizes[:5])  # malformed chunk
+            driver.send(1, hi, lo, sizes)
+            list(driver.results())
+
+        error = self._run_bounded(run)
+        assert isinstance(error, ShardWorkerError)
+        assert error.shard == 0
+        assert "shard 0" in str(error)
+        assert all(proc.exitcode is not None for proc in driver._procs)
+
+    def test_killed_worker_fails_the_driver(self, tiny_trace):
+        spec = SketchSpec(engine="numpy", d=2, l=128, seed=6)
+        hi, lo, sizes = _columns(tiny_trace)
+        driver = StreamDriver(spec, 2, processes=True)
+
+        def run():
+            driver.send(0, hi, lo, sizes)
+            driver._procs[0].terminate()
+            driver._procs[0].join()
+            # Enough chunks to exhaust the dead worker's credits.
+            for _ in range(WORKER_CREDITS + 1):
+                driver.send(0, hi, lo, sizes)
+            list(driver.results())
+
+        error = self._run_bounded(run)
+        assert isinstance(error, ShardWorkerError)
+        assert error.shard == 0
+        assert all(proc.exitcode is not None for proc in driver._procs)
 
 
 class TestShardedStatistics:

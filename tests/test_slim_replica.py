@@ -295,20 +295,22 @@ class TestStalenessAndVersions:
 
 class TestBoundedPending:
     def test_compaction_bounds_pending_rows(self):
-        daemon = MeasurementDaemon(
-            make_config(l=128, chunk=512, slim_max_pending_rows=64)
-        )
-        trace = make_trace(6_000, 1_200)
+        daemon = MeasurementDaemon(make_config(l=128, chunk=512))
+        # ~200 delta rows per 512-packet chunk: enough chunks to pass
+        # the 8·d·l bound more than once.
+        trace = make_trace(12_000, 1_200)
         hi, lo, sizes = columns(trace)
         daemon.ingest(hi[:512], lo[:512], sizes[:512])
         daemon.live_planner(view="slim")  # bootstrap + attach sinks
         replica = daemon._replica
-        for start in range(512, 6_000, 512):
+        bound = 8 * 2 * 128  # 8·d·l
+        assert replica.max_pending_rows == bound
+        for start in range(512, 12_000, 512):
             daemon.ingest(
                 hi[start:start + 512], lo[start:start + 512],
                 sizes[start:start + 512],
             )
-            assert replica._pending_rows <= 64
+            assert replica._pending_rows <= bound
         # Compaction drained in-line without a read being issued.
         snap = replica.metrics_snapshot()
         assert snap["counters"]["slim.sync.compactions"] > 0
@@ -318,15 +320,6 @@ class TestBoundedPending:
         ref = shard_table_columns(daemon._builder.live_sketches(), FIVE_TUPLE)
         assert_tables_equal(planner.table(FULL), ref)
         daemon.close()
-
-    def test_replica_rejects_bad_bound(self):
-        with pytest.raises(ValueError):
-            SlimReplica(
-                SketchSpec(engine="numpy", d=2, l=64, seed=1),
-                FIVE_TUPLE,
-                shards=1,
-                max_pending_rows=0,
-            )
 
     def test_unbootstrapped_read_is_an_error(self):
         replica = SlimReplica(
