@@ -232,12 +232,17 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
     governor = None
     if args.governor is not None:
-        from repro.control import GovernorConfig
+        from repro.control.governor import (
+            MIN_L,
+            GovernorConfig,
+            ResourceGovernor,
+        )
 
         # The budget caps growth; start small (an eighth of what the
         # budget buys, floored) so the control loop has room to act.
         governor = GovernorConfig(memory_bytes=int(args.governor * 1024))
-        small_l = max(64, spec.l // 8)
+        max_l = ResourceGovernor(governor, spec.d, spec.key_bytes).max_l
+        small_l = max(MIN_L, max_l // 8)
         spec = SketchSpec(
             spec.engine, spec.variant, spec.d, small_l, spec.seed,
             spec.key_bytes,

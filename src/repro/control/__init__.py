@@ -2,8 +2,8 @@
 
 The observability registry (:mod:`repro.obs`) reports; this package
 *acts* on those reports.  :class:`ResourceGovernor` closes the loop on
-bucket occupancy and partition skew — resizing sketch geometry at
-epoch boundaries within a hard memory budget — and
+bucket occupancy — resizing sketch geometry at epoch boundaries within
+a hard memory budget — and
 :class:`TenantManager` namespaces per-tenant measurement under one
 jointly-governed budget with subpopulation-weight allocation.
 """

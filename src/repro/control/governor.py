@@ -10,13 +10,12 @@ another tenant.  Because the sketch state is mergeable without bias
 be a runtime control variable rather than a deploy-time constant.
 
 :class:`ResourceGovernor` closes that loop.  At every epoch boundary
-the daemon hands it a :class:`Signals` sample (occupancy, current
-width, partition imbalance) and it returns a :class:`Decision`:
-grow/shrink the per-shard bucket count within a hard memory budget,
-and/or re-draw the partition seed when shard skew exceeds its limit.
-``decide`` is pure and deterministic — same signals, same decision —
-so a governed daemon's epoch sequence stays a pure function of the
-packet sequence (the resize-at-rotation invariant in
+the daemon hands it a :class:`Signals` sample (current width and
+occupancy) and it returns a :class:`Decision`: grow or shrink the
+per-shard bucket count within a hard memory budget, or hold steady.
+``decide`` is a pure function of the signals — same signals, same
+decision — so a governed daemon's epoch sequence stays a pure function
+of the packet sequence (the resize-at-rotation invariant in
 docs/governance.md).
 """
 
@@ -26,65 +25,43 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.engine.base import buckets_for_memory
-from repro.sketches.base import COUNTER_BYTES, DEFAULT_KEY_BYTES
+from repro.sketches.base import DEFAULT_KEY_BYTES
+
+#: Floor on the bucket count — shrinks stop here.
+MIN_L = 64
+
+#: Width multiplier on grow (clamped to the budget's ``max_l``).
+GROW_FACTOR = 2.0
+
+#: Width multiplier on shrink (clamped to :data:`MIN_L`; the shrink is
+#: vetoed unless it projects below ``grow_occupancy`` — no flapping).
+SHRINK_FACTOR = 0.5
 
 
 @dataclass(frozen=True)
 class GovernorConfig:
-    """Tuning knobs for the elastic-geometry control loop.
+    """The caller-set values of the elastic-geometry control loop.
 
     Args:
         memory_bytes: Hard per-shard budget; the governor never grows
             ``l`` past what this buys (``buckets_for_memory``).
-        min_l: Floor on the bucket count — shrinks stop here.
         grow_occupancy: Grow when occupancy reaches this fraction.
         shrink_occupancy: Shrink when occupancy falls to this fraction.
-        grow_factor: Width multiplier on grow (clamped to the budget).
-        shrink_factor: Width multiplier on shrink (clamped to
-            ``min_l``; must project below ``grow_occupancy`` or the
-            shrink is vetoed — no grow/shrink flapping).
-        imbalance_limit: Repartition (re-draw the shard-partition seed)
-            when max-shard-load/mean exceeds this; ``0`` disables.
-        cooldown_epochs: Epochs to hold geometry after a resize before
-            considering another.
     """
 
     memory_bytes: int
-    min_l: int = 64
     grow_occupancy: float = 0.70
     shrink_occupancy: float = 0.25
-    grow_factor: float = 2.0
-    shrink_factor: float = 0.5
-    imbalance_limit: float = 0.0
-    cooldown_epochs: int = 0
 
     def __post_init__(self) -> None:
         if self.memory_bytes < 1:
             raise ValueError(
                 f"memory_bytes must be >= 1, got {self.memory_bytes}"
             )
-        if self.min_l < 1:
-            raise ValueError(f"min_l must be >= 1, got {self.min_l}")
         if not 0.0 < self.shrink_occupancy < self.grow_occupancy <= 1.0:
             raise ValueError(
                 "need 0 < shrink_occupancy < grow_occupancy <= 1, got "
                 f"{self.shrink_occupancy} / {self.grow_occupancy}"
-            )
-        if self.grow_factor <= 1.0:
-            raise ValueError(
-                f"grow_factor must be > 1, got {self.grow_factor}"
-            )
-        if not 0.0 < self.shrink_factor < 1.0:
-            raise ValueError(
-                f"shrink_factor must be in (0, 1), got {self.shrink_factor}"
-            )
-        if self.imbalance_limit < 0:
-            raise ValueError(
-                f"imbalance_limit must be >= 0, got {self.imbalance_limit}"
-            )
-        if self.cooldown_epochs < 0:
-            raise ValueError(
-                f"cooldown_epochs must be >= 0, got {self.cooldown_epochs}"
             )
 
 
@@ -93,18 +70,13 @@ class Signals:
     """One epoch-boundary sample of the observability the loop closes on.
 
     Args:
-        epoch: The epoch that just closed.
-        l: Its per-shard bucket count.
+        l: The closed epoch's per-shard bucket count.
         occupancy: Fraction of buckets holding a key in the closed
             epoch's merged state.
-        imbalance: Partition skew, max shard load over the mean
-            (``1.0`` = perfectly even; meaningless with one shard).
     """
 
-    epoch: int
     l: int
     occupancy: float
-    imbalance: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -112,7 +84,6 @@ class Decision:
     """What the governor wants done before the next epoch opens."""
 
     new_l: Optional[int] = None
-    repartition: bool = False
     reason: str = "steady"
 
     @property
@@ -124,7 +95,7 @@ class ResourceGovernor:
     """Deterministic occupancy-driven geometry controller.
 
     Args:
-        config: The control-loop tuning knobs.
+        config: The control-loop thresholds and budget.
         d: Array count of the governed sketches (fixed — only ``l``
             is elastic; resizing ``d`` would change the estimator).
         key_bytes: Per-bucket key width, for the budget arithmetic.
@@ -140,64 +111,34 @@ class ResourceGovernor:
         self.d = d
         self.key_bytes = key_bytes
         self.max_l = buckets_for_memory(config.memory_bytes, d, key_bytes)
-        if config.min_l > self.max_l:
+        if MIN_L > self.max_l:
             raise ValueError(
-                f"min_l {config.min_l} exceeds the budget's max_l "
+                f"MIN_L {MIN_L} exceeds the budget's max_l "
                 f"{self.max_l} ({config.memory_bytes}B at d={d})"
             )
-        self._last_resize_epoch: Optional[int] = None
-
-    def memory_at(self, l: int) -> int:
-        """Bytes one shard occupies at width *l*."""
-        return self.d * l * (self.key_bytes + COUNTER_BYTES)
 
     def decide(self, signals: Signals) -> Decision:
-        """Map one epoch's signals to a geometry/partition decision.
-
-        Pure in the signals apart from the resize cool-down (which is
-        itself a deterministic function of the decision history).
-        """
+        """Map one epoch's signals to a geometry decision (pure)."""
         cfg = self.config
-        new_l: Optional[int] = None
-        reason = "steady"
-        cooling = (
-            self._last_resize_epoch is not None
-            and signals.epoch - self._last_resize_epoch < cfg.cooldown_epochs
-        )
-        if not cooling:
-            if signals.occupancy >= cfg.grow_occupancy and signals.l < self.max_l:
-                new_l = min(self.max_l, int(signals.l * cfg.grow_factor))
-                if new_l <= signals.l:
-                    new_l = None
-                else:
-                    reason = (
-                        f"occupancy {signals.occupancy:.2f} >= "
-                        f"{cfg.grow_occupancy:.2f}: grow"
-                    )
-            elif (
-                signals.occupancy <= cfg.shrink_occupancy
-                and signals.l > cfg.min_l
-            ):
-                candidate = max(cfg.min_l, int(signals.l * cfg.shrink_factor))
-                # Veto shrinks that would immediately re-trigger a grow:
-                # keys re-hash into candidate buckets, so projected
-                # occupancy is (occupancy * l) / candidate at worst.
-                projected = signals.occupancy * signals.l / candidate
-                if candidate < signals.l and projected < cfg.grow_occupancy:
-                    new_l = candidate
-                    reason = (
-                        f"occupancy {signals.occupancy:.2f} <= "
-                        f"{cfg.shrink_occupancy:.2f}: shrink"
-                    )
-        if new_l is not None:
-            self._last_resize_epoch = signals.epoch
-        repartition = (
-            cfg.imbalance_limit > 0
-            and signals.imbalance > cfg.imbalance_limit
-        )
-        if repartition and new_l is None:
-            reason = (
-                f"imbalance {signals.imbalance:.2f} > "
-                f"{cfg.imbalance_limit:.2f}: repartition"
-            )
-        return Decision(new_l=new_l, repartition=repartition, reason=reason)
+        l, occupancy = signals.l, signals.occupancy
+        if occupancy >= cfg.grow_occupancy and l < self.max_l:
+            new_l = min(self.max_l, int(l * GROW_FACTOR))
+            if new_l > l:
+                return Decision(
+                    new_l,
+                    f"occupancy {occupancy:.2f} >= "
+                    f"{cfg.grow_occupancy:.2f}: grow",
+                )
+        elif occupancy <= cfg.shrink_occupancy and l > MIN_L:
+            candidate = max(MIN_L, int(l * SHRINK_FACTOR))
+            # Veto shrinks that would immediately re-trigger a grow:
+            # keys re-hash into candidate buckets, so projected
+            # occupancy is (occupancy * l) / candidate at worst.
+            projected = occupancy * l / candidate
+            if candidate < l and projected < cfg.grow_occupancy:
+                return Decision(
+                    candidate,
+                    f"occupancy {occupancy:.2f} <= "
+                    f"{cfg.shrink_occupancy:.2f}: shrink",
+                )
+        return Decision()

@@ -17,6 +17,9 @@ tracks the recent traffic mix)::
 
     allocation_i = reserve + (1 - n * reserve) * weight_i / sum(weight)
 
+with ``reserve = RESERVE_SHARE / n``: every tenant keeps at least half
+its fair share no matter how loud the neighbours get.
+
 Rebalancing is staged, never immediate: at every *parent* rotation the
 manager recomputes allocations, stages ``set_geometry`` on tenants
 whose target drifted past the hysteresis band, and rotates the tenant
@@ -29,7 +32,7 @@ from __future__ import annotations
 
 import dataclasses
 import threading
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -48,6 +51,9 @@ WEIGHT_DECAY = 0.5
 
 #: Smallest bucket count any tenant is ever squeezed to.
 MIN_TENANT_L = 16
+
+#: Fraction of its fair share ``1 / n`` each tenant is guaranteed.
+RESERVE_SHARE = 0.5
 
 #: Allocation-change ratio below which a rebalance is not worth a
 #: resize (keeps geometry stable under small traffic wobbles).
@@ -84,9 +90,6 @@ class TenantManager:
             run single-shard, inline, rotation-by-parent, with the
             control fields cleared (no nested governance).
         memory_bytes: The joint budget across all tenant sketches.
-        reserve: Guaranteed budget fraction per tenant; default
-            ``0.5 / n`` (every tenant keeps at least half its fair
-            share no matter how loud the neighbours get).
     """
 
     def __init__(
@@ -94,7 +97,6 @@ class TenantManager:
         names: Sequence[str],
         config,
         memory_bytes: int,
-        reserve: Optional[float] = None,
     ) -> None:
         names = list(names)
         if not names:
@@ -104,12 +106,6 @@ class TenantManager:
         if any(not n for n in names):
             raise ValueError("tenant names must be non-empty")
         n = len(names)
-        if reserve is None:
-            reserve = 0.5 / n
-        if not 0.0 <= reserve <= 1.0 / n:
-            raise ValueError(
-                f"reserve must be in [0, 1/{n}], got {reserve}"
-            )
         spec = config.spec
         if memory_bytes < n * MIN_TENANT_L * spec.d * (
             spec.key_bytes + COUNTER_BYTES
@@ -120,7 +116,7 @@ class TenantManager:
             )
         self.names: Tuple[str, ...] = tuple(names)
         self.memory_bytes = memory_bytes
-        self.reserve = reserve
+        self.reserve = RESERVE_SHARE / n
         self.seed = spec.seed
         self.registry = MetricsRegistry()
         self._lock = threading.Lock()
@@ -145,7 +141,6 @@ class TenantManager:
                 epoch_seconds=None,
                 governor=None,
                 tenants=None,
-                tenant_memory_bytes=None,
             )
             self._daemons.append(MeasurementDaemon(sub))
         self._publish_locked()
@@ -187,11 +182,6 @@ class TenantManager:
         for i, (thi, tlo, tsz) in enumerate(parts):
             if len(tsz):
                 self._daemons[i].ingest(thi, tlo, tsz)
-
-    def shares(self) -> List[float]:
-        """Current budget fraction per tenant (reserve + weighted rest)."""
-        with self._lock:
-            return self._shares_locked()
 
     def _shares_locked(self) -> List[float]:
         n = len(self.names)

@@ -213,10 +213,6 @@ def resolve_kernels(override: Optional[str] = None) -> KernelSet:
     return cached
 
 
-#: Alias matching the name used in docs/issues ("select_kernels()").
-select_kernels = resolve_kernels
-
-
 def warmup(kernels: KernelSet, d: int = 2) -> None:
     """Trigger jit compilation outside any timed region.
 
@@ -265,6 +261,5 @@ __all__ = [
     "NUMPY_KERNELS",
     "numba_available",
     "resolve_kernels",
-    "select_kernels",
     "warmup",
 ]

@@ -32,7 +32,6 @@ from repro.flowkeys.columns import (
     columns_to_words,
     group_words,
     pack_key_words,
-    sort_words,
     unpack_key_words,
     words_for_width,
 )
@@ -248,13 +247,6 @@ class ColumnTable:
         order = part[np.argsort(self.values[part], kind="stable")][::-1]
         keys = unpack_key_words(self.words[:, order])
         return list(zip(keys, self.values[order].tolist()))
-
-    def sorted_by_key(self) -> "ColumnTable":
-        """Rows reordered ascending by key (stable; keeps duplicates)."""
-        order = sort_words(self.words)
-        return ColumnTable(
-            self.spec, self.words[:, order], self.values[order], self.grouped
-        )
 
     def __repr__(self) -> str:
         return (

@@ -71,10 +71,6 @@ class QueryPlanner:
         self.hits = 0
         self.misses = 0
 
-    @classmethod
-    def from_sketch(cls, sketch, spec: FullKeySpec) -> "QueryPlanner":
-        return cls(sketch, spec)
-
     def invalidate(self) -> None:
         """Drop all cached state (call after the sketch absorbs traffic)."""
         if self._sketch is not None:

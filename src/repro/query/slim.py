@@ -198,7 +198,6 @@ class SlimReplica:
         self.registry = MetricsRegistry()
         self._lock = threading.Lock()
         self.epoch = -1  # -1: not bootstrapped yet
-        self.start_seq = 0
         self.accepted = 0  # packets covered by bootstrap + queued deltas
         self.drained = 0  # packets applied to the mirrors
         self._mirrors: List = []
@@ -211,11 +210,6 @@ class SlimReplica:
     @property
     def bootstrapped(self) -> bool:
         return self.epoch >= 0
-
-    def version(self) -> Optional[Tuple[int, int]]:
-        """The ``(epoch, packets)`` version of the last served planner."""
-        with self._lock:
-            return self._version
 
     def invalidate(self) -> None:
         """Drop the replica's sync state; the next read re-bootstraps.
@@ -235,7 +229,7 @@ class SlimReplica:
             self.registry.inc("slim.invalidations")
 
     def bootstrap(
-        self, epoch: int, start_seq: int, flushed: int, sketches, spec=None
+        self, epoch: int, flushed: int, sketches, spec=None
     ) -> None:
         """(Re)sync the mirrors to the fat state and attach fresh sinks.
 
@@ -255,7 +249,6 @@ class SlimReplica:
                 self.max_pending_rows = 8 * spec.d * spec.l
                 self.registry.inc("slim.geometry.rebootstraps")
             self.epoch = epoch
-            self.start_seq = int(start_seq)
             self.accepted = int(flushed)
             self.drained = int(flushed)
             self._mirrors = [_make_mirror(self.spec, fat) for fat in sketches]
@@ -333,12 +326,6 @@ class SlimReplica:
                 self._version = version
             self.registry.inc("slim.rebuilds")
             return self._version, self._planner
-
-    def staleness(self, total_seq: int) -> int:
-        """Packets past the served prefix, given the daemon's sequence."""
-        with self._lock:
-            served = self._version[1] if self._version else self.drained
-            return max(int(total_seq) - (self.start_seq + served), 0)
 
     def metrics_snapshot(self) -> Dict:
         with self._lock:

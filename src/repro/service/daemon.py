@@ -128,18 +128,17 @@ class ServiceConfig:
             stealing ingest cycles.  Honoured by both read paths.
         governor: Elastic-geometry control loop
             (:class:`~repro.control.governor.GovernorConfig`).  When
-            set, the daemon samples occupancy/skew at every rotation
-            and resizes ``spec.l`` (and re-draws the partition seed)
-            for the *next* epoch — geometry only ever changes at
-            rotation boundaries, so every epoch snapshot remains a
-            pure function of its packet sequence.
+            set, the daemon samples occupancy at every rotation and
+            resizes ``spec.l`` for the *next* epoch — geometry only
+            ever changes at rotation boundaries, so every epoch
+            snapshot remains a pure function of its packet sequence.
+            ``spec.l`` must not exceed the budget's ``max_l``.
         tenants: Tenant names.  When set, ingested traffic is also
             routed (by a salted full-key hash) to one isolated
-            sub-daemon per tenant under a shared memory budget — see
+            sub-daemon per tenant under a shared memory budget (the
+            parent plane's own total footprint) — see
             :class:`~repro.control.tenants.TenantManager`.  The parent
             keeps measuring the aggregate with its own spec.
-        tenant_memory_bytes: Joint budget across all tenant sketches;
-            defaults to the parent plane's own total footprint.
     """
 
     spec: SketchSpec
@@ -153,7 +152,6 @@ class ServiceConfig:
     live_refresh_packets: int = 0
     governor: Optional[GovernorConfig] = None
     tenants: Optional[Tuple[str, ...]] = None
-    tenant_memory_bytes: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.shards < 1:
@@ -185,16 +183,6 @@ class ServiceConfig:
             if len(set(names)) != len(names):
                 raise ValueError(f"tenant names must be unique: {names}")
             self.tenants = names
-        if self.tenant_memory_bytes is not None:
-            if self.tenants is None:
-                raise ValueError(
-                    "tenant_memory_bytes requires tenants to be set"
-                )
-            if self.tenant_memory_bytes < 1:
-                raise ValueError(
-                    f"tenant_memory_bytes must be >= 1, "
-                    f"got {self.tenant_memory_bytes}"
-                )
 
 
 class EpochBuilder:
@@ -213,18 +201,15 @@ class EpochBuilder:
         epoch: int,
         start_seq: int,
         spec: SketchSpec,
-        partition_seed: int,
     ) -> None:
         self.config = config
-        # The daemon's *current* (possibly resized) spec and partition
-        # seed; epoch 0 starts from the config's own.
+        # The daemon's *current* (possibly resized) spec; epoch 0
+        # starts from the config's own.
         self.spec = spec
-        self.partition_seed = partition_seed
         self.epoch = epoch
         self.start_seq = start_seq
         self.packets = 0  # accepted: flushed + buffered
         self.flushed = 0  # handed to the engines
-        self.shard_packets = [0] * config.shards  # skew signal
         self.opened_at = time.monotonic()
         self._pend: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         self._pend_n = 0
@@ -272,12 +257,11 @@ class EpochBuilder:
     def _scatter(self, hi, lo, sizes) -> None:
         cfg = self.config
         parts = partition_columns(
-            hi, lo, sizes, cfg.shards, cfg.strategy, self.partition_seed,
+            hi, lo, sizes, cfg.shards, cfg.strategy, self.spec.seed,
             offset=self.flushed,
         )
         for shard, (shi, slo, ssz) in enumerate(parts):
             if len(ssz):
-                self.shard_packets[shard] += len(ssz)
                 self._shards[shard].process_columns(shi, slo, ssz, cfg.chunk)
         self.flushed += len(sizes)
 
@@ -326,32 +310,32 @@ class MeasurementDaemon:
         self.registry = MetricsRegistry()
         self._lock = threading.RLock()
         self._seq = 0
-        # Mutable control state: the *current* geometry and partition
-        # seed.  Epoch 0 always starts from the config exactly, so an
-        # ungoverned daemon replays the historical streams bit for bit.
+        # Mutable control state: the *current* geometry.  Epoch 0 always
+        # starts from the config exactly, so an ungoverned daemon
+        # replays the historical streams bit for bit.
         self._spec = config.spec
-        self._partition_seed = config.spec.seed
         self._pending_l: Optional[int] = None
-        self._governor: Optional[ResourceGovernor] = (
-            ResourceGovernor(
+        self._governor: Optional[ResourceGovernor] = None
+        if config.governor is not None:
+            self._governor = ResourceGovernor(
                 config.governor, config.spec.d, config.spec.key_bytes
             )
-            if config.governor is not None
-            else None
-        )
+            if config.spec.l > self._governor.max_l:
+                raise ValueError(
+                    f"governed spec.l {config.spec.l} exceeds the "
+                    f"budget's max_l {self._governor.max_l}"
+                )
         self._tenants = None
         if config.tenants:
             from repro.control.tenants import TenantManager
             from repro.sketches.base import COUNTER_BYTES
 
-            budget = config.tenant_memory_bytes
-            if budget is None:
-                budget = (
-                    config.shards
-                    * config.spec.d
-                    * config.spec.l
-                    * (config.spec.key_bytes + COUNTER_BYTES)
-                )
+            budget = (
+                config.shards
+                * config.spec.d
+                * config.spec.l
+                * (config.spec.key_bytes + COUNTER_BYTES)
+            )
             self._tenants = TenantManager(config.tenants, config, budget)
         self._builder = self._open_builder_locked(epoch=0, start_seq=0)
         self.registry.set_gauge("control.geometry.l", float(self._spec.l))
@@ -444,7 +428,7 @@ class MeasurementDaemon:
             return self._rotate_locked()
 
     def _open_builder_locked(self, epoch: int, start_seq: int) -> EpochBuilder:
-        """A builder at the current geometry and partition seed.
+        """A builder at the current geometry.
 
         Publishes the engines' kernel chunk as the ``pipeline.chunk``
         gauge: the chunk follows the geometry, so a governed daemon's
@@ -455,7 +439,6 @@ class MeasurementDaemon:
             epoch=epoch,
             start_seq=start_seq,
             spec=self._spec,
-            partition_seed=self._partition_seed,
         )
         chunk = getattr(builder.live_sketches()[0], "pipeline_chunk", None)
         if chunk is not None:
@@ -482,27 +465,10 @@ class MeasurementDaemon:
                 new_l = self._pending_l
             self._pending_l = None
         if self._governor is not None:
-            builder = self._builder  # the closed epoch's builder
-            counts = builder.shard_packets
-            mean = sum(counts) / len(counts) if counts else 0.0
-            imbalance = max(counts) / mean if mean else 1.0
             occupancy = _sketch_occupancy(snap.sketch)
-            decision = self._governor.decide(
-                Signals(
-                    epoch=snap.epoch,
-                    l=self._spec.l,
-                    occupancy=occupancy,
-                    imbalance=imbalance,
-                )
-            )
+            decision = self._governor.decide(Signals(self._spec.l, occupancy))
             self.registry.inc("control.governor.decisions")
             self.registry.set_gauge("control.occupancy", occupancy)
-            if decision.repartition:
-                self._partition_seed = mix64(
-                    (self._partition_seed ^ 0x5EED17)
-                    + (snap.epoch + 1) * _GOLDEN_LIVE
-                )
-                self.registry.inc("control.governor.repartitions")
             if decision.resized and new_l is None:
                 new_l = decision.new_l
                 self.registry.inc("control.governor.resizes")
@@ -586,10 +552,6 @@ class MeasurementDaemon:
                 f"tenant {name!r} unknown (no tenants configured)"
             )
         return self._tenants.daemon(name)
-
-    @property
-    def tenant_names(self) -> Tuple[str, ...]:
-        return self._tenants.names if self._tenants is not None else ()
 
     # ------------------------------------------------------------------
     # background feeder
@@ -696,7 +658,6 @@ class MeasurementDaemon:
                 if replica.epoch != builder.epoch:
                     replica.bootstrap(
                         builder.epoch,
-                        builder.start_seq,
                         builder.flushed,
                         builder.live_sketches(),
                         spec=builder.spec,

@@ -123,6 +123,30 @@ class TestCommands:
         assert "sharded 2 worker(s)" in out
         assert "top 3 flows on DstIP/32" in out
 
+    def test_serve_governed_starts_within_budget(self, tmp_path, capsys):
+        # --memory-kb 200 buys l=6023; the 16 KB governor's max_l is 481,
+        # so the start width must come from the governor's budget.
+        path = str(tmp_path / "trace.csv")
+        main(["generate", path, "--packets", "4000", "--flows", "700"])
+        capsys.readouterr()
+        assert main(
+            [
+                "serve",
+                path,
+                "--memory-kb",
+                "200",
+                "--governor",
+                "16",
+                "--engine",
+                "numpy",
+                "--epoch-packets",
+                "1500",
+                "--port",
+                "0",
+            ]
+        ) == 0
+        assert "shut down with epochs [0, 1, 2]" in capsys.readouterr().out
+
     def test_parser_requires_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])

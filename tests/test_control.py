@@ -3,9 +3,8 @@
 Five families of guarantees, matching docs/governance.md:
 
 * **Governor decisions** — the occupancy-driven control law is pure and
-  deterministic: grow/shrink thresholds, budget/floor clamps, the
-  anti-flap shrink veto, resize cool-down and skew-triggered
-  repartition all behave exactly as specified.
+  deterministic: grow/shrink thresholds, budget/floor clamps and the
+  anti-flap shrink veto all behave exactly as specified.
 * **Resize statistics** — grow/shrink re-hash folds
   (``resize_cocosketch``, which ``EpochStore.merged_range`` runs on
   ranges straddling a resize) preserve Lemma-3 partial-key unbiasedness, gated through the shared stat harness so
@@ -34,6 +33,7 @@ from repro.control import (
     TenantManager,
     tenant_assignments,
 )
+from repro.control.governor import MIN_L
 from repro.core.query import FlowTable
 from repro.engine.base import buckets_for_memory
 from repro.engine.kernels import BACKEND_ENV, resolve_kernels
@@ -72,13 +72,13 @@ def gov(memory_kb=512, **kw) -> ResourceGovernor:
 
 class TestGovernorDecisions:
     def test_grow_on_high_occupancy(self):
-        decision = gov().decide(Signals(epoch=0, l=128, occupancy=0.8))
+        decision = gov().decide(Signals(l=128, occupancy=0.8))
         assert decision.new_l == 256
-        assert decision.resized and not decision.repartition
+        assert decision.resized
         assert "grow" in decision.reason
 
     def test_steady_between_thresholds(self):
-        decision = gov().decide(Signals(epoch=0, l=128, occupancy=0.5))
+        decision = gov().decide(Signals(l=128, occupancy=0.5))
         assert decision == Decision()
 
     def test_grow_clamped_to_budget(self):
@@ -88,75 +88,58 @@ class TestGovernorDecisions:
         )
         assert governor.max_l == expected_max
         decision = governor.decide(
-            Signals(epoch=0, l=expected_max - 1, occupancy=0.95)
+            Signals(l=expected_max - 1, occupancy=0.95)
         )
         assert decision.new_l == expected_max
         # At the ceiling there is nothing left to grow into.
         assert not governor.decide(
-            Signals(epoch=1, l=expected_max, occupancy=0.99)
+            Signals(l=expected_max, occupancy=0.99)
         ).resized
 
     def test_shrink_on_low_occupancy(self):
-        decision = gov().decide(Signals(epoch=0, l=1024, occupancy=0.1))
+        decision = gov().decide(Signals(l=1024, occupancy=0.1))
         assert decision.new_l == 512
         assert "shrink" in decision.reason
 
     def test_shrink_clamped_to_floor(self):
-        decision = gov(min_l=100, shrink_factor=0.1).decide(
-            Signals(epoch=0, l=128, occupancy=0.05)
-        )
-        assert decision.new_l == 100
+        decision = gov().decide(Signals(l=100, occupancy=0.05))
+        assert decision.new_l == MIN_L == 64
 
     def test_shrink_vetoed_when_projection_would_regrow(self):
-        # occupancy 0.25 at l would project to 1.0 at l/4 — re-hashing
-        # into the shrunk array would immediately re-trigger a grow, so
-        # the governor must hold steady instead of flapping.
-        decision = gov(shrink_factor=0.25).decide(
-            Signals(epoch=0, l=1024, occupancy=0.25)
+        # occupancy 0.3 at l would project to 0.6 at l/2, past the 0.5
+        # grow threshold — re-hashing into the shrunk array would
+        # immediately re-trigger a grow, so the governor must hold
+        # steady instead of flapping.
+        decision = gov(grow_occupancy=0.5, shrink_occupancy=0.3).decide(
+            Signals(l=1024, occupancy=0.3)
         )
         assert not decision.resized
 
-    def test_cooldown_blocks_consecutive_resizes(self):
-        governor = gov(cooldown_epochs=2)
-        assert governor.decide(Signals(epoch=1, l=128, occupancy=0.9)).resized
-        assert not governor.decide(
-            Signals(epoch=2, l=256, occupancy=0.9)
-        ).resized
-        assert governor.decide(Signals(epoch=3, l=256, occupancy=0.9)).resized
-
-    def test_repartition_on_skew(self):
-        governor = gov(imbalance_limit=1.5)
-        decision = governor.decide(
-            Signals(epoch=0, l=128, occupancy=0.5, imbalance=2.0)
-        )
-        assert decision.repartition and not decision.resized
-        assert "repartition" in decision.reason
-        assert not governor.decide(
-            Signals(epoch=1, l=128, occupancy=0.5, imbalance=1.4)
-        ).repartition
-
     def test_decide_is_deterministic(self):
-        signals = Signals(epoch=3, l=256, occupancy=0.85, imbalance=1.1)
+        signals = Signals(l=256, occupancy=0.85)
         assert gov().decide(signals) == gov().decide(signals)
 
-    def test_memory_at_inverts_budget(self):
+    def test_buckets_for_memory_inverts_budget(self):
         governor = gov(memory_kb=64)
-        assert governor.memory_at(governor.max_l) <= 64 * 1024
-        assert (
-            governor.memory_at(governor.max_l + 1) > 64 * 1024
+        bucket = governor.d * (governor.key_bytes + COUNTER_BYTES)
+        assert governor.max_l == buckets_for_memory(
+            64 * 1024, governor.d, governor.key_bytes
         )
+        assert governor.max_l * bucket <= 64 * 1024
+        assert (governor.max_l + 1) * bucket > 64 * 1024
 
     @pytest.mark.parametrize(
         "kw",
         [
             {"memory_bytes": 0},
-            {"memory_bytes": 1 << 20, "min_l": 0},
             {"memory_bytes": 1 << 20, "grow_occupancy": 0.2,
              "shrink_occupancy": 0.4},
-            {"memory_bytes": 1 << 20, "grow_factor": 1.0},
-            {"memory_bytes": 1 << 20, "shrink_factor": 1.5},
-            {"memory_bytes": 1 << 20, "imbalance_limit": -1},
-            {"memory_bytes": 1 << 20, "cooldown_epochs": -1},
+            {"memory_bytes": -1},
+            {"memory_bytes": 1 << 20, "grow_occupancy": 1.5},
+            {"memory_bytes": 1 << 20, "shrink_occupancy": 0.0},
+            {"memory_bytes": 1 << 20, "grow_occupancy": 0.4,
+             "shrink_occupancy": 0.4},
+            {"memory_bytes": 1 << 20, "shrink_occupancy": -0.1},
         ],
     )
     def test_config_validation(self, kw):
@@ -166,9 +149,17 @@ class TestGovernorDecisions:
     def test_floor_above_budget_rejected(self):
         bucket = 2 * (DEFAULT_KEY_BYTES + COUNTER_BYTES)
         with pytest.raises(ValueError, match="exceeds the budget"):
-            ResourceGovernor(
-                GovernorConfig(memory_bytes=10 * bucket, min_l=100), d=2
-            )
+            ResourceGovernor(GovernorConfig(memory_bytes=10 * bucket), d=2)
+
+
+class TestGovernedStart:
+    def test_daemon_rejects_start_above_budget(self):
+        # 16 KB at d=2 buys max_l 481; 752 is 1/8 of a 200 KB spec.
+        governor = GovernorConfig(memory_bytes=16 * 1024)
+        assert ResourceGovernor(governor).max_l == 481
+        with pytest.raises(ValueError, match="max_l"):
+            MeasurementDaemon(make_config(l=752, governor=governor))
+        MeasurementDaemon(make_config(l=481, governor=governor)).close()
 
 
 # -- resize preserves Lemma-3 unbiasedness ------------------------------
@@ -287,17 +278,17 @@ def _tenant_subtrace(trace: Trace, spec_seed: int, index: int, n=2) -> Trace:
 
 
 class TestTenantIsolation:
-    BUDGET = 1 << 20  # 1 MiB joint budget: quiet stays over-provisioned
+    # The joint tenant budget is the parent's footprint: ~1 MiB at d=2,
+    # so quiet stays over-provisioned.
+    PARENT_L = (1 << 20) // (2 * (DEFAULT_KEY_BYTES + COUNTER_BYTES))
+    BUDGET = 2 * PARENT_L * (DEFAULT_KEY_BYTES + COUNTER_BYTES)
     PSPEC = FIVE_TUPLE.partial(("SrcIP", 16))
 
     def _quiet_are(self, seed: int, adversarial: bool) -> float:
         base = zipf_trace(10_000, 1_600, alpha=1.1, seed=seed)
         spec_seed = seed + 17
         config = make_config(
-            l=256,
-            seed=spec_seed,
-            tenants=("quiet", "noisy"),
-            tenant_memory_bytes=self.BUDGET,
+            l=self.PARENT_L, seed=spec_seed, tenants=("quiet", "noisy")
         )
         quiet_trace = _tenant_subtrace(base, spec_seed, index=0)
         noise = None
@@ -342,9 +333,7 @@ class TestTenantIsolation:
         )
 
     def test_unknown_tenant_and_routing_purity(self):
-        config = make_config(
-            tenants=("a", "b"), tenant_memory_bytes=self.BUDGET
-        )
+        config = make_config(l=self.PARENT_L, tenants=("a", "b"))
         daemon = MeasurementDaemon(config)
         try:
             with pytest.raises(KeyError):
@@ -446,16 +435,19 @@ class TestTenantManager:
         manager = TenantManager(
             ["a", "b"], config, memory_bytes=1 << 20
         )
+        def shares():
+            return [row["share"] for row in manager.status()]
+
         try:
-            assert manager.shares() == pytest.approx([0.5, 0.5])
+            assert shares() == pytest.approx([0.5, 0.5])
             trace = zipf_trace(4_000, 500, alpha=1.1, seed=9)
             hi, lo, sizes = next(trace.batches(len(trace)))
             manager.route(hi, lo, sizes)
             manager.on_parent_rotate()
-            shares = manager.shares()
-            assert sum(shares) == pytest.approx(1.0)
+            after = shares()
+            assert sum(after) == pytest.approx(1.0)
             # Nobody ever drops below the guaranteed reserve.
-            assert all(s >= manager.reserve - 1e-9 for s in shares)
+            assert all(s >= manager.reserve - 1e-9 for s in after)
         finally:
             manager.close()
 

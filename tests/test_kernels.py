@@ -22,7 +22,6 @@ from repro.engine.kernels import (
     NUMPY_KERNELS,
     numba_available,
     resolve_kernels,
-    select_kernels,
     warmup,
 )
 from repro.engine.vectorized import NumpyCocoSketch, NumpyHardwareCocoSketch
@@ -80,9 +79,6 @@ class TestResolve:
             pytest.skip("numba installed; strict request succeeds")
         with pytest.raises(KernelsUnavailable):
             resolve_kernels("numba")
-
-    def test_select_kernels_alias(self):
-        assert select_kernels is resolve_kernels
 
     def test_numpy_set_is_empty_and_uncompiled(self):
         assert not NUMPY_KERNELS.compiled

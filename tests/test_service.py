@@ -817,6 +817,71 @@ class TestDaemonLifecycle:
         assert daemon.closed
 
 
+class _FakeClock:
+    """Stands in for the ``time`` module the daemon reads; only
+    ``monotonic`` (the epoch age) is under the test's control."""
+
+    perf_counter = staticmethod(time.perf_counter)
+    time = staticmethod(time.time)
+
+    def __init__(self):
+        self.now = 0.0
+
+    def monotonic(self):
+        return self.now
+
+
+class TestWallClockRotation:
+    @pytest.fixture
+    def clock(self, monkeypatch):
+        import repro.service.daemon as daemon_module
+
+        clock = _FakeClock()
+        monkeypatch.setattr(daemon_module, "time", clock)
+        return clock
+
+    def test_first_ingest_past_epoch_age_rotates(self, clock):
+        blocks = list(make_trace(3_000).batches(1_000))
+        daemon = MeasurementDaemon(make_config(epoch_seconds=10.0))
+        try:
+            daemon.ingest(*blocks[0])
+            clock.now = 9.5
+            daemon.ingest(*blocks[1])
+            assert daemon.store.ids() == []  # younger than epoch_seconds
+            clock.now = 10.0
+            daemon.ingest(*blocks[2])  # age reached: rotates, then feeds
+            assert daemon.store.ids() == [0]
+            assert daemon.store.get(0).packets == 2_000
+            live = daemon.status()["live"]
+            assert live["epoch"] == 1 and live["packets"] == 1_000
+            # The new epoch's age counts from the rotation, and nothing
+            # rotates without an ingest to notice the age.
+            clock.now = 19.5
+            assert daemon.store.ids() == [0]
+        finally:
+            daemon.close()
+
+    def test_empty_live_epoch_never_rotates_on_time(self, clock):
+        hi, lo, sizes = next(make_trace(1_000).batches(1_000))
+        daemon = MeasurementDaemon(make_config(epoch_seconds=5.0))
+        try:
+            clock.now = 100.0
+            daemon.ingest(hi[:0], lo[:0], sizes[:0])
+            daemon.ingest(hi, lo, sizes)
+            # Old but empty at each check: the block opens no new epoch.
+            assert daemon.store.ids() == []
+            assert daemon.status()["live"] == {
+                "epoch": 0, "packets": 1_000, "flushed": 0, "start_seq": 0,
+            }
+        finally:
+            daemon.close()
+
+    @pytest.mark.parametrize("seconds", [0.0, -1.0])
+    def test_config_rejects_non_positive_epoch_seconds(self, seconds):
+        with pytest.raises(ValueError, match="epoch_seconds"):
+            make_config(epoch_seconds=seconds)
+
+
 class TestFrozenEpochs:
     """A closed epoch is a read-only sketch that retains no live engine."""
 
