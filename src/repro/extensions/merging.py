@@ -297,41 +297,64 @@ def _resize_scalar(sketch: SketchT, new_l: int, rng: random.Random) -> SketchT:
     return out
 
 
+def _group_cumsum(x: np.ndarray, starts: np.ndarray, group: np.ndarray) -> np.ndarray:
+    """Prefix sums of *x* restarting at each group start."""
+    cum = np.cumsum(x)
+    return cum - (cum[starts] - x[starts])[group]
+
+
 def _resize_columnar(sketch: SketchT, new_l: int, rng: random.Random) -> SketchT:
+    """Vectorised re-hash: one weighted-reservoir fold per row.
+
+    Folding a row's live buckets one by one through
+    :func:`_fold_bucket` is a weighted reservoir per target bucket, so
+    each row runs as array operations with the same law.  Live buckets
+    (occupied or holding mass) are stable-sorted by target (a keyed
+    bucket's canonical index at *new_l*, a keyless one's ``j % new_l``),
+    which keeps the sequential fold's ``j`` order.  Each target gets its
+    group's value sum.  Its key is the last keyed item that adopts: the
+    first keyed item past the group's zero-mass prefix adopts outright
+    (an empty or keyless accumulator yields to a key), and each later
+    keyed item ``j`` adopts with probability ``v_j / V_j``, where
+    ``V_j`` is the group's mass up to and including ``j``.  Keyless
+    items never adopt, so a group without a keyed item, or of zero
+    mass, stays keyless.  Draws come from a PCG64 stream seeded from
+    the injected *rng*, as in :func:`_merge_columnar`.
+    """
     out = _blank_resized(sketch, new_l)
+    np_rng = np.random.Generator(np.random.PCG64(rng.getrandbits(64)))
     for i in range(sketch.d):
-        hi = sketch._key_hi[i]
-        lo = sketch._key_lo[i]
-        occ = sketch._occupied[i]
-        vals = sketch._vals[i]
-        # Vectorised re-hash of the whole row; the per-bucket fold below
-        # only walks live buckets (occupancy-bounded, rotation-cadence).
-        targets = sketch._family.index_array(i, hi ^ lo, new_l)
-        live = np.flatnonzero(occ | (vals != 0))
-        for j in live.tolist():
-            if occ[j]:
-                key = (int(hi[j]), int(lo[j]))
-                target = int(targets[j])
-            else:
-                key = None
-                target = j % new_l
-            cur_key = (
-                (int(out._key_hi[i, target]), int(out._key_lo[i, target]))
-                if out._occupied[i, target]
-                else None
-            )
-            k, v = _fold_bucket(
-                rng, cur_key, int(out._vals[i, target]), key, int(vals[j])
-            )
-            out._vals[i, target] = v
-            if k is None:
-                out._occupied[i, target] = False
-                out._key_hi[i, target] = 0
-                out._key_lo[i, target] = 0
-            else:
-                out._occupied[i, target] = True
-                out._key_hi[i, target] = np.uint64(k[0])
-                out._key_lo[i, target] = np.uint64(k[1])
+        live = np.flatnonzero(sketch._occupied[i] | (sketch._vals[i] != 0))
+        n = live.size
+        if n == 0:
+            continue
+        keyed = sketch._occupied[i, live]
+        hi = sketch._key_hi[i, live]
+        lo = sketch._key_lo[i, live]
+        targets = np.where(
+            keyed, sketch._family.index_array(i, hi ^ lo, new_l), live % new_l
+        )
+        order = np.argsort(targets, kind="stable")
+        t = targets[order]
+        v = sketch._vals[i, live][order]
+        keyed = keyed[order]
+        first = np.r_[True, t[1:] != t[:-1]]
+        starts = np.flatnonzero(first)
+        group = np.cumsum(first) - 1
+        mass = _group_cumsum(v, starts, group)
+        eligible = keyed & (mass > 0)
+        rank = _group_cumsum(eligible, starts, group)
+        u = np_rng.random(n)
+        adopt = eligible & ((rank == 1) | (u * mass < v))
+        winner = np.maximum.reduceat(np.where(adopt, np.arange(n), -1), starts)
+        slots = t[starts]
+        out._vals[i, slots] = np.add.reduceat(v, starts)
+        won = winner >= 0
+        slots = slots[won]
+        src = order[winner[won]]
+        out._occupied[i, slots] = True
+        out._key_hi[i, slots] = hi[src]
+        out._key_lo[i, slots] = lo[src]
     return out
 
 

@@ -195,12 +195,20 @@ class EpochStore:
         if lo > hi:
             raise ValueError(f"empty epoch range {lo}..{hi}")
         with self._lock:
-            missing = [e for e in range(lo, hi + 1) if e not in self._snaps]
-            if missing:
-                raise KeyError(
-                    f"epochs {missing} not in store (evicted or unrotated)"
+            # Ids are unique, so the range is whole exactly when it
+            # holds hi - lo + 1 retained ids: O(history), whatever the
+            # width of the requested range.
+            covered = sorted(e for e in self._order if lo <= e <= hi)
+            if len(covered) != hi - lo + 1:
+                span = (
+                    f"{min(self._order)}..{max(self._order)}"
+                    if self._order else "none"
                 )
-            snaps = [self._snaps[e] for e in range(lo, hi + 1)]
+                raise KeyError(
+                    f"epochs {lo}..{hi} not all in store (retained: "
+                    f"{span}; evicted or unrotated)"
+                )
+            snaps = [self._snaps[e] for e in covered]
         sketches = [s.sketch for s in snaps]
         if len(sketches) == 1:
             return sketches[0]

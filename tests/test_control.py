@@ -38,7 +38,11 @@ from repro.core.query import FlowTable
 from repro.engine.base import buckets_for_memory
 from repro.engine.kernels import BACKEND_ENV, resolve_kernels
 from repro.engine.sharded import SketchSpec
-from repro.engine.vectorized import MAX_PIPELINE_CHUNK, NumpyCocoSketch
+from repro.engine.vectorized import (
+    MAX_PIPELINE_CHUNK,
+    NumpyCocoSketch,
+    NumpyHardwareCocoSketch,
+)
 from repro.extensions.merging import resize_cocosketch
 from repro.flowkeys.key import FIVE_TUPLE
 from repro.service import MeasurementDaemon, ServiceConfig
@@ -48,6 +52,7 @@ from repro.traffic.trace import Trace
 
 from tests.stat_harness import (
     DEFAULT_ABS_FLOOR,
+    DEFAULT_Z,
     assert_error_profile,
     assert_partial_key_unbiased_states,
     random_partial_specs,
@@ -191,6 +196,132 @@ class TestResizeUnbiasedness:
             base_seed=50,
             label=f"resized ({path})",
         )
+
+
+COLUMNAR = [NumpyCocoSketch, NumpyHardwareCocoSketch]
+FOLD_TRACE = caida_like(40_000, 10_000, seed=5)
+
+
+def _measured(cls, l, seed=3):
+    sketch = cls(d=2, l=l, seed=seed)
+    sketch.process(FOLD_TRACE)
+    return sketch
+
+
+def _set_buckets(sketch, row, cells):
+    """Write ``(key or None, value)`` cells into *row* of a blank sketch."""
+    for j, (key, value) in enumerate(cells):
+        sketch._vals[row, j] = value
+        if key is not None:
+            sketch._occupied[row, j] = True
+            sketch._key_hi[row, j] = (key >> 64) & ((1 << 64) - 1)
+            sketch._key_lo[row, j] = key & ((1 << 64) - 1)
+
+
+class TestResizeFoldContract:
+    """The re-hash fold's law on the columnar engines, bucket by bucket."""
+
+    @pytest.mark.parametrize("cls", COLUMNAR, ids=lambda c: c.__name__)
+    @pytest.mark.parametrize(
+        "old_l,new_l", [(188, 376), (1505, 752), (4096, 8192)]
+    )
+    def test_mass_exact_and_keys_at_canonical_index(self, cls, old_l, new_l):
+        sketch = _measured(cls, old_l)
+        out = resize_cocosketch(sketch, new_l, seed=9)
+        assert out.l == new_l and out._vals.shape == (2, new_l)
+        assert (out._vals.sum(axis=1) == sketch._vals.sum(axis=1)).all()
+        held = {}
+        for i in range(out.d):
+            js = np.flatnonzero(out._occupied[i])
+            assert js.size > 0
+            hi, lo = out._key_hi[i, js], out._key_lo[i, js]
+            canonical = out._family.index_array(i, hi ^ lo, new_l)
+            assert (canonical == js).all()
+            for h, lw, v in zip(hi.tolist(), lo.tolist(), out._vals[i, js].tolist()):
+                held.setdefault((h << 64) | lw, []).append((i, v))
+        for key in list(held)[:200]:
+            if cls is NumpyHardwareCocoSketch:
+                for i, v in held[key]:
+                    assert out.array_estimate(i, key) == v
+            else:
+                assert out.query(key) == sum(v for _, v in held[key])
+
+    @pytest.mark.parametrize("cls", COLUMNAR, ids=lambda c: c.__name__)
+    def test_keyless_mass_is_conserved_and_stays_keyless(self, cls):
+        sketch = _measured(cls, 188)
+        # Strip every key: only residual mass is left to fold.
+        sketch._occupied[:] = False
+        sketch._key_hi[:] = 0
+        sketch._key_lo[:] = 0
+        out = resize_cocosketch(sketch, 50, seed=4)
+        assert not out._occupied.any()
+        assert not out._key_hi.any() and not out._key_lo.any()
+        for i in range(sketch.d):
+            folded = np.bincount(
+                np.arange(188) % 50, weights=sketch._vals[i], minlength=50
+            )
+            assert (out._vals[i] == folded).all()
+
+    @pytest.mark.parametrize("cls", COLUMNAR, ids=lambda c: c.__name__)
+    def test_same_seed_same_arrays_and_identity_width(self, cls):
+        sketch = _measured(cls, 1505)
+        a = resize_cocosketch(sketch, 752, seed=11)
+        b = resize_cocosketch(sketch, 752, seed=11)
+        for name in ("_key_hi", "_key_lo", "_occupied", "_vals"):
+            assert (getattr(a, name) == getattr(b, name)).all()
+        assert resize_cocosketch(sketch, 1505, seed=11) is sketch
+
+    @pytest.mark.parametrize("cls", COLUMNAR, ids=lambda c: c.__name__)
+    @pytest.mark.parametrize(
+        "cells",
+        [
+            # Three keyed buckets: each key wins with probability v / V.
+            [(0xA, 1), (0xB << 64 | 0xB, 3), (0xC, 4)],
+            # A zero-mass keyed prefix, keyless mass ahead of the first
+            # key and between keys, and a key seen twice.
+            [(0xD, 0), (None, 2), (0xA, 1), (0xB, 3), (0xA, 2), (None, 1),
+             (0xC, 4)],
+        ],
+        ids=["three-keyed", "mixed"],
+    )
+    def test_forced_collision_follows_the_sequential_chain(self, cls, cells):
+        total = sum(v for _, v in cells)
+        law = _chain_law(cells)
+        if all(k is not None for k, _ in cells):
+            assert law == pytest.approx({k: v / total for k, v in cells})
+        sketch = cls(d=1, l=len(cells), seed=1)
+        _set_buckets(sketch, 0, cells)
+        trials = 400
+        wins = {}
+        for seed in range(trials):
+            out = resize_cocosketch(sketch, 1, seed=seed)
+            assert out._occupied[0, 0] and out._vals[0, 0] == total
+            key = int(out._key_hi[0, 0]) << 64 | int(out._key_lo[0, 0])
+            wins[key] = wins.get(key, 0) + 1
+        assert set(wins) <= set(law), wins
+        for key, p in law.items():
+            bound = DEFAULT_Z * np.sqrt(trials * p * (1 - p))
+            assert abs(wins.get(key, 0) - trials * p) <= bound, (key, wins)
+
+
+def _chain_law(cells):
+    """Exact key distribution of folding *cells* one by one through
+    :func:`repro.extensions.merging._fold_bucket` (the reference law)."""
+    law, mass = {None: 1.0}, 0
+    for key, value in cells:
+        mass += value
+        if mass == 0:
+            law = {None: 1.0}
+            continue
+        if key is None:
+            continue
+        folded = {}
+        for cur, p in law.items():
+            adopt = 1.0 if cur is None else value / mass
+            folded[key] = folded.get(key, 0.0) + p * adopt
+            folded[cur] = folded.get(cur, 0.0) + p * (1 - adopt)
+        law = {k: p for k, p in folded.items() if p > 0}
+    return law
 
 
 # -- slim replica stays bit-exact across a geometry change --------------

@@ -98,6 +98,18 @@ def run_daemon(config, trace, block, threaded=False):
     return [daemon.store.get(e) for e in daemon.store.ids()]
 
 
+def staged_resize_run(config, trace, block, resize_after, new_l):
+    """Closed epochs of a daemon told ``set_geometry(new_l)`` after its
+    first *resize_after* blocks; the width lands at the next rotation."""
+    daemon = MeasurementDaemon(config)
+    for n, (hi, lo, sizes) in enumerate(trace.batches(block)):
+        if n == resize_after:
+            daemon.set_geometry(new_l)
+        daemon.ingest(hi, lo, sizes)
+    daemon.close()
+    return [daemon.store.get(e) for e in daemon.store.ids()]
+
+
 def wire(snaps):
     """Each snapshot's ``to_bytes()`` with its wall-clock stamp zeroed.
 
@@ -259,6 +271,43 @@ class TestEpochMergeAndStore:
             store.add(EpochSnapshot(4, 0, 10, 0.0, sketch))
         assert len(store) == 3
 
+    def test_wide_range_hole_check_is_bounded_by_history(self):
+        # The check reads the retained ids, not every id in lo..hi: a
+        # range a million epochs wide fails fast with a short message.
+        store = EpochStore(history=4, seed=0)
+        sketch = SketchSpec(l=8).build()
+        for epoch in range(4):
+            store.add(EpochSnapshot(epoch, epoch * 10, 10, 0.0, sketch))
+        with pytest.raises(KeyError) as err:
+            store.merged_range(0, 10**6)
+        message = str(err.value)
+        assert len(message) < 200
+        assert "0..1000000" in message and "0..3" in message
+
+    def test_range_across_staged_resize_is_deterministic_and_mass_exact(self):
+        trace = make_trace(16_000)
+        snaps = staged_resize_run(
+            make_config(epoch_packets=4_000, shards=2), trace, 2_000,
+            resize_after=3, new_l=1024,
+        )
+        widths = [s.geometry()[1] for s in snaps]
+        assert widths[0] == 512 and widths[-1] == 1024, widths
+
+        def build_store():
+            store = EpochStore(history=8, seed=3)
+            for snap in snaps:
+                store.add(snap)
+            return store
+
+        hi = snaps[-1].epoch
+        merged_a = build_store().merged_range(0, hi)
+        merged_b = build_store().merged_range(0, hi)
+        assert merged_a.l == 1024
+        assert dump_sketch(merged_a) == dump_sketch(merged_b)
+        assert sum(s.packets for s in snaps) == trace.total_size
+        assert int(merged_a._vals.sum()) == trace.total_size
+        assert sum(merged_a.flow_table().values()) == trace.total_size
+
     def test_epoch_snapshot_wire_round_trip(self):
         snaps = run_daemon(
             make_config(epoch_packets=2_000), make_trace(4_000), 999
@@ -275,15 +324,31 @@ class TestMergedEpochUnbiasedness:
     ``REPRO_STAT_REL_FLOOR`` overrides are honored.
     """
 
-    @pytest.mark.parametrize("shards", [1, 2])
-    def test_merged_epochs_partial_key_unbiased(self, shards):
+    # new_l: a staged set_geometry after the second 4096-packet block,
+    # so epochs 0-1 are cut at 1024 and epochs 2-3 at new_l.
+    @pytest.mark.parametrize(
+        "shards,new_l",
+        [
+            pytest.param(1, None, id="1"),
+            pytest.param(2, None, id="2"),
+            pytest.param(1, 2048, id="1-grow"),
+            pytest.param(2, 512, id="2-shrink"),
+        ],
+    )
+    def test_merged_epochs_partial_key_unbiased(self, shards, new_l):
         trace = make_trace(20_000, flows=3_000, seed=11)
 
         def make_state(seed):
             config = make_config(
                 shards=shards, seed=seed, epoch_packets=6_000, l=1024
             )
-            snaps = offline_epoch_run(config, trace.batches(4_096))
+            if new_l is None:
+                snaps = offline_epoch_run(config, trace.batches(4_096))
+            else:
+                snaps = staged_resize_run(
+                    config, trace, 4_096, resize_after=2, new_l=new_l
+                )
+                assert {s.sketch.l for s in snaps} == {1024, new_l}
             store = EpochStore(history=8, seed=seed)
             for snap in snaps:
                 store.add(snap)
@@ -296,7 +361,7 @@ class TestMergedEpochUnbiasedness:
                 spec,
                 trials=12,
                 base_seed=40 + shards,
-                label=f"merged-epoch estimate (shards={shards})",
+                label=f"merged-epoch estimate (shards={shards}, new_l={new_l})",
             )
 
 
@@ -616,6 +681,11 @@ class TestHttpSoak:
                 assert err.value.code == want, url
                 body = json.loads(err.value.read())
                 assert "error" in body
+            # A range a million epochs wide is a 404 with a short body.
+            with pytest.raises(urllib.error.HTTPError) as err:
+                _get(f"{base}/topk?key=SrcIP&epoch=0-1000000")
+            assert err.value.code == 404
+            assert len(err.value.read()) < 300
             # Valid queries still succeed after the error barrage.
             status, payload = _get(_sql_url(base, SOAK_SQL))
             assert status == 200
