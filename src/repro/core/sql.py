@@ -35,6 +35,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.core.query import FlowTable
+from repro.flowkeys.columns import unpack_key_words
 from repro.flowkeys.key import FullKeySpec, PartialKeySpec
 from repro.query.columns import ColumnTable
 from repro.query.project import extract_bits
@@ -382,16 +383,18 @@ def run_query(
 
 
 def _finish(grouped: ColumnTable, query: Query) -> List[Tuple[int, float]]:
-    """HAVING / ORDER BY / LIMIT over an aggregated table."""
+    """HAVING / ORDER BY / LIMIT over an aggregated table.
+
+    LIMIT applies to row indices before any key is unpacked, so only
+    the returned rows become python integers.
+    """
     if query.having_min is not None:
         grouped = grouped.threshold(query.having_min)
+    rows = np.arange(len(grouped))
     if query.order_desc is not None:
-        if query.order_desc:
-            order = np.argsort(-grouped.values, kind="stable")
-        else:
-            order = np.argsort(grouped.values, kind="stable")
-        grouped = grouped.select(order)
-    rows = list(zip(grouped.keys_list(), grouped.values.tolist()))
+        values = -grouped.values if query.order_desc else grouped.values
+        rows = np.argsort(values, kind="stable")
     if query.limit is not None:
         rows = rows[: query.limit]
-    return rows
+    keys = unpack_key_words(np.take(grouped.words, rows, axis=1))
+    return list(zip(keys, grouped.values[rows].tolist()))

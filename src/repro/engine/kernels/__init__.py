@@ -36,6 +36,7 @@ assert bit-identical state and stats across scalar/numpy/compiled.
 
 from __future__ import annotations
 
+import functools
 import importlib.util
 import os
 from typing import Callable, Dict, Optional
@@ -106,8 +107,13 @@ NUMPY_KERNELS = KernelSet("numpy")
 _CACHE: Dict[str, KernelSet] = {}
 
 
+@functools.lru_cache(maxsize=None)
 def numba_available() -> bool:
-    """True when the numba compiler is importable in this process."""
+    """True when the numba compiler is importable in this process.
+
+    Probed once per process: every sketch construction resolves its
+    kernels, and the import-system probe is not free.
+    """
     try:
         return importlib.util.find_spec("numba") is not None
     except (ImportError, ValueError):

@@ -22,7 +22,7 @@ they all route here now:
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -114,15 +114,92 @@ def words_to_columns(words: "np.ndarray") -> Tuple["np.ndarray", "np.ndarray"]:
     return hi, lo
 
 
-def sort_words(words: "np.ndarray") -> "np.ndarray":
-    """Stable lexicographic sort order of multi-word keys (int64 indices).
+def _dense_rank(column: "np.ndarray") -> Tuple["np.ndarray", int]:
+    """Each value's rank among the column's distinct values, and its bits.
 
-    ``np.lexsort`` treats its *last* key as primary, so passing the word
-    rows least-significant first sorts by the full key value.
+    Ranks preserve order and equality, so a key can stand in for its
+    rank in a sort.  The order comes from an unstable ``argsort``: equal
+    values share one rank whichever order the sort leaves them in.
     """
-    if words.shape[0] == 1:
-        return np.argsort(words[0], kind="stable")
-    return np.lexsort(tuple(words))
+    order = np.argsort(column)
+    ranked = column[order]
+    step = np.empty(len(column), dtype=_U64)
+    step[0] = 0
+    np.not_equal(ranked[1:], ranked[:-1], out=step[1:])
+    np.cumsum(step, out=step)
+    rank = np.empty_like(step)
+    rank[order] = step
+    return rank, int(step[-1]).bit_length()
+
+
+def _fold_key(words: "np.ndarray", rank_bits: int) -> Tuple["np.ndarray", int]:
+    """One uint64 per row that orders and equates rows as their keys do.
+
+    Words fold in most significant first.  A word that does not fit
+    beside the bits folded so far is replaced by its dense rank (at most
+    *rank_bits* bits), and so, if it still does not fit, is the fold.
+    Returns the folded column and its bit width.
+    """
+    key, key_bits = None, 0
+    for t in range(words.shape[0] - 1, -1, -1):
+        word = words[t]
+        bits = int(word.max()).bit_length()
+        if key is None:
+            key, key_bits = word, bits
+            continue
+        if key_bits + bits > 64:
+            if bits > rank_bits:
+                word, bits = _dense_rank(word)
+            if key_bits + bits > 64:
+                key, key_bits = _dense_rank(key)
+        key = (key << _U64(bits)) | word
+        key_bits += bits
+    return key, key_bits
+
+
+def _ascending_starts(words: "np.ndarray") -> Optional["np.ndarray"]:
+    """Group-start flags when the keys already ascend, else None."""
+    tied = None  # adjacent pairs equal on every word compared so far
+    for t in range(words.shape[0] - 1, -1, -1):
+        prev, cur = words[t, :-1], words[t, 1:]
+        down = cur < prev
+        if tied is not None:
+            down &= tied
+        if down.any():
+            return None
+        same = cur == prev
+        tied = same if tied is None else tied & same
+        if not tied.any():
+            break
+    starts = np.empty(words.shape[1], dtype=bool)
+    starts[0] = True
+    np.logical_not(tied, out=starts[1:])
+    return starts
+
+
+def _packed_sort(words: "np.ndarray") -> Tuple["np.ndarray", "np.ndarray"]:
+    """Stable ascending order of the keys and the sorted group starts.
+
+    One value sort of ``(key << pos_bits) | position`` over the folded
+    key (:func:`_fold_key`), the idiom the engine's chunk step uses for
+    buckets: equal keys keep their positions in ascending order, so the
+    order is stable, and the high bits of the sorted column give the
+    group boundaries without gathering the words.
+    """
+    n = words.shape[1]
+    pos_bits = max((n - 1).bit_length(), 1)
+    key, key_bits = _fold_key(words, pos_bits)
+    if key_bits + pos_bits > 64:
+        key, key_bits = _dense_rank(key)
+    packed = key << _U64(pos_bits)
+    packed |= np.arange(n, dtype=_U64)
+    packed.sort()
+    order = (packed & _U64((1 << pos_bits) - 1)).astype(np.intp)
+    packed >>= _U64(pos_bits)
+    starts = np.empty(n, dtype=bool)
+    starts[0] = True
+    np.not_equal(packed[1:], packed[:-1], out=starts[1:])
+    return order, starts
 
 
 def group_words(
@@ -131,18 +208,19 @@ def group_words(
     """``GROUP BY key, SUM(value)`` over word columns.
 
     Returns ``(unique_words, totals)`` with unique keys in ascending
-    key order — one stable sort plus ``np.add.reduceat``, no python
-    loop over rows.
+    key order, from one packed value sort (:func:`_packed_sort`) plus
+    ``np.add.reduceat`` and no python loop over rows.  The sort is
+    stable, so each group sums its values in input order.  Keys that
+    already ascend skip the sort and its gathers.
     """
     n = words.shape[1]
     if n == 0:
         return words[:, :0], values[:0]
-    order = sort_words(words)
-    sorted_words = words[:, order]
-    starts = np.empty(n, dtype=bool)
-    starts[0] = True
-    diff = sorted_words[:, 1:] != sorted_words[:, :-1]
-    starts[1:] = diff.any(axis=0) if words.shape[0] > 1 else diff[0]
+    starts = _ascending_starts(words)
+    order = None
+    if starts is None:
+        order, starts = _packed_sort(words)
+        values = values[order]
     start_idx = np.nonzero(starts)[0]
-    totals = np.add.reduceat(values[order], start_idx)
-    return sorted_words[:, start_idx], totals
+    rows = start_idx if order is None else order[start_idx]
+    return np.take(words, rows, axis=1), np.add.reduceat(values, start_idx)

@@ -154,9 +154,17 @@ class ColumnTable:
         return self.project(partial).group()
 
     def select(self, mask: "np.ndarray") -> "ColumnTable":
-        """Row subset under a boolean mask (grouping preserved)."""
+        """Row subset under a boolean mask or an index array.
+
+        A boolean mask keeps the rows in order, so a grouped table stays
+        grouped; an index array may reorder them, so the result is not.
+        """
+        mask = np.asarray(mask)
         return ColumnTable(
-            self.spec, self.words[:, mask], self.values[mask], self.grouped
+            self.spec,
+            self.words[:, mask],
+            self.values[mask],
+            self.grouped and mask.dtype == np.bool_,
         )
 
     def concat(self, other: "ColumnTable") -> "ColumnTable":

@@ -40,12 +40,13 @@ class QueryPlanner:
         group_base: With the default True a ColumnTable source is
             grouped up front (unique full keys).  The slim read plane
             passes False to keep the base raw: the full-key group-by —
-            the most expensive lexsort, over ungrouped occupancy-order
-            rows — is deferred until a query actually needs full-key
-            rows, while partial-key aggregates project straight off the
-            raw rows.  Answers are identical either way: float64 sums
-            of sketch estimates are exact in any order, so grouping
-            before or after projection commutes.
+            the most expensive sort, since its multi-word keys are
+            rank-folded before the one packed sort — is deferred until
+            a query actually needs full-key rows, while partial-key
+            aggregates project straight off the raw rows.  Answers are
+            identical either way: float64 sums of sketch estimates are
+            exact in any order, so grouping before or after projection
+            commutes.
         version: Optional opaque provenance tag (the service stores its
             ``(epoch, packets)`` tuple here so answers can carry it).
     """

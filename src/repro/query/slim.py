@@ -24,7 +24,7 @@ How the sync works:
   (:func:`repro.engine.sharded.shard_table_columns` is the reference).
 * The served planner keeps its base *ungrouped*
   (``QueryPlanner(..., group_base=False)``): per-shard raw exports are
-  concatenated without the full-key lexsort, and each partial-key query
+  concatenated without the full-key sort, and each partial-key query
   projects straight off the raw rows.  Sums of sketch estimates are
   exact in float64 regardless of order, so answers match the grouped
   path value for value while skipping its dominant sort.

@@ -84,6 +84,25 @@ class TestResolve:
         assert not NUMPY_KERNELS.compiled
         assert NUMPY_KERNELS.hash_indices is None
 
+    def test_numba_probe_runs_once_per_process(self, monkeypatch):
+        numba_available.cache_clear()
+        calls = []
+        real = kmod.importlib.util.find_spec
+
+        def counting(name, *args):
+            calls.append(name)
+            return real(name, *args)
+
+        monkeypatch.delenv(BACKEND_ENV, raising=False)
+        monkeypatch.setattr(kmod.importlib.util, "find_spec", counting)
+        try:
+            for seed in range(10):
+                NumpyCocoSketch(2, 32, seed=seed)
+        finally:
+            monkeypatch.undo()
+            numba_available.cache_clear()
+        assert calls == ["numba"]
+
     def test_python_set_is_compiled_flavoured(self):
         kernels = resolve_kernels("python")
         assert kernels.compiled

@@ -25,7 +25,7 @@ from repro.flowkeys.key import (
     paper_partial_keys,
     prefix_hierarchy,
 )
-from repro.flowkeys.columns import pack_key_words
+from repro.flowkeys.columns import group_words, pack_key_words
 from repro.query import ColumnTable, QueryPlanner, project_words
 from repro.query.project import ProjectionPlan
 
@@ -437,3 +437,113 @@ class TestColumnTable:
                 np.zeros((2, 3), dtype=np.uint64),
                 np.zeros(2),
             )
+
+
+# -- group_words against a stable lexsort reference -----------------------
+
+
+def _lexsort_group(words, values):
+    """Reference GROUP BY: stable ``np.lexsort`` then ``reduceat``."""
+    if words.shape[1] == 0:
+        return words[:, :0], values[:0]
+    order = np.lexsort(tuple(words))  # last row (most significant) primary
+    ordered = words[:, order]
+    starts = np.ones(words.shape[1], dtype=bool)
+    starts[1:] = (ordered[:, 1:] != ordered[:, :-1]).any(axis=0)
+    idx = np.nonzero(starts)[0]
+    return ordered[:, idx], np.add.reduceat(values[order], idx)
+
+
+def _strictly_ascending(words):
+    """Each key is lexicographically greater than the one before it."""
+    undecided = np.ones(max(words.shape[1] - 1, 0), dtype=bool)
+    for t in range(words.shape[0] - 1, -1, -1):
+        prev, cur = words[t, :-1], words[t, 1:]
+        if (undecided & (cur < prev)).any():
+            return False
+        undecided &= cur == prev
+    return not undecided.any()
+
+
+def _group_input(w, n, layout, seed):
+    rng = np.random.default_rng(seed)
+    if layout == "duplicated":
+        pool = rng.integers(0, 2**64, size=(w, 37), dtype=np.uint64)
+        pool[:, 0] = np.uint64(1 << 63)  # top bit set in every word
+        words = pool[:, rng.integers(0, 37, size=n)]
+    elif layout == "narrow":
+        words = rng.integers(0, 1 << 9, size=(w, n), dtype=np.uint64)
+    else:
+        words = rng.integers(0, 2**64, size=(w, n), dtype=np.uint64)
+        words[:, : n // 2] |= np.uint64(1 << 63)
+        if layout in ("presorted", "reversed"):
+            words = words[:, np.lexsort(tuple(words))]
+            if layout == "reversed":
+                words = words[:, ::-1]
+    values = rng.random(n) * 1000.0 - 400.0  # non-dyadic, some negative
+    values[::7] = 0.0
+    values[3::11] = -values[3::11]
+    return np.ascontiguousarray(words), values
+
+
+class TestGroupWordsDifferential:
+    """``group_words`` equals a stable lexsort reduction byte for byte.
+
+    Summation order matters for non-dyadic floats, so equal totals mean
+    each group summed its values in input order.  ``2**17`` rows put key
+    plus position bits past 64, so the dense-rank fold runs.
+    """
+
+    @pytest.mark.parametrize("w", [1, 2, 3, 5])
+    @pytest.mark.parametrize("n", [0, 1, 2, 5000, 1 << 17])
+    @pytest.mark.parametrize(
+        "layout", ["presorted", "reversed", "shuffled", "duplicated", "narrow"]
+    )
+    def test_matches_lexsort_reference(self, w, n, layout):
+        words, values = _group_input(w, n, layout, seed=1000 * w + n % 997)
+        keys, totals = group_words(words, values)
+        ref_keys, ref_totals = _lexsort_group(words, values)
+        assert keys.shape == ref_keys.shape
+        assert keys.dtype == np.uint64
+        assert keys.tobytes() == ref_keys.tobytes()
+        assert totals.tobytes() == ref_totals.tobytes()
+        assert _strictly_ascending(keys)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        w=st.sampled_from([1, 2, 3, 5]),
+        rows=st.lists(
+            st.tuples(
+                st.integers(0, 5),
+                st.sampled_from([0.0, 0.1, -0.3, 1.5, 7.7, -2.25]),
+            ),
+            max_size=40,
+        ),
+    )
+    def test_small_inputs_match_reference(self, w, rows):
+        alphabet = np.array(
+            [0, 1, 2, 2**63, 2**64 - 1, 2**62 + 5], dtype=np.uint64
+        )
+        codes = np.array([c for c, _ in rows], dtype=np.int64)
+        words = np.empty((w, len(rows)), dtype=np.uint64)
+        for t in range(w):
+            words[t] = alphabet[(codes * (t + 1) + t) % len(alphabet)]
+        values = np.array([v for _, v in rows], dtype=np.float64)
+        keys, totals = group_words(words, values)
+        ref_keys, ref_totals = _lexsort_group(words, values)
+        assert keys.tobytes() == ref_keys.tobytes()
+        assert totals.tobytes() == ref_totals.tobytes()
+        assert _strictly_ascending(keys)
+
+    def test_index_select_drops_grouped_flag(self):
+        spec = FIVE_TUPLE.partial("SrcIP")
+        table = ColumnTable(
+            spec,
+            np.array([[1, 2, 3]], dtype=np.uint64),
+            np.array([10.0, 20.0, 30.0]),
+        ).group()
+        reordered = table.select(np.array([2, 0, 1]))
+        assert not reordered.grouped
+        assert reordered.lookup(1) == 10.0
+        assert reordered.lookup(3) == 30.0
+        assert table.select(table.values > 15.0).grouped

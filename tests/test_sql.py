@@ -155,3 +155,40 @@ class TestExecution:
         true_top = sorted(truth, key=truth.get, reverse=True)[:5]
         hits = sum(1 for key, _ in rows if key in set(true_top))
         assert hits >= 4
+
+
+class TestLimitSlicesFullResult:
+    """LIMIT k returns exactly the first k rows of the unlimited answer."""
+
+    SIZES = [5.0, 3.0, 3.0, 3.0, 1.0, 3.0, 2.0, 5.0]
+
+    @pytest.fixture()
+    def tied(self):
+        sizes = {_key(src): size for src, size in enumerate(self.SIZES, 1)}
+        return FlowTable(sizes, FIVE_TUPLE)
+
+    @pytest.mark.parametrize("source", ["table", "planner"])
+    @pytest.mark.parametrize("having", ["", "HAVING SUM(size) >= 2 "])
+    @pytest.mark.parametrize(
+        "order", ["", "ORDER BY SUM(size) DESC ", "ORDER BY SUM(size) ASC "]
+    )
+    @pytest.mark.parametrize("k", [0, 1, 3, 4, 20])
+    def test_limit_is_a_slice(self, tied, source, having, order, k):
+        from repro.query import QueryPlanner
+
+        text = f"SELECT SrcIP, SUM(size) FROM flows GROUP BY SrcIP {having}{order}"
+        kwargs = (
+            {"table": tied}
+            if source == "table"
+            else {"planner": QueryPlanner(tied.columns(), FIVE_TUPLE)}
+        )
+        full = run_query(text, **kwargs)
+        assert run_query(f"{text}LIMIT {k}", **kwargs) == full[:k]
+
+    def test_ties_straddling_the_cut_keep_key_order(self, tied):
+        rows = run_query(
+            "SELECT SrcIP, SUM(size) FROM flows GROUP BY SrcIP "
+            "ORDER BY SUM(size) DESC LIMIT 4",
+            tied,
+        )
+        assert rows == [(1, 5.0), (8, 5.0), (2, 3.0), (3, 3.0)]
