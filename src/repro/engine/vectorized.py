@@ -390,11 +390,17 @@ class _ColumnarKeyValueSketch(Sketch):
         order reproduces the fat arrays bit for bit.  Emission is
         read-only — no RNG draws, no state writes — so an attached sink
         never perturbs the deterministic replay/epoch contracts.
+
+        The set is a boolean mask over the ``d * l`` buckets read back
+        with ``flatnonzero`` — sorted and unique like ``np.unique``,
+        without its sort.
         """
         sink = self._delta_sink
         if sink is None:
             return
-        idx = np.unique(J[:, :n] + self._row_offsets)
+        touched = np.zeros(self._vals_flat.size, dtype=bool)
+        touched[J[:, :n] + self._row_offsets] = True
+        idx = np.flatnonzero(touched)
         sink.push_buckets(
             n,
             idx,

@@ -11,9 +11,9 @@ on top shares the extraction and memoizes per-spec projections, which is
 what makes many-query workloads (HHH grids, subset-lattice scans, SQL)
 scale with the vectorised ingest.
 
-For write-heavy serving, :mod:`repro.query.slim` adds the fat/slim
-split: a :class:`~repro.query.slim.SlimReplica` kept fresh by compact
-per-chunk deltas serves reads without pausing ingestion.
+For write-heavy serving, :mod:`repro.query.slim` holds the service's
+live read path: a :class:`~repro.query.slim.SlimReplica` kept fresh by
+compact per-chunk deltas serves reads without pausing ingestion.
 """
 
 from repro.query.columns import ColumnTable

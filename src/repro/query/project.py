@@ -102,7 +102,14 @@ class ProjectionPlan:
         return cls(partial, tuple(ops), words_for_width(max(1, partial.width)))
 
     def apply(self, words: "np.ndarray") -> "np.ndarray":
-        """Project full-key word columns onto partial-key word columns."""
+        """Project full-key word columns onto partial-key word columns.
+
+        A one-part plan lands at bit 0 and fills the output exactly,
+        so its extracted segment is the answer.
+        """
+        if len(self.ops) == 1:
+            src, length, _dst = self.ops[0]
+            return extract_bits(words, src, length)
         n = words.shape[1]
         out = np.zeros((self.out_words, n), dtype=_U64)
         for src, length, dst in self.ops:

@@ -1,12 +1,12 @@
-"""Fat/slim read plane: an incrementally-synced replica for cheap reads.
+"""The service's live read path: an incrementally-synced replica.
 
-The service plane's live read path used to serialize every fat shard
-under the ingest lock and re-extract a ColumnTable per refresh window —
-read latency degraded exactly when ingestion was hottest.  This module
-applies the SF-sketch split (PAPERS.md): the *fat* state — the full
-``(d, l)`` update-plane arrays — keeps absorbing traffic untouched,
-while a *slim* replica is kept continuously fresh from compact deltas
-and serves every read.
+Copying the shards under the ingest lock for each live read makes read
+latency degrade exactly when ingestion is hottest: the lock has no
+fairness, so a reader waits behind many chunks.  This module applies
+the SF-sketch split (PAPERS.md): the *fat* state — the full ``(d, l)``
+update-plane arrays — keeps absorbing traffic untouched, while a
+*slim* replica is kept continuously fresh from compact deltas and
+serves every live read.
 
 How the sync works:
 

@@ -16,11 +16,11 @@ against live state.  This package is that system layer:
   ``/topk``, ``/epochs``, ``/metrics``) over the live epoch, any
   historical epoch, and merged ranges.
 
-Live reads default to the fat/slim split
-(:class:`~repro.query.slim.SlimReplica`): the fat update plane streams
-compact deltas into a slim replica, so queries are served from a
-bounded delta drain instead of a copy-and-merge under the ingest
-lock, and every answer carries ``packets_behind`` staleness.
+Live reads have one path, the slim replica
+(:class:`~repro.query.slim.SlimReplica`): the shard engines stream
+compact deltas into it, so queries are served from a bounded delta
+drain instead of a copy under the ingest lock, and every answer
+carries ``packets_behind`` staleness.
 
 See ``docs/service.md`` for the lifecycle and the epoch model.
 """

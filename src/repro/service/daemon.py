@@ -24,17 +24,14 @@ true:
   family (from the spec seed) is shared by all epochs, keeping their
   snapshots mergeable.
 
-Live reads never perturb that.  The default read path is the *slim*
-one: a :class:`~repro.query.slim.SlimReplica` bootstrapped lazily from
-the fat arrays (a per-array memcpy under the ingest lock, once per
-epoch) and kept fresh by compact per-chunk deltas the engines emit from
-their chunk loop's replace step — a read is a bounded delta drain
-under the replica's own lock, not a copy-and-merge under the ingest
-lock.  The *fat* path (``view="fat"``) copies the flushed shard state
-arrays under the ingest lock and merges the copies *outside* the lock
-with their own ephemeral stream.
-Either way emission is read-only, so ingestion's RNG streams are never
-advanced by a read.
+Live reads never perturb that.  A live read is served by a
+:class:`~repro.query.slim.SlimReplica`, bootstrapped lazily from the
+shard arrays (a per-array memcpy under the ingest lock, once per epoch)
+and kept fresh by compact per-chunk deltas the engines emit from their
+chunk loop's replace step.  A read sums the shard mirrors (Lemma 3) after
+a bounded delta drain under the replica's own lock, so it never copies
+the shards or waits on the ingest lock in steady state.  Emission is
+read-only, so ingestion's RNG streams are never advanced by a read.
 """
 
 from __future__ import annotations
@@ -61,7 +58,6 @@ from repro.engine.sharded import (
 from repro.extensions.merging import merge_many
 from repro.extensions.windowed import split_budget
 from repro.flowkeys.key import FullKeySpec
-from repro.hashing.family import mix64
 from repro.obs.registry import TIME_EDGES, MetricsRegistry
 from repro.parallel import build_shard_sketch
 from repro.query.planner import QueryPlanner
@@ -73,9 +69,6 @@ from repro.service.epochs import (
     freeze,
     frozen_copy,
 )
-
-_LIVE_MERGE_SALT = 0x11FE5
-_GOLDEN_LIVE = 0x9E3779B97F4A7C15
 
 #: Default engine feed granularity: the largest kernel chunk
 #: (`repro.engine.vectorized.MAX_PIPELINE_CHUNK`).  Engines derive
@@ -125,7 +118,7 @@ class ServiceConfig:
             cached view until at least this many further packets flush
             in the same epoch — readers see a slightly stale but still
             version-consistent snapshot, and heavy query load stops
-            stealing ingest cycles.  Honoured by both read paths.
+            stealing ingest cycles.
         governor: Elastic-geometry control loop
             (:class:`~repro.control.governor.GovernorConfig`).  When
             set, the daemon samples occupancy at every rotation and
@@ -300,8 +293,8 @@ class MeasurementDaemon:
     bounded background queue (:meth:`start` + :meth:`offer` — the shape
     the HTTP soak exercises: one ingest thread, many reader threads).
     Readers get consistent views: every published state is either a
-    frozen epoch snapshot or a lock-consistent copy of the live shard
-    state tagged with its ``(epoch, packets)`` version.
+    frozen epoch snapshot or the live replica's view of the shard state
+    at a chunk boundary, tagged with its ``(epoch, packets)`` version.
     """
 
     def __init__(self, config: ServiceConfig) -> None:
@@ -343,12 +336,8 @@ class MeasurementDaemon:
         self._queue: Optional[queue.Queue] = None
         self._thread: Optional[threading.Thread] = None
         self._ingest_error: Optional[BaseException] = None
-        self._live_cache: Tuple[Optional[Tuple[int, int]], Optional[QueryPlanner]] = (
-            None,
-            None,
-        )
         self._planners: Dict[Tuple[int, int], QueryPlanner] = {}
-        # The slim read replica costs nothing until the first slim
+        # The live read replica costs nothing until the first live
         # read bootstraps it.
         self._replica = SlimReplica(config.spec, config.key_spec, config.shards)
 
@@ -611,37 +600,23 @@ class MeasurementDaemon:
     # ------------------------------------------------------------------
     # read path
 
-    def live_planner(
-        self, view: Optional[str] = None
-    ) -> Tuple[Tuple[int, int], QueryPlanner]:
+    def live_planner(self) -> Tuple[Tuple[int, int], QueryPlanner]:
         """Consistent queryable view of the live (unclosed) epoch.
 
         Returns ``((epoch, packets), planner)``; *packets* counts the
         packets the view covers (arrivals still buffered below one
         chunk become visible at the next flush or rotation).  Per
-        reader, versions are monotone; ``live_refresh_packets``
-        staleness budgets apply on both paths.
+        reader, versions are monotone; ``live_refresh_packets`` bounds
+        how stale a served view may be.
 
-        ``view="slim"`` (the default, also for ``None``) serves the
-        incrementally-synced replica.  In steady state — replica
-        already bootstrapped into the current epoch — the read never
-        touches the ingest lock at all: it is a bounded delta drain
-        under the replica's own lock, so it cannot queue behind an
-        in-flight chunk.  Only the first read of an epoch takes the
-        ingest lock, for the epoch check plus a per-array memcpy
-        bootstrap.
-
-        ``view="fat"`` serves the copy-and-merge path: the shard state
-        arrays are copied under the ingest lock, the merge runs outside
-        it with an ephemeral stream seeded by the view's version, so
-        concurrent readers rebuild identical views.
+        The view is the incrementally-synced replica.  In steady state
+        — replica already bootstrapped into the current epoch — the
+        read never touches the ingest lock at all: it is a bounded
+        delta drain under the replica's own lock, so it cannot queue
+        behind an in-flight chunk.  Only the first read of an epoch
+        takes the ingest lock, for the epoch check plus a per-array
+        memcpy bootstrap.
         """
-        if view == "fat":
-            return self._fat_live_planner()
-        if view not in (None, "slim"):
-            raise ValueError(
-                f"unknown live view {view!r}; choose 'slim' or 'fat'"
-            )
         replica = self._replica
         # Steady-state fast path: both reads are single references (a
         # stale glimpse at worst), and a rotation racing past the check
@@ -663,53 +638,6 @@ class MeasurementDaemon:
                         spec=builder.spec,
                     )
         return replica.read(self.config.live_refresh_packets)
-
-    def _fat_live_planner(self) -> Tuple[Tuple[int, int], QueryPlanner]:
-        refresh = self.config.live_refresh_packets
-        with self._lock:
-            if self._closed:
-                raise ServiceError("daemon is closed")
-            epoch = self._builder.epoch
-            cached_version, cached_planner = self._live_cache
-            if (
-                refresh
-                and cached_planner is not None
-                and cached_version[0] == epoch
-                and self._builder.flushed - cached_version[1] < refresh
-            ):
-                self.registry.inc("service.live.cache.hits")
-                return cached_version, cached_planner
-            version = (epoch, self._builder.flushed)
-            if cached_version == version:
-                self.registry.inc("service.live.cache.hits")
-                return version, cached_planner
-            copies = [frozen_copy(s) for s in self._builder.live_sketches()]
-        rng = random.Random(  # unused by merge_many for one shard
-            mix64(self.config.spec.seed ^ _LIVE_MERGE_SALT)
-            ^ mix64(epoch * _GOLDEN_LIVE + version[1])
-        )
-        sketch = merge_many(copies, rng=rng)
-        planner = QueryPlanner(sketch, self.config.key_spec, version=version)
-        self._publish_live_view(version, planner)
-        return version, planner
-
-    def _publish_live_view(
-        self, version: Tuple[int, int], planner: QueryPlanner
-    ) -> None:
-        """Cache a freshly built fat live view — monotonically.
-
-        The build runs outside the ingest lock, so a slow build can
-        finish after a newer build — or after a rotation — has already
-        published.  Unconditionally overwriting would regress the cache
-        to a pre-rotation planner that ``live_refresh_packets`` then
-        serves against a post-rotation epoch; the guard only ever moves
-        the cache forward in ``(epoch, packets)`` order.
-        """
-        with self._lock:
-            cached_version, _ = self._live_cache
-            if cached_version is None or version >= cached_version:
-                self._live_cache = (version, planner)
-            self.registry.inc("service.live.views")
 
     def packets_behind(self, epoch: int, packets: int) -> int:
         """How far a served view lags total ingestion — never undercounted.

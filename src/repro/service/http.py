@@ -14,12 +14,14 @@ Endpoints (all GET, JSON responses):
 * ``/topk?key=SrcIP[/24][,DstIP...]&k=10&epoch=...`` — top-k flows on
   a partial key.
 * ``/metrics`` — the daemon's ``repro.obs.metrics/v1`` snapshot
-  (including the slim replica's ``slim.*`` instruments).
+  (including the live replica's ``slim.*`` instruments).
 
-Live queries take ``view=slim`` (the default when the replica is
-enabled) or ``view=fat`` to pick the read path — the incrementally
-synced slim replica vs the copy-and-merge fat path (see
-docs/service.md).
+Live queries have one read path: the incrementally synced replica,
+which sums the live shards (see docs/service.md).  The ``view=slim``
+and ``view=fat`` selectors are still accepted on live queries, and
+both are answered by the replica; the descriptor's ``"view"`` names
+the path that answered, always ``"slim"``.  Any other value, or
+``view`` with a frozen or range ``epoch=``, is a 400.
 
 Multi-tenant daemons additionally accept ``tenant=NAME`` on ``/query``
 and ``/topk``: the selector resolves against that tenant's isolated
@@ -153,12 +155,12 @@ class _Handler(BaseHTTPRequestHandler):
                 f"unknown view {view!r}; choose 'slim' or 'fat'"
             )
         if selector == "live":
-            (epoch, packets), planner = daemon.live_planner(view)
+            (epoch, packets), planner = daemon.live_planner()
             descriptor = {
                 "kind": "live",
                 "epoch": epoch,
                 "packets": packets,
-                "view": view or "slim",
+                "view": "slim",
                 "staleness": {
                     "packets_behind": daemon.packets_behind(epoch, packets)
                 },

@@ -37,7 +37,7 @@ from repro.control.governor import MIN_L
 from repro.core.query import FlowTable
 from repro.engine.base import buckets_for_memory
 from repro.engine.kernels import BACKEND_ENV, resolve_kernels
-from repro.engine.sharded import SketchSpec
+from repro.engine.sharded import SketchSpec, shard_table_columns
 from repro.engine.vectorized import (
     MAX_PIPELINE_CHUNK,
     NumpyCocoSketch,
@@ -356,7 +356,7 @@ class TestSlimFatAcrossResize:
             daemon.rotate()
             # Warm the slim path at the old shape so the resize really
             # exercises invalidation, not a cold first bootstrap.
-            daemon.live_planner("slim")
+            daemon.live_planner()
             daemon.set_geometry(1024)
             for hi, lo, sizes in blocks[2:4]:
                 daemon.ingest(hi, lo, sizes)
@@ -367,11 +367,14 @@ class TestSlimFatAcrossResize:
                 daemon.ingest(hi, lo, sizes)
 
             def assert_bit_exact():
-                (_, slim) = daemon.live_planner("slim")
-                (_, fat) = daemon.live_planner("fat")
+                (_, slim) = daemon.live_planner()
+                with daemon._lock:  # the shards never race a chunk here
+                    fat = shard_table_columns(
+                        daemon._builder.live_sketches(), FIVE_TUPLE
+                    )
                 for spec in random_partial_specs(3, seed=5):
                     slim_table = slim.table(spec)
-                    fat_table = fat.table(spec)
+                    fat_table = fat.aggregate(spec)
                     assert slim_table.top_k(25) == fat_table.top_k(25)
                     for key, value in fat_table.top_k(25):
                         assert slim_table.lookup(key) == value
@@ -382,7 +385,7 @@ class TestSlimFatAcrossResize:
             # the builder in place, which must *invalidate* the replica
             # (same epoch tag, new shape).
             daemon.rotate()
-            daemon.live_planner("slim")
+            daemon.live_planner()
             daemon.set_geometry(512)
             daemon.rotate()
             assert daemon.spec.l == 512
@@ -443,7 +446,7 @@ class TestTenantIsolation:
             # Structural isolation: the quiet namespace saw exactly its
             # own packets, flood or no flood.
             assert quiet.status()["total_packets"] == len(quiet_trace)
-            (_, planner) = quiet.live_planner(None)
+            (_, planner) = quiet.live_planner()
             table = planner.table(self.PSPEC)
             truth = quiet_trace.ground_truth(self.PSPEC)
             ranked = sorted(truth.items(), key=lambda kv: -kv[1])[:12]

@@ -149,18 +149,22 @@ class TestProjectionProperty:
         self._check(IPV6_FIVE_TUPLE, data)
 
     @staticmethod
-    def _check(spec, data):
-        partial = data.draw(_partial_strategy(spec))
-        keys = data.draw(_keys_strategy(spec))
-        words = pack_key_words(keys, spec.width)
-        projected = project_words(words, partial)
+    def _unpack(projected):
         got = []
         for col in range(projected.shape[1]):
             value = 0
             for w in range(projected.shape[0] - 1, -1, -1):
                 value = (value << 64) | int(projected[w, col])
             got.append(value)
-        assert got == [partial.map(k) for k in keys]
+        return got
+
+    @classmethod
+    def _check(cls, spec, data):
+        partial = data.draw(_partial_strategy(spec))
+        keys = data.draw(_keys_strategy(spec))
+        words = pack_key_words(keys, spec.width)
+        projected = project_words(words, partial)
+        assert cls._unpack(projected) == [partial.map(k) for k in keys]
 
     def test_zero_width_projection_collapses(self):
         partial = PartialKeySpec(FIVE_TUPLE, (("SrcIP", 0),))
@@ -169,6 +173,33 @@ class TestProjectionProperty:
         projected = project_words(words, partial)
         assert projected.shape == (1, 10)
         assert not projected.any()
+
+    @pytest.mark.parametrize(
+        "spec,parts",
+        [
+            (FIVE_TUPLE, (("SrcIP", 16),)),
+            (FIVE_TUPLE, (("DstIP", 24),)),
+            (FIVE_TUPLE, ("Proto",)),
+            (FIVE_TUPLE, (("SrcIP", 0), ("DstPort", 12))),
+            (IPV6_FIVE_TUPLE, ("SrcIPv6",)),
+            (IPV6_FIVE_TUPLE, (("DstIPv6", 72),)),
+        ],
+        ids=["src16", "dst24", "proto", "zero-width-then-port", "v6-src", "v6-dst72"],
+    )
+    def test_one_part_projection_is_the_extracted_segment(self, spec, parts):
+        # A one-part plan returns extract_bits' array without an OR
+        # into a second zeroed output; the bits must not change.
+        partial = spec.partial(*parts)
+        plan = ProjectionPlan.compile(partial)
+        assert len(plan.ops) == 1
+        rng = np.random.default_rng(3)
+        keys = [int(k) for k in rng.integers(0, 1 << 62, 300)]
+        keys = [(k << (spec.width - 62)) | k for k in keys] + [0, (1 << spec.width) - 1]
+        words = pack_key_words(keys, spec.width)
+        projected = plan.apply(words)
+        assert projected.shape == (plan.out_words, len(keys))
+        assert not np.shares_memory(projected, words)
+        assert self._unpack(projected) == [partial.map(k) for k in keys]
 
     def test_plan_is_reusable(self):
         partial = FIVE_TUPLE.partial(("SrcIP", 24), "DstPort")

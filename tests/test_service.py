@@ -546,7 +546,7 @@ class TestHttpSoak:
 
         def client(idx):
             rng = random.Random(100 + idx)
-            last_live = {"slim": (-1, -1), "fat": (-1, -1)}
+            last_live = (-1, -1)
             served = 0
             try:
                 while feeding.is_set() or served < 10:
@@ -558,6 +558,7 @@ class TestHttpSoak:
                             _sql_url(base, SOAK_SQL, view="slim")
                         )
                     elif choice < 0.4:
+                        # Still accepted; the replica answers it.
                         status, payload = _get(
                             _sql_url(base, SOAK_SQL, view="fat")
                         )
@@ -589,12 +590,12 @@ class TestHttpSoak:
                     desc = payload["epoch"]
                     if desc["kind"] == "live":
                         version = (desc["epoch"], desc["packets"])
-                        view = desc["view"]
-                        assert view in ("slim", "fat"), desc
-                        # No torn reads: per view, live versions move
+                        # One live path, whatever view was asked for.
+                        assert desc["view"] == "slim", desc
+                        # No torn reads: live versions move
                         # monotonically for a single reader.
-                        assert version >= last_live[view], (version, desc)
-                        last_live[view] = version
+                        assert version >= last_live, (version, desc)
+                        last_live = version
                         assert desc["staleness"]["packets_behind"] >= 0
                     elif desc["kind"] == "frozen":
                         # Frozen epochs are immutable and exactly sized.
@@ -787,47 +788,8 @@ class TestDaemonLifecycle:
         assert planner_c is not planner_a
         daemon.close()
 
-    def test_stale_fat_build_never_clobbers_fresher_cache(self):
-        """Regression: a fat live build finishing after a rotation (or
-        after a newer build) must not overwrite the cache — otherwise
-        ``live_refresh_packets`` serves a pre-rotation planner tagged
-        with a post-rotation epoch id.
-        """
-        from repro.query import QueryPlanner
-
-        daemon = MeasurementDaemon(
-            make_config(live_refresh_packets=1_000_000)
-        )
-        trace = make_trace(2 * CHUNK)
-        for hi, lo, sizes in trace.batches(CHUNK):
-            daemon.ingest(hi, lo, sizes)
-        version_a, planner_a = daemon.live_planner(view="fat")
-        assert version_a == (0, 2 * CHUNK)
-
-        # A slow concurrent build from an older flushed point lands late:
-        stale = QueryPlanner(
-            daemon.config.spec.build(), FIVE_TUPLE, version=(0, 0)
-        )
-        daemon._publish_live_view((0, 0), stale)
-        version_b, planner_b = daemon.live_planner(view="fat")
-        assert version_b == version_a and planner_b is planner_a
-
-        snap = daemon.rotate()
-        version_c, planner_c = daemon.live_planner(view="fat")
-        assert version_c == (snap.epoch + 1, 0)
-        assert planner_c is not planner_a
-
-        # A pre-rotation build arriving after the rotation: the cache
-        # must stay on the post-rotation epoch, version/epoch agreeing.
-        daemon._publish_live_view(version_a, planner_a)
-        version_d, planner_d = daemon.live_planner(view="fat")
-        assert version_d == version_c and planner_d is planner_c
-        daemon.close()
-
     def test_live_view_selection_and_errors(self):
         daemon = MeasurementDaemon(make_config())
-        with pytest.raises(ValueError):
-            daemon.live_planner(view="bogus")
         trace = make_trace(CHUNK)
         for hi, lo, sizes in trace.batches(CHUNK):
             daemon.ingest(hi, lo, sizes)
@@ -842,6 +804,33 @@ class TestDaemonLifecycle:
             assert status == 200
             assert payload["epoch"]["view"] == "slim"  # the default
         daemon.close()
+
+    def test_fat_view_is_answered_by_the_replica(self):
+        # Quiescent daemon: nothing ingests between the reads, so every
+        # live read serves the same version and the same rows.
+        daemon = MeasurementDaemon(make_config(shards=2))
+        for hi, lo, sizes in make_trace(3 * CHUNK + 100).batches(1_000):
+            daemon.ingest(hi, lo, sizes)
+        with ServiceServer(daemon) as server:
+            answers = [
+                _get(_sql_url(server.url, SOAK_SQL, **view))
+                for view in ({}, {"view": "fat"}, {"view": "slim"})
+            ]
+            topks = [
+                _get(f"{server.url}/topk?key=SrcIP/16&k=5{suffix}")
+                for suffix in ("", "&view=fat")
+            ]
+        daemon.close()
+        for status, _ in answers + topks:
+            assert status == 200
+        default, fat, slim = (payload for _, payload in answers)
+        assert fat["epoch"] == default["epoch"] == slim["epoch"]
+        assert fat["epoch"]["view"] == "slim"
+        assert (fat["epoch"]["epoch"], fat["epoch"]["packets"]) == (0, 3 * CHUNK)
+        assert fat["rows"] and fat["rows"] == default["rows"] == slim["rows"]
+        (_, top_default), (_, top_fat) = topks
+        assert top_fat["epoch"] == top_default["epoch"]
+        assert top_fat["rows"] and top_fat["rows"] == top_default["rows"]
 
     def test_ingest_error_surfaces_through_offer(self):
         daemon = MeasurementDaemon(make_config())
@@ -964,10 +953,9 @@ class TestFrozenEpochs:
         gc.disable()  # only reference counting may free the engines
         try:
             _ingest(daemon, trace, block=1_000)
-            # Both live views touch the engines: the slim bootstrap
-            # attaches delta sinks, the fat view copies them.
-            daemon.live_planner(view="slim")
-            daemon.live_planner(view="fat")
+            # A live read touches the engines: the replica's bootstrap
+            # copies their arrays and attaches delta sinks.
+            daemon.live_planner()
             refs = [weakref.ref(s) for s in daemon._builder.live_sketches()]
             assert len(refs) == shards
             snap = daemon.rotate()

@@ -107,36 +107,56 @@ class _Recorder:
 
 
 class TestDeltaEmission:
+    # (d, l): the original case, the wide serving geometry, a d=2
+    # narrow one and the governor's d=8 start.
+    GEOMETRIES = [(3, 256), (2, 65_536), (2, 188), (8, 188)]
+
     @pytest.mark.parametrize("variant", ["basic", "hardware"])
     def test_bucket_deltas_replay_to_fat_state(self, variant):
-        spec = SketchSpec(engine="numpy", variant=variant, d=3, l=256, seed=5)
-        fat = spec.build()
-        mirror = spec.build()  # zeroed — the initial fat state
-        recorder = _Recorder()
-        fat.attach_delta_sink(recorder)
         hi, lo, sizes = columns(make_trace(7_000, 1_500, seed=11))
-        for start in range(0, 7_000, 1_700):  # uneven blocks on purpose
-            stop = min(start + 1_700, 7_000)
-            fat.update_batch((hi[start:stop], lo[start:stop]), sizes[start:stop])
-        assert fat.detach_delta_sink() is recorder
-        assert fat._delta_sink is None
+        for d, l in self.GEOMETRIES:
+            spec = SketchSpec(engine="numpy", variant=variant, d=d, l=l, seed=5)
+            fat = spec.build()
+            mirror = spec.build()  # zeroed — the initial fat state
+            recorder = _Recorder()
+            fat.attach_delta_sink(recorder)
+            # The emitted idx must equal np.unique over the chunk's
+            # candidate buckets (the sorted-unique reference).
+            expected = []
+            emit = fat._emit_chunk_delta
 
-        total = 0
-        for packets, idx, dhi, dlo, docc, dvals in recorder.buckets:
-            total += packets
-            # Sorted-unique flat indices, bounded by the candidate count.
-            assert np.array_equal(idx, np.unique(idx))
-            assert len(idx) <= spec.d * fat.pipeline_chunk
-            assert idx.min() >= 0 and idx.max() < spec.d * spec.l
-            mirror._key_hi_flat[idx] = dhi
-            mirror._key_lo_flat[idx] = dlo
-            mirror._occupied_flat[idx] = docc
-            mirror._vals_flat[idx] = dvals
-        assert total == 7_000
-        assert np.array_equal(mirror._key_hi, fat._key_hi)
-        assert np.array_equal(mirror._key_lo, fat._key_lo)
-        assert np.array_equal(mirror._occupied, fat._occupied)
-        assert np.array_equal(mirror._vals, fat._vals)
+            def capture(J, n, emit=emit, fat=fat, expected=expected):
+                expected.append(np.unique(J[:, :n] + fat._row_offsets))
+                emit(J, n)
+
+            fat._emit_chunk_delta = capture
+            for start in range(0, 7_000, 1_700):  # uneven blocks on purpose
+                stop = min(start + 1_700, 7_000)
+                fat.update_batch(
+                    (hi[start:stop], lo[start:stop]), sizes[start:stop]
+                )
+            assert fat.detach_delta_sink() is recorder
+            assert fat._delta_sink is None
+
+            geometry = f"d={d} l={l}"
+            assert len(expected) == len(recorder.buckets), geometry
+            total = 0
+            for ref, (packets, idx, dhi, dlo, docc, dvals) in zip(
+                expected, recorder.buckets
+            ):
+                total += packets
+                assert idx.dtype == ref.dtype and np.array_equal(idx, ref), geometry
+                assert len(idx) <= spec.d * fat.pipeline_chunk
+                assert idx.min() >= 0 and idx.max() < spec.d * spec.l
+                mirror._key_hi_flat[idx] = dhi
+                mirror._key_lo_flat[idx] = dlo
+                mirror._occupied_flat[idx] = docc
+                mirror._vals_flat[idx] = dvals
+            assert total == 7_000
+            assert np.array_equal(mirror._key_hi, fat._key_hi), geometry
+            assert np.array_equal(mirror._key_lo, fat._key_lo), geometry
+            assert np.array_equal(mirror._occupied, fat._occupied), geometry
+            assert np.array_equal(mirror._vals, fat._vals), geometry
 
     def test_scalar_table_deltas_match_flow_table(self):
         spec = SketchSpec(engine="scalar", d=2, l=256, seed=5)
@@ -178,7 +198,7 @@ class TestSlimDifferential:
         for start in range(0, len(trace), 1_333):  # deliberately unaligned
             stop = min(start + 1_333, len(trace))
             daemon.ingest(hi[start:stop], lo[start:stop], sizes[start:stop])
-            version, planner = daemon.live_planner(view="slim")
+            version, planner = daemon.live_planner()
             assert planner.version == version
             fat = daemon._builder.live_sketches()
             ref = shard_table_columns(fat, FIVE_TUPLE)
@@ -197,26 +217,9 @@ class TestSlimDifferential:
         trace = make_trace(3 * CHUNK + 300)
         hi, lo, sizes = columns(trace)
         daemon.ingest(hi, lo, sizes)
-        (epoch, drained), planner = daemon.live_planner(view="slim")
+        (epoch, drained), planner = daemon.live_planner()
         assert (epoch, drained) == (0, 3 * CHUNK)  # 300-packet tail buffered
         assert planner.table(SRC).total == float(sizes[: 3 * CHUNK].sum())
-        daemon.close()
-
-    def test_slim_and_fat_views_agree_at_equal_versions(self):
-        # Single shard: the fat path has no merge fold to apply, so the
-        # two views must answer identically.  (With shards > 1 the fat
-        # path funnels shards through the randomized merge fold — a
-        # *different* unbiased estimator than the replica's
-        # sum-of-shards — so per-flow equality is only a 1-shard law.)
-        daemon = MeasurementDaemon(make_config(shards=1))
-        trace = make_trace(4 * CHUNK)
-        hi, lo, sizes = columns(trace)
-        daemon.ingest(hi, lo, sizes)
-        slim_version, slim = daemon.live_planner(view="slim")
-        fat_version, fat = daemon.live_planner(view="fat")
-        assert slim_version == fat_version
-        for partial in (SRC, MIXED):
-            assert slim.sizes(partial) == fat.sizes(partial)
         daemon.close()
 
 
@@ -230,7 +233,7 @@ class TestStalenessAndVersions:
         trace = make_trace(2 * CHUNK + 500)
         hi, lo, sizes = columns(trace)
         daemon.ingest(hi, lo, sizes)
-        version, _ = daemon.live_planner(view="slim")
+        version, _ = daemon.live_planner()
         assert version == (0, 2 * CHUNK)
         # The 500 buffered packets are invisible to the view but MUST be
         # counted: staleness is an upper bound, never an undercount.
@@ -244,9 +247,9 @@ class TestStalenessAndVersions:
         trace = make_trace(4 * CHUNK)
         hi, lo, sizes = columns(trace)
         daemon.ingest(hi[:CHUNK], lo[:CHUNK], sizes[:CHUNK])
-        version_a, _ = daemon.live_planner(view="slim")
+        version_a, _ = daemon.live_planner()
         daemon.ingest(hi[CHUNK:], lo[CHUNK:], sizes[CHUNK:])
-        version_b, _ = daemon.live_planner(view="slim")
+        version_b, _ = daemon.live_planner()
         assert version_b == version_a  # refresh budget: served stale
         assert daemon.packets_behind(*version_b) == 3 * CHUNK
         daemon.close()
@@ -262,10 +265,10 @@ class TestStalenessAndVersions:
                 lo[start:start + CHUNK],
                 sizes[start:start + CHUNK],
             )
-            seen.append(daemon.live_planner(view="slim")[0])
+            seen.append(daemon.live_planner()[0])
             if start == 2 * CHUNK:
                 daemon.rotate()
-                seen.append(daemon.live_planner(view="slim")[0])
+                seen.append(daemon.live_planner()[0])
         assert seen == sorted(seen)
         assert seen[0][0] == 0 and seen[-1][0] == 1  # crossed the rotation
         replica = daemon._replica
@@ -301,7 +304,7 @@ class TestBoundedPending:
         trace = make_trace(12_000, 1_200)
         hi, lo, sizes = columns(trace)
         daemon.ingest(hi[:512], lo[:512], sizes[:512])
-        daemon.live_planner(view="slim")  # bootstrap + attach sinks
+        daemon.live_planner()  # bootstrap + attach sinks
         replica = daemon._replica
         bound = 8 * 2 * 128  # 8·d·l
         assert replica.max_pending_rows == bound
@@ -316,7 +319,7 @@ class TestBoundedPending:
         assert snap["counters"]["slim.sync.compactions"] > 0
         assert replica.drained > 512
         # And the replica still answers exactly.
-        _, planner = daemon.live_planner(view="slim")
+        _, planner = daemon.live_planner()
         ref = shard_table_columns(daemon._builder.live_sketches(), FIVE_TUPLE)
         assert_tables_equal(planner.table(FULL), ref)
         daemon.close()
@@ -371,7 +374,7 @@ class TestInterleavings:
                 elif op == "rotate":
                     daemon.rotate()  # no-op when the epoch is empty
                 else:
-                    version, planner = daemon.live_planner(view="slim")
+                    version, planner = daemon.live_planner()
                     assert version >= last_version, (version, last_version)
                     last_version = version
                     builder = daemon._builder
@@ -405,7 +408,7 @@ class TestSlimUnbiasedness:
             daemon = MeasurementDaemon(make_config(seed=seed, l=256, shards=2))
             hi, lo, sizes = columns(trace)
             daemon.ingest(hi, lo, sizes)  # 6 exact chunks: all flushed
-            _, planner = daemon.live_planner(view="slim")
+            _, planner = daemon.live_planner()
             daemon.close()
             return planner
 
@@ -444,7 +447,7 @@ class TestSlimUnbiasedness:
             )
             hi, lo, sizes = columns(trace)
             daemon.ingest(hi, lo, sizes)
-            _, live = daemon.live_planner(view="slim")
+            _, live = daemon.live_planner()
             merged = daemon.range_planner(0, 1)
             daemon.close()
             return _SumPlanner([live, merged])
@@ -469,10 +472,10 @@ class TestSlimMetrics:
         trace = make_trace(4 * CHUNK)
         hi, lo, sizes = columns(trace)
         daemon.ingest(hi[: 2 * CHUNK], lo[: 2 * CHUNK], sizes[: 2 * CHUNK])
-        daemon.live_planner(view="slim")
-        daemon.live_planner(view="slim")  # cache hit
+        daemon.live_planner()
+        daemon.live_planner()  # cache hit
         daemon.ingest(hi[2 * CHUNK:], lo[2 * CHUNK:], sizes[2 * CHUNK:])
-        daemon.live_planner(view="slim")  # drains the two new chunks
+        daemon.live_planner()  # drains the two new chunks
         snap = daemon.metrics_snapshot()
         validate_snapshot(snap)
         counters = snap["counters"]
@@ -527,7 +530,7 @@ class TestSlimConcurrencySoak:
             served = 0
             try:
                 while feeding.is_set() or served < 10:
-                    version, planner = daemon.live_planner(view="slim")
+                    version, planner = daemon.live_planner()
                     # Torn-read guard: versions only move forward.
                     assert version >= last, (version, last)
                     last = version
