@@ -366,7 +366,7 @@ def run_query(
         if not query.predicates and query.aggregate == "sum":
             # Memoized path: aggregation skipped entirely on cache hits.
             return _finish(planner.table(partial), query)
-        columns = planner.base.group()
+        columns = planner.grouped_base()
     else:
         columns = table.columns().group()
     if query.predicates:

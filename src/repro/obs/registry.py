@@ -27,6 +27,7 @@ builds its own and ships a snapshot home (see :mod:`repro.parallel`).
 
 from __future__ import annotations
 
+import math
 import time
 from bisect import bisect_left
 from contextlib import contextmanager
@@ -41,10 +42,24 @@ SCHEMA = "repro.obs.metrics/v1"
 #: bucket is the +inf overflow.
 DEFAULT_EDGES: Tuple[float, ...] = tuple(float(2 ** e) for e in range(0, 17))
 
-#: Default edges for span-adjacent duration histograms (seconds).
-TIME_EDGES: Tuple[float, ...] = (
-    1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0, 100.0
-)
+def log_linear_edges(lo: float, hi: float, sub: int) -> Tuple[float, ...]:
+    """HDR-style edges: *sub* equal steps inside every power of two.
+
+    Covers ``[lo, hi]`` (both ends are edges), so a value's bucket is
+    at most ``1/sub`` of its power of two wide: a quantile read from
+    the buckets is within one sub-bucket of the exact one.
+    """
+    inner = {
+        2.0 ** e * (1 + k / sub)
+        for e in range(math.floor(math.log2(lo)), math.ceil(math.log2(hi)) + 1)
+        for k in range(sub)
+    }
+    return tuple(sorted({lo, hi} | {v for v in inner if lo < v < hi}))
+
+
+#: Default edges for span-adjacent duration histograms (seconds):
+#: 1e-5 s .. 100 s, 4 sub-buckets per power of two.
+TIME_EDGES: Tuple[float, ...] = log_linear_edges(1e-5, 100.0, 4)
 
 
 class Counter:

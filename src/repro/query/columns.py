@@ -115,20 +115,25 @@ class ColumnTable:
         return cls(spec, columns_to_words(hi, lo, max(1, spec.width)), values)
 
     @classmethod
-    def from_sketch(cls, sketch, spec: FullKeySpec) -> "ColumnTable":
+    def from_sketch(
+        cls, sketch, spec: FullKeySpec, group: bool = True
+    ) -> "ColumnTable":
         """Step 3 extraction: the sketch's recorded table as columns.
 
         Engine sketches export their flat state arrays directly via
         ``export_columns()``; anything else packs its ``flow_table()``
-        dict once.  Either way the result is grouped (unique keys) and
-        equals the dict table exactly.
+        dict once.  By default the result is grouped (unique keys) and
+        equals the dict table exactly; ``group=False`` keeps an engine
+        export's raw bucket rows (duplicates included), whose group-by
+        is that same table.
         """
         export = getattr(sketch, "export_columns", None)
         if export is not None:
             exported = export()
             if exported is not None:
                 hi, lo, values = exported
-                return cls.from_key_columns(hi, lo, values, spec).group()
+                table = cls.from_key_columns(hi, lo, values, spec)
+                return table.group() if group else table
         return cls.from_dict(sketch.flow_table(), spec)
 
     # -- core relational operations ------------------------------------

@@ -23,6 +23,7 @@ wrapper costing one dict lookup.
 
 from __future__ import annotations
 
+import threading
 from typing import Dict, Optional
 
 from repro.flowkeys.key import FullKeySpec, PartialKeySpec
@@ -37,16 +38,18 @@ class QueryPlanner:
         source: A :class:`~repro.sketches.base.Sketch` (extracted on
             first use) or a ready :class:`ColumnTable` over *spec*.
         spec: The full key the source records.
-        group_base: With the default True a ColumnTable source is
-            grouped up front (unique full keys).  The slim read plane
-            passes False to keep the base raw: the full-key group-by —
-            the most expensive sort, since its multi-word keys are
-            rank-folded before the one packed sort — is deferred until
-            a query actually needs full-key rows, while partial-key
-            aggregates project straight off the raw rows.  Answers are
-            identical either way: float64 sums of sketch estimates are
-            exact in any order, so grouping before or after projection
-            commutes.
+        group_base: With the default True the base is grouped up front
+            (unique full keys).  False keeps it raw — a sketch's bucket
+            rows as exported, a ColumnTable as given: the full-key
+            group-by — the most expensive sort, since its multi-word
+            keys are rank-folded before the one packed sort — is
+            deferred until a query actually needs full-key rows
+            (:meth:`grouped_base`), while partial-key aggregates
+            project straight off the raw rows.  The slim read plane
+            and the daemon's one-epoch planners pass False.  Answers
+            are identical either way: float64 sums of sketch estimates
+            are exact in any order, so grouping before or after
+            projection commutes.
         version: Optional opaque provenance tag (the service stores its
             ``(epoch, packets)`` tuple here so answers can carry it).
     """
@@ -62,6 +65,8 @@ class QueryPlanner:
         self.version = version
         self._sketch = None
         self._frozen = False
+        self._group_base = group_base
+        self._group_lock = threading.Lock()
         self._base: Optional[ColumnTable] = None
         if isinstance(source, ColumnTable):
             self._base = source.group() if group_base else source
@@ -81,13 +86,33 @@ class QueryPlanner:
 
     @property
     def base(self) -> ColumnTable:
-        """The full-key table, extracted from the sketch exactly once."""
+        """The full-key table, extracted from the sketch exactly once
+        (raw bucket rows when the planner was built with
+        ``group_base=False``)."""
         if self._base is None:
             obs = get_registry()
             with obs.span("query.extract"):
-                self._base = ColumnTable.from_sketch(self._sketch, self.spec)
+                self._base = ColumnTable.from_sketch(
+                    self._sketch, self.spec, group=self._group_base
+                )
             obs.inc("query.extractions")
         return self._base
+
+    def grouped_base(self) -> ColumnTable:
+        """The base with unique full keys: a raw base is grouped once.
+
+        The grouped table replaces the raw one as the base, so the
+        sort runs at most once per planner (concurrent readers of a
+        cached planner included) and memory holds one full-key table.
+        Full-key rows, WHERE filters and COUNT(*) read this.
+        """
+        base = self.base
+        if base.grouped:
+            return base
+        with self._group_lock:
+            if not self._base.grouped:
+                self._base = self._base.group()
+            return self._base
 
     def freeze(self) -> "QueryPlanner":
         """Extract now, release the sketch, then memoize one key at a time.
@@ -116,7 +141,7 @@ class QueryPlanner:
             if partial.is_full():
                 # A raw (group_base=False) base pays its full-key
                 # group-by here, once, and only if someone asks.
-                table = base.group()
+                table = self.grouped_base()
             else:
                 table = base.aggregate(partial)
         if obs.enabled:

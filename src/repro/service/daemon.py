@@ -32,6 +32,14 @@ chunk loop's replace step.  A read sums the shard mirrors (Lemma 3) after
 a bounded delta drain under the replica's own lock, so it never copies
 the shards or waits on the ingest lock in steady state.  Emission is
 read-only, so ingestion's RNG streams are never advanced by a read.
+
+Nothing else a request does takes the ingest lock either.  The ingest
+thread publishes an immutable :class:`ReadState` record by one
+reference assignment (block start, each rotation, block end,
+``rotate``/``close``), and staleness and status read that record;
+request counters live in a reader-side registry and the planner cache
+has its own lock.  So the replica's once-per-epoch bootstrap is the
+only request-path wait on an in-flight block.
 """
 
 from __future__ import annotations
@@ -42,7 +50,7 @@ import random
 import threading
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -84,6 +92,27 @@ QUEUE_BLOCKS = 8
 
 class ServiceError(RuntimeError):
     """Daemon misuse or unavailable state (closed daemon, no live view)."""
+
+
+class ReadState(NamedTuple):
+    """What readers see of the ingest side, published whole.
+
+    ``seq`` counts packets whose :meth:`MeasurementDaemon.ingest` has
+    returned; ``bound`` adds the block in flight, so it never
+    undercounts what the daemon has accepted.  The live-epoch fields
+    (``epoch``, ``start_seq``, ``packets``, ``flushed``) and the
+    geometry ``(d, l)`` are the builder's at publication time.
+    """
+
+    epoch: int
+    start_seq: int
+    seq: int
+    bound: int
+    packets: int
+    flushed: int
+    d: int
+    l: int
+    closed: bool
 
 
 def _sketch_occupancy(sketch) -> float:
@@ -302,7 +331,13 @@ class MeasurementDaemon:
         self.store = EpochStore(config.history, seed=config.spec.seed)
         self.registry = MetricsRegistry()
         self._lock = threading.RLock()
-        self._seq = 0
+        # Per-request instruments (queries, planner cache, HTTP
+        # outcomes): readers record here, never in the ingest registry.
+        self._reads = MetricsRegistry()
+        self._reads_lock = threading.Lock()
+        self._seq = 0  # packets fed so far, the block in flight included
+        self._returned = 0  # packets whose ingest() has returned
+        self._bound = 0  # _seq's value once the block in flight returns
         # Mutable control state: the *current* geometry.  Epoch 0 always
         # starts from the config exactly, so an ungoverned daemon
         # replays the historical streams bit for bit.
@@ -333,10 +368,12 @@ class MeasurementDaemon:
         self._builder = self._open_builder_locked(epoch=0, start_seq=0)
         self.registry.set_gauge("control.geometry.l", float(self._spec.l))
         self._closed = False
+        self._publish_locked()
         self._queue: Optional[queue.Queue] = None
         self._thread: Optional[threading.Thread] = None
         self._ingest_error: Optional[BaseException] = None
         self._planners: Dict[Tuple[int, int], QueryPlanner] = {}
+        self._planners_lock = threading.Lock()
         # The live read replica costs nothing until the first live
         # read bootstraps it.
         self._replica = SlimReplica(config.spec, config.key_spec, config.shards)
@@ -356,6 +393,11 @@ class MeasurementDaemon:
             if self._closed:
                 raise ServiceError("daemon is closed")
             n = len(sizes)
+            # Readers see the block in flight as soon as it is accepted
+            # (packets_behind never undercounts) and its packets in
+            # total_packets only once it has returned.
+            self._bound = self._seq + n
+            self._publish_locked()
             if (
                 cfg.epoch_seconds is not None
                 and self._builder.packets
@@ -389,6 +431,8 @@ class MeasurementDaemon:
             self.registry.set_gauge(
                 "service.epoch.packets", self._builder.packets
             )
+            self._returned = self._seq
+            self._publish_locked()
 
     def rotate(self) -> Optional[EpochSnapshot]:
         """Force a rotation now; no-op (returns None) on an empty epoch.
@@ -412,9 +456,29 @@ class MeasurementDaemon:
                     # read to re-bootstrap instead of serving mirrors
                     # whose geometry no longer matches the fat state.
                     self._replica.invalidate()
+                    self._publish_locked()
                 self._pending_l = None
                 return None
             return self._rotate_locked()
+
+    def _publish_locked(self) -> None:
+        """Publish the readers' :class:`ReadState` (caller holds the lock).
+
+        One reference assignment, so a reader sees one whole record,
+        never fields of two.
+        """
+        builder = self._builder
+        self._state = ReadState(
+            epoch=builder.epoch,
+            start_seq=builder.start_seq,
+            seq=self._returned,
+            bound=self._bound,
+            packets=builder.packets,
+            flushed=builder.flushed,
+            d=self._spec.d,
+            l=self._spec.l,
+            closed=self._closed,
+        )
 
     def _open_builder_locked(self, epoch: int, start_seq: int) -> EpochBuilder:
         """A builder at the current geometry.
@@ -472,6 +536,7 @@ class MeasurementDaemon:
         self._builder = self._open_builder_locked(
             epoch=snap.epoch + 1, start_seq=self._seq
         )
+        self._publish_locked()
         if self._tenants is not None:
             self._tenants.on_parent_rotate()
         self.registry.observe(
@@ -499,6 +564,7 @@ class MeasurementDaemon:
             self._closed = True
             if self._builder.packets:
                 self._store_locked(self._builder.close())
+            self._publish_locked()
         if self._tenants is not None:
             self._tenants.close()
         if feeder_error is not None:
@@ -506,17 +572,20 @@ class MeasurementDaemon:
 
     @property
     def closed(self) -> bool:
-        with self._lock:
-            return self._closed
+        return self._state.closed
 
     # ------------------------------------------------------------------
     # control plane
 
     @property
     def spec(self) -> SketchSpec:
-        """The *current* per-shard spec (geometry may have been resized)."""
-        with self._lock:
-            return self._spec
+        """The *current* per-shard spec (geometry may have been resized).
+
+        One immutable reference, replaced whole at a rotation, so it is
+        read without the ingest lock (a tenant's ``/epochs`` row reads
+        it while that tenant ingests).
+        """
+        return self._spec
 
     def set_geometry(self, new_l: int) -> None:
         """Stage a bucket-count change, applied at the next rotation.
@@ -644,21 +713,24 @@ class MeasurementDaemon:
 
         For a view versioned ``(epoch, packets)``, counts every packet
         the daemon has accepted past the view's covered prefix —
-        including arrivals still buffered below one chunk, so the
-        reported lag is an upper bound on what the view is missing.  An
-        evicted epoch (no start sequence on record) degrades to the
-        maximal overcount, the full sequence length.
+        including arrivals still buffered below one chunk and the
+        whole block ``ingest()`` is working on, so the reported lag is
+        an upper bound on what the view is missing.  An evicted epoch
+        (no start sequence on record) degrades to the maximal
+        overcount, the full sequence length.
+
+        Reads the published :class:`ReadState` and the store, never the
+        ingest lock, so it answers while a block is in flight.
         """
-        with self._lock:
-            seq = self._seq
-            if epoch == self._builder.epoch:
-                start = self._builder.start_seq
-            else:
-                try:
-                    start = self.store.get(epoch).start_seq
-                except KeyError:
-                    return int(seq)
-        return max(int(seq) - (int(start) + int(packets)), 0)
+        state = self._state
+        if epoch == state.epoch:
+            start = state.start_seq
+        else:
+            try:
+                start = self.store.get(epoch).start_seq
+            except KeyError:
+                return int(state.bound)
+        return max(int(state.bound) - (int(start) + int(packets)), 0)
 
     def epoch_planner(self, epoch: int) -> QueryPlanner:
         """Planner over one frozen epoch: the one-epoch range."""
@@ -670,46 +742,73 @@ class MeasurementDaemon:
         Frozen epochs never change, so the planner — extracted table
         plus its last aggregate, the merged sketch released — is built
         once per range and dropped when the store evicts ``lo``.  A
-        build that loses a race with that eviction raises KeyError
-        rather than serve or cache an evicted epoch.
+        one-epoch range keeps the epoch's raw bucket rows: partial keys
+        aggregate straight off them, and the full-key sort runs only
+        for a query that needs unique full keys
+        (:meth:`QueryPlanner.grouped_base`).  A multi-epoch fold is
+        grouped up front, since its rows repeat keys across epochs.
+        A build that loses a race with an eviction raises KeyError
+        rather than serve or cache an evicted epoch.  The cache has
+        its own lock; the ingest lock is never taken.
         """
-        with self._lock:
+        with self._planners_lock:
             planner = self._planners.get((lo, hi))
-            outcome = "misses" if planner is None else "hits"
-            self.registry.inc(f"service.planner.cache.{outcome}")
+        outcome = "misses" if planner is None else "hits"
+        self._count(f"service.planner.cache.{outcome}")
         if planner is not None:
             return planner
         merged = self.store.merged_range(lo, hi)
-        planner = QueryPlanner(merged, self.config.key_spec).freeze()
-        with self._lock:
+        planner = QueryPlanner(
+            merged, self.config.key_spec, group_base=lo != hi
+        ).freeze()
+        with self._planners_lock:
+            # Eviction prunes under this lock after the store drops the
+            # epoch, so a build that passes this check is pruned later.
             self.store.get(lo)  # evicted while building: KeyError
             # Racing builds of one range are identical; keep the first.
             planner = self._planners.setdefault((lo, hi), planner)
-            self.registry.set_gauge("service.planner.cached", float(len(self._planners)))
         return planner
 
     def _store_locked(self, snap: EpochSnapshot) -> None:
         """Retain a closed epoch; prune planners over evicted epochs."""
         self.store.add(snap)
         oldest = self.store.ids()[0]
-        self._planners = {k: p for k, p in self._planners.items() if k[0] >= oldest}
-        self.registry.set_gauge("service.planner.cached", float(len(self._planners)))
+        with self._planners_lock:
+            self._planners = {
+                k: p for k, p in self._planners.items() if k[0] >= oldest
+            }
         self.registry.inc("service.epochs.rotated")
 
+    def _count(self, name: str) -> None:
+        with self._reads_lock:
+            self._reads.inc(name)
+
     def observe_query(self, elapsed_s: float) -> None:
-        """Record one served query's latency (drives the soak p95)."""
-        with self._lock:
-            self.registry.inc("service.queries")
-            self.registry.observe(
+        """Record one served query's latency (drives the soak p95).
+
+        Lands in the reader-side registry under its own lock, so a
+        request never waits for the ingest lock to record itself.
+        """
+        with self._reads_lock:
+            self._reads.inc("service.queries")
+            self._reads.observe(
                 "service.query.seconds", elapsed_s, TIME_EDGES
             )
+
+    def count_request(self, route: str, status: int) -> None:
+        """Count one HTTP response as ``service.http.requests.<route>.<status>``."""
+        self._count(f"service.http.requests.{route}.{status}")
 
     def metrics_snapshot(self) -> dict:
         """`repro.obs.metrics/v1` snapshot of the daemon's instruments.
 
-        Includes the slim replica's ``slim.*`` instruments: the replica
-        records into its own registry (readers never contend on the
-        ingest lock), and the two are folded here at snapshot time.
+        Folds, at snapshot time, the ingest registry (read under the
+        ingest lock), the reader-side registry (``service.queries``,
+        ``service.query.seconds``, ``service.planner.cache.*``,
+        ``service.http.requests.*``), the slim replica's ``slim.*``
+        instruments and any tenants' rows; ``service.planner.cached``
+        is counted here.  Readers record only into the reader-side
+        and replica registries, never into the ingest one.
         """
         meta = {
             "service": "repro.service",
@@ -719,33 +818,46 @@ class MeasurementDaemon:
         }
         with self._lock:
             snap = self.registry.snapshot(meta=meta)
-        extras = [self._replica.metrics_snapshot()]
+        with self._reads_lock:
+            extras = [self._reads.snapshot()]
+        extras.append(self._replica.metrics_snapshot())
         if self._tenants is not None:
             extras.append(self._tenants.metrics_snapshot())
         merged = MetricsRegistry()
         merged.merge_snapshot(snap)
         for extra in extras:
             merged.merge_snapshot(extra)
+        with self._planners_lock:
+            cached = len(self._planners)
+        merged.set_gauge("service.planner.cached", float(cached))
         return merged.snapshot(meta=meta)
 
     def status(self) -> dict:
-        """JSON-ready daemon status (what ``/epochs`` wraps)."""
-        with self._lock:
-            live = {
-                "epoch": self._builder.epoch,
-                "packets": self._builder.packets,
-                "flushed": self._builder.flushed,
-                "start_seq": self._builder.start_seq,
-            }
-            geometry = {"d": self._spec.d, "l": self._spec.l}
-            closed = self._closed
-            seq = self._seq
+        """JSON-ready daemon status (what ``/epochs`` wraps).
+
+        Every field but the epoch list comes from one published
+        :class:`ReadState`, without the ingest lock: ``total_packets``
+        counts blocks whose ``ingest()`` has returned (never the block
+        in flight), and ``live`` is the builder as of that record.
+        """
+        state = self._state
+        # A rotation stores the closed epoch just before it publishes
+        # the next live one: list only epochs this record has closed.
+        epochs = [
+            meta for meta in self.store.metas()
+            if state.closed or meta["epoch"] < state.epoch
+        ]
         status = {
-            "closed": closed,
-            "total_packets": seq,
-            "live": live,
-            "geometry": geometry,
-            "epochs": self.store.metas(),
+            "closed": state.closed,
+            "total_packets": state.seq,
+            "live": {
+                "epoch": state.epoch,
+                "packets": state.packets,
+                "flushed": state.flushed,
+                "start_seq": state.start_seq,
+            },
+            "geometry": {"d": state.d, "l": state.l},
+            "epochs": epochs,
         }
         if self._tenants is not None:
             status["tenants"] = self._tenants.status()

@@ -1,8 +1,12 @@
 """Thread-safe HTTP query API over a measurement daemon.
 
 Stdlib-only (``ThreadingHTTPServer``): every request runs in its own
-thread against the daemon's lock-consistent read path, so readers can
-hammer the API while the ingest thread rotates epochs underneath.
+thread, so readers can hammer the API while the ingest thread rotates
+epochs underneath.  No request waits on the ingest lock except a live
+read's once-per-epoch replica bootstrap and ``/metrics``' snapshot of
+the ingest registry: staleness and ``/epochs`` read the daemon's
+published read-state record, frozen and range planners sit in a cache
+with its own lock, and request counters go to a reader-side registry.
 
 Endpoints (all GET, JSON responses):
 
@@ -14,7 +18,8 @@ Endpoints (all GET, JSON responses):
 * ``/topk?key=SrcIP[/24][,DstIP...]&k=10&epoch=...`` — top-k flows on
   a partial key.
 * ``/metrics`` — the daemon's ``repro.obs.metrics/v1`` snapshot
-  (including the live replica's ``slim.*`` instruments).
+  (including the live replica's ``slim.*`` instruments and one
+  ``service.http.requests.<route>.<status>`` counter per outcome).
 
 Live queries have one read path: the incrementally synced replica,
 which sums the live shards (see docs/service.md).  The ``view=slim``
@@ -53,6 +58,9 @@ from urllib.parse import parse_qs, urlparse
 from repro.core.sql import SqlError, run_query
 from repro.flowkeys.key import PartialKeySpec
 from repro.service.daemon import MeasurementDaemon, ServiceError
+
+#: Paths counted under their own name; anything else counts as "other".
+ROUTES = ("epochs", "metrics", "query", "topk")
 
 
 def parse_partial(key_spec, text: str) -> PartialKeySpec:
@@ -102,6 +110,7 @@ class _Handler(BaseHTTPRequestHandler):
         pass  # keep test/CI output clean
 
     def _send_json(self, status: int, payload: dict) -> None:
+        self.server.daemon.count_request(self._route, status)
         body = json.dumps(payload).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
@@ -116,6 +125,8 @@ class _Handler(BaseHTTPRequestHandler):
 
     def do_GET(self) -> None:  # noqa: N802 - stdlib naming
         url = urlparse(self.path)
+        route = url.path.strip("/")
+        self._route = route if route in ROUTES else "other"
         params = {
             key: values[-1] for key, values in parse_qs(url.query).items()
         }

@@ -7,11 +7,13 @@ from repro import obs
 from repro.obs.registry import (
     DEFAULT_EDGES,
     NULL_REGISTRY,
+    TIME_EDGES,
     Histogram,
     MetricsRegistry,
     collecting,
     format_snapshot,
     get_registry,
+    histogram_quantile,
     set_registry,
 )
 from repro.obs.replay import (
@@ -45,6 +47,34 @@ class TestRegistry:
         assert h.counts == [2, 2, 2, 1]
         assert h.count == 7
         assert h.min == 0.5 and h.max == 100.0
+
+    def test_time_edges_are_log_linear(self):
+        assert TIME_EDGES[0] == 1e-5 and TIME_EDGES[-1] == 100.0
+        assert list(TIME_EDGES) == sorted(set(TIME_EDGES))
+        # No bucket is wider than a quarter of its power of two.
+        for below, edge in zip(TIME_EDGES, TIME_EDGES[1:]):
+            assert edge - below <= 2.0 ** np.floor(np.log2(below)) / 4 * (1 + 1e-12)
+
+    def test_latency_quantiles_are_distinct_and_within_one_sub_bucket(self):
+        rng = np.random.default_rng(5)
+        latencies = np.exp(rng.uniform(np.log(1e-3), np.log(50e-3), 2_000))
+        h = Histogram("service.query.seconds", TIME_EDGES)
+        for v in latencies:
+            h.observe(v)
+        payload = {  # the per-histogram dict a snapshot carries
+            "edges": list(h.edges), "counts": list(h.counts),
+            "count": h.count, "max": h.max,
+        }
+        ordered = np.sort(latencies)
+        estimates = []
+        for q in (0.50, 0.90, 0.99):
+            exact = ordered[int(np.ceil(q * len(ordered))) - 1]
+            estimate = histogram_quantile(payload, q)
+            # The estimate is the upper edge of the exact value's bucket.
+            i = TIME_EDGES.index(estimate)
+            assert TIME_EDGES[i - 1] < exact <= estimate, (q, exact, estimate)
+            estimates.append(estimate)
+        assert len(set(estimates)) == 3, estimates
 
     def test_histogram_rejects_unsorted_edges(self):
         with pytest.raises(ValueError, match="ascending"):

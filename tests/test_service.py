@@ -54,7 +54,7 @@ from repro.service import (
     ServiceServer,
     offline_epoch_run,
 )
-from repro.service.daemon import QUEUE_BLOCKS
+from repro.service.daemon import QUEUE_BLOCKS, EpochBuilder
 from repro.sketches.base import COUNTER_BYTES, DEFAULT_KEY_BYTES
 from repro.traffic.synthetic import zipf_trace
 
@@ -1151,3 +1151,285 @@ class TestPlannerCache:
         )
         assert counted == sum(calls)
         daemon.close()
+
+
+def _within(fn, seconds=2.0):
+    """Run *fn* on another thread; fail unless it returns in *seconds*."""
+    result, errors = [], []
+
+    def target():
+        try:
+            result.append(fn())
+        except Exception as exc:  # pragma: no cover - failure detail
+            errors.append(exc)
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(timeout=seconds)
+    assert not thread.is_alive(), f"{fn} waited on the ingest lock"
+    assert errors == []
+    return result[0]
+
+
+class TestReadsOffTheIngestLock:
+    """Request metadata and frozen reads never queue behind ``ingest()``."""
+
+    EPOCH_PACKETS = 2_000
+
+    def test_reads_answer_while_the_ingest_lock_is_held(self):
+        daemon = MeasurementDaemon(make_config(epoch_packets=self.EPOCH_PACKETS))
+        trace = make_trace(7_000)
+        _ingest(daemon, trace, block=1_000)
+        assert daemon.store.ids() == [0, 1, 2]
+        daemon.live_planner()  # the replica's once-per-epoch bootstrap
+        daemon.start()
+        topk_range = "/topk?key=SrcIP/16&k=5&epoch=0-1"
+        parked, release = threading.Event(), threading.Event()
+
+        def park():
+            with daemon._lock:  # an ingest() block that never ends
+                parked.set()
+                release.wait(timeout=60)
+
+        with ServiceServer(daemon) as server:
+            base = server.url
+            warm = _get(base + topk_range)[1]
+            parker = threading.Thread(target=park, daemon=True)
+            parker.start()
+            assert parked.wait(timeout=10)
+            try:
+                # The feeder takes the next block and parks inside ingest().
+                hi, lo, sizes = next(iter(make_trace(500, seed=8).batches(500)))
+                daemon.offer(hi, lo, sizes)
+                status, epochs = _within(lambda: _get(f"{base}/epochs", timeout=2))
+                assert status == 200 and epochs["total_packets"] == 7_000
+                assert [m["epoch"] for m in epochs["epochs"]] == [0, 1, 2]
+                behind = _within(lambda: daemon.packets_behind(0, 2_000))
+                assert behind >= 5_000
+                _within(lambda: daemon.observe_query(0.001))
+                cold = _within(lambda: _get(_sql_url(base, SOAK_SQL, epoch=2), timeout=2))
+                hot = _within(lambda: _get(_sql_url(base, SOAK_SQL, epoch=2), timeout=2))
+                assert cold == hot and cold[0] == 200 and cold[1]["rows"]
+                cached = _within(lambda: _get(base + topk_range, timeout=2))
+                assert cached[0] == 200 and cached[1]["rows"] == warm["rows"]
+            finally:
+                release.set()
+                parker.join(timeout=10)
+        daemon.close()
+        assert daemon.status()["total_packets"] == 7_500
+
+    def test_tenant_status_answers_while_a_tenant_ingests(self):
+        daemon = MeasurementDaemon(make_config(tenants=("a", "b")))
+        _ingest(daemon, make_trace(3_000), block=1_000)
+        tenant = daemon.tenant_daemon("a")
+        parked, release = threading.Event(), threading.Event()
+
+        def park():
+            with tenant._lock:  # the tenant's ingest() mid-block
+                parked.set()
+                release.wait(timeout=60)
+
+        parker = threading.Thread(target=park, daemon=True)
+        parker.start()
+        assert parked.wait(timeout=10)
+        try:
+            status = _within(daemon.status)
+            assert [row["tenant"] for row in status["tenants"]] == ["a", "b"]
+            assert status["total_packets"] == 3_000
+        finally:
+            release.set()
+            parker.join(timeout=10)
+        assert not parker.is_alive()
+        daemon.close()
+
+    def test_a_view_taken_mid_block_counts_the_whole_block(self, monkeypatch):
+        daemon = MeasurementDaemon(make_config())
+        blocks = list(make_trace(3_000).batches(1_000))
+        daemon.ingest(*blocks[0])
+        seen = []
+        feed = EpochBuilder.feed
+
+        def spying_feed(builder, hi, lo, sizes):
+            # Inside ingest(): the block is accepted but not returned.
+            seen.append(
+                (daemon.packets_behind(0, 0), daemon.status()["total_packets"])
+            )
+            feed(builder, hi, lo, sizes)
+
+        monkeypatch.setattr(EpochBuilder, "feed", spying_feed)
+        daemon.ingest(*[np.concatenate(cols) for cols in zip(*blocks[1:])])
+        assert seen == [(3_000, 1_000)]
+        assert (daemon.packets_behind(0, 0), daemon.status()["total_packets"]) == (3_000, 3_000)
+        daemon.close()
+
+    def test_concurrent_ingest_never_undercounts(self):
+        E = self.EPOCH_PACKETS
+        # 1536-packet blocks straddle the 2000-packet epoch boundary, so
+        # rotations land mid-block; a 512-packet chunk keeps flushing.
+        config = dataclasses.replace(make_config(epoch_packets=E), chunk=512)
+        daemon = MeasurementDaemon(config)
+        trace = make_trace(12_000)
+        loops = 4
+        feeding = threading.Event()
+        feeding.set()
+        errors, reads = [], [0, 0, 0]
+
+        def reader(idx):
+            last_seq = 0
+            try:
+                while feeding.is_set():
+                    status = daemon.status()
+                    s0 = status["total_packets"]
+                    live = status["live"]
+                    # One record: its fields agree with each other.
+                    assert s0 >= last_seq, (s0, last_seq)
+                    last_seq = s0
+                    assert live["start_seq"] == live["epoch"] * E, live
+                    assert live["flushed"] <= live["packets"] < E, live
+                    assert live["start_seq"] + live["packets"] >= s0, status
+                    assert all(m["epoch"] < live["epoch"] for m in status["epochs"])
+                    (e, p), _ = daemon.live_planner()
+                    behind = daemon.packets_behind(e, p)
+                    assert e * E + p + behind >= s0, (e, p, behind, s0)
+                    reads[idx] += 1
+            except Exception as exc:  # pragma: no cover - failure detail
+                errors.append(exc)
+                raise
+
+        pool = [threading.Thread(target=reader, args=(i,)) for i in range(3)]
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)
+        daemon.start()
+        for thread in pool:
+            thread.start()
+        try:
+            for _ in range(loops):
+                for hi, lo, sizes in trace.batches(1_536):
+                    daemon.offer(hi, lo, sizes)
+            daemon.stop_feeder()
+        finally:
+            feeding.clear()
+            for thread in pool:
+                thread.join(timeout=60)
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in pool)
+        assert errors == [] and min(reads) > 0, (errors, reads)
+        daemon.close()
+        assert daemon.status()["total_packets"] == loops * len(trace)
+
+
+class TestHttpOutcomeCounters:
+    def test_each_outcome_lands_in_its_own_counter(self):
+        daemon = MeasurementDaemon(make_config(epoch_packets=1_000))
+        _ingest(daemon, make_trace(2_000), block=500)
+        with ServiceServer(daemon) as server:
+            base = server.url
+            assert _get(f"{base}/topk?key=SrcIP&k=5&epoch=0")[0] == 200
+            for url, want in [
+                (f"{base}/topk?k=5", 400),
+                (_sql_url(base, SOAK_SQL, epoch=99), 404),
+                (f"{base}/nope", 404),
+            ]:
+                with pytest.raises(urllib.error.HTTPError) as err:
+                    _get(url)
+                assert err.value.code == want
+        counters = daemon.metrics_snapshot()["counters"]
+        daemon.close()
+        requests = {
+            name: value for name, value in counters.items()
+            if name.startswith("service.http.requests.")
+        }
+        assert requests == {
+            "service.http.requests.topk.200": 1,
+            "service.http.requests.topk.400": 1,
+            "service.http.requests.query.404": 1,
+            "service.http.requests.other.404": 1,
+        }
+
+
+#: The ledger's accuracy keys: every one a one-epoch read may ask.
+ARE_KEYS = (
+    FIVE_TUPLE.identity_partial(),
+    FIVE_TUPLE.partial("SrcIP", "DstIP"),
+    FIVE_TUPLE.partial("SrcIP"),
+    FIVE_TUPLE.partial(("SrcIP", 24)),
+    FIVE_TUPLE.partial(("DstIP", 16)),
+)
+
+RAW_SQL = [
+    f"SELECT {key}, {agg} FROM flows{where} GROUP BY {key}"
+    for key in ("SrcIP/16", "SrcIP, DstIP", "SrcIP, DstIP, SrcPort, DstPort, Proto")
+    for agg in ("SUM(size)", "COUNT(*)")
+    for where in ("", " WHERE Proto = 6", " WHERE SrcIP/8 >= 128 AND DstPort < 1024")
+]
+
+
+class TestOneEpochRawPlanners:
+    """A one-epoch planner keeps raw bucket rows and answers bit for bit
+    as the grouped planner does."""
+
+    @pytest.mark.parametrize(
+        "engine,shards,strategy",
+        [
+            ("numpy", 1, "hash"),
+            ("numpy", 2, "hash"),
+            # Round-robin shards share keys, so the folded epoch holds
+            # a key in more than one bucket: raw rows repeat keys.
+            ("numpy", 2, "round-robin"),
+            ("scalar", 1, "hash"),
+        ],
+    )
+    def test_raw_planner_matches_grouped(self, engine, shards, strategy, monkeypatch):
+        from repro.core.sql import run_query
+        from repro.query.columns import ColumnTable
+
+        daemon = MeasurementDaemon(
+            make_config(
+                engine=engine, shards=shards, strategy=strategy,
+                epoch_packets=2_000, l=256,
+            )
+        )
+        blocks = list(make_trace(8_000).batches(1_000))
+        for n, (hi, lo, sizes) in enumerate(blocks):
+            if n == 3:
+                daemon.set_geometry(512)  # epoch 2 on is twice as wide
+            daemon.ingest(hi, lo, sizes)
+        daemon.close()
+        widths = [meta["l"] for meta in daemon.store.metas()]
+        assert widths == [256, 256, 512, 512], widths
+
+        full_sorts = []
+        group = ColumnTable.group
+
+        def counting_group(table):
+            if not table.grouped and table.spec == FIVE_TUPLE:
+                full_sorts.append(table)
+            return group(table)
+
+        monkeypatch.setattr(ColumnTable, "group", counting_group)
+        repeats = 0
+        for epoch in daemon.store.ids():
+            grouped = QueryPlanner(daemon.store.get(epoch).sketch, FIVE_TUPLE)
+            raw = daemon.epoch_planner(epoch)
+            # Engines export raw bucket rows; scalar tables are dicts,
+            # packed and grouped at extraction.
+            assert raw.base.grouped == (engine == "scalar")
+            repeats += len(raw.base) - len(grouped.base)
+            full_sorts.clear()  # extraction sorts are not the planner's
+            # SQL first: COUNT(*) and WHERE must group the raw rows
+            # themselves, before any full-key table has done it.
+            for sql in RAW_SQL:
+                assert run_query(sql, planner=raw) == run_query(
+                    sql, planner=grouped
+                ), (epoch, sql)
+            for partial in ARE_KEYS:
+                want = grouped.table(partial)
+                got = raw.table(partial)
+                assert np.array_equal(got.words, want.words), (epoch, partial)
+                assert np.array_equal(got.values, want.values), (epoch, partial)
+                assert got.top_k(10) == want.top_k(10)
+            # The raw base was sorted once, for the first full-key query,
+            # and the grouped table took its place.
+            assert len(full_sorts) == (engine != "scalar"), (epoch, full_sorts)
+            assert raw.grouped_base() is raw.grouped_base() is raw.base
+        assert (repeats > 0) == (strategy == "round-robin"), repeats
