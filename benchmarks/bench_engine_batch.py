@@ -310,19 +310,21 @@ def run_obs_overhead(
     """Observability overhead gate: instrumented vs plain numpy engine.
 
     Best-of-*repeats* packet rate for each (variant, registry on/off)
-    combination, interleaved so background noise hits both sides alike.
+    combination, interleaved so background noise hits both sides alike:
+    the side that runs first alternates between repeats, so a warm-up
+    or a drift in the host's speed favours neither.
     The gate is ``instrumented / plain >= OBS_OVERHEAD_FLOOR``.
     """
     trace = zipf_trace(packets, flows, alpha=1.05, seed=seed)
     rows: List[List] = []
     ratios: Dict[str, float] = {}
     for variant in ("basic", "hardware"):
-        plain, instrumented = 0.0, 0.0
-        for _ in range(repeats):
-            plain = max(plain, _time_obs(trace, variant, None, False))
-            instrumented = max(
-                instrumented, _time_obs(trace, variant, None, True)
-            )
+        best = {False: 0.0, True: 0.0}
+        for repeat in range(repeats):
+            first = bool(repeat % 2)
+            for on in (first, not first):
+                best[on] = max(best[on], _time_obs(trace, variant, None, on))
+        plain, instrumented = best[False], best[True]
         ratio = instrumented / plain
         rows.append([variant, plain, instrumented, ratio])
         ratios[variant] = ratio
@@ -727,7 +729,7 @@ def run_adaptive_sweep(
     """Governed vs static daemon on a mid-run caida -> mawi shift.
 
     Both daemons see the identical packet sequence with identical epoch
-    boundaries; accuracy is evaluated on the merged post-shift epochs
+    boundaries; accuracy is evaluated on the summed post-shift epochs
     (the geometry the governor *landed* on) over three partial keys.
     """
     from repro.control import GovernorConfig

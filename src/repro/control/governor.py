@@ -4,10 +4,10 @@ CocoSketch's error at a fixed memory budget is governed by bucket
 pressure: a sketch whose buckets are nearly all occupied is evicting
 constantly (high variance per Theorem 1's replacement churn), while a
 mostly-empty sketch wastes memory that could shrink away or serve
-another tenant.  Because the sketch state is mergeable without bias
-(Theorem 1) it is also *re-hashable* without bias
-(:func:`repro.extensions.merging.resize_cocosketch`) — so geometry can
-be a runtime control variable rather than a deploy-time constant.
+another tenant.  Geometry changes only at an epoch boundary, and every
+closed epoch is an unbiased estimate table of its own traffic whatever
+its width, so ranges across a resize simply add (Lemma 3) — geometry
+can be a runtime control variable rather than a deploy-time constant.
 
 :class:`ResourceGovernor` closes that loop.  At every epoch boundary
 the daemon hands it a :class:`Signals` sample (current width and

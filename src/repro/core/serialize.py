@@ -19,6 +19,10 @@ The scalar and columnar (numpy engine) variants share the bucket
 layout — only the ``kind`` byte differs — so a blob dumped by a numpy
 worker and one dumped by a scalar worker are byte-comparable when
 their states agree.
+
+An epoch snapshot (kind :data:`EPOCH_KIND`, :func:`dump_epoch`) shares
+the header but carries no sketch state: it holds a closed epoch's
+metadata and its estimate table.
 """
 
 from __future__ import annotations
@@ -31,6 +35,10 @@ import numpy as np
 from repro.core.cocosketch import BasicCocoSketch
 from repro.core.hardware import HardwareCocoSketch, P4CocoSketch
 from repro.engine.vectorized import NumpyCocoSketch, NumpyHardwareCocoSketch
+from repro.flowkeys.columns import words_for_width
+from repro.flowkeys.fields import Field
+from repro.flowkeys.key import FullKeySpec
+from repro.query.columns import ColumnTable
 
 _MAGIC = b"CCSK"
 _VERSION = 1
@@ -47,12 +55,13 @@ _KINDS = {
 }
 _CLASSES = {number: cls for cls, number in _KINDS.items()}
 
-#: Wire kind for a frozen measurement epoch: rotation metadata wrapped
-#: around an embedded sketch blob (the service daemon's snapshot files).
-#: Kind 5 is retired and stays unassigned.
-EPOCH_KIND = 6
+#: Wire kind for a frozen measurement epoch: rotation metadata plus the
+#: epoch's estimate table (the service daemon's snapshot files).  Kinds 5
+#: and 6 (an epoch wrapped around a sketch blob) are retired and stay
+#: unassigned.
+EPOCH_KIND = 7
 
-_EPOCH_META = struct.Struct("<QQQdI")
+_EPOCH_META = struct.Struct("<QQQdQB")
 
 AnyCocoSketch = Union[
     BasicCocoSketch,
@@ -215,76 +224,97 @@ def blob_size(d: int, l: int) -> int:
     return _HEADER.size + 8 * d + d * l * 24
 
 
+def _check_u64(**fields) -> None:
+    for name, value in fields.items():
+        if not 0 <= value < 1 << 64:
+            raise SerializationError(f"{name} {value} out of u64 range")
+
+
 def dump_epoch(
     epoch: int,
     start_seq: int,
     packets: int,
     closed_at: float,
-    sketch_blob: bytes,
+    d: int,
+    l: int,
+    table: ColumnTable,
 ) -> bytes:
     """Serialise a frozen measurement epoch to the shared wire format.
 
-    Layout: the common header with ``kind`` = :data:`EPOCH_KIND` and
-    the geometry fields (``d``, ``l``, ``key_bytes``) copied from the
-    embedded sketch blob's header — an epoch snapshot records the
-    geometry it was cut at, so elastic services can tell which epochs
-    predate a resize without parsing the payload — then
-    ``epoch u64 | start_seq u64 | packets u64 | closed_at f64 |
-    blob_len u32 | sketch blob``.  The embedded blob is
-    :func:`dump_sketch` output, so an epoch file is self-describing:
-    :func:`load_epoch` hands back metadata plus a sketch that hashes
-    and merges identically to the frozen original.
+    Layout: the common header with ``kind`` = :data:`EPOCH_KIND`, the
+    geometry the epoch was cut at (``d``, ``l``) and zero ``key_bytes``
+    and seed count, then ``epoch u64 | start_seq u64 | packets u64 |
+    closed_at f64 | rows u64 | field count u8``, one ``width u8 |
+    name length u8 | name`` record per key field, the ``(W, rows)`` key
+    words (word 0 first) as u64 and the ``rows`` values as f64.  The
+    key spec travels with the rows, so an epoch file is
+    self-describing: :func:`load_epoch` hands back the same table.
     """
-    for name, field in (
-        ("epoch", epoch), ("start_seq", start_seq), ("packets", packets)
-    ):
-        if not 0 <= field < 1 << 64:
-            raise SerializationError(f"{name} {field} out of u64 range")
-    if not isinstance(sketch_blob, (bytes, bytearray)):
-        raise SerializationError(
-            f"sketch_blob must be bytes, got {type(sketch_blob).__name__}"
-        )
-    if (
-        len(sketch_blob) < _HEADER.size
-        or sketch_blob[:4] != _MAGIC
-        or sketch_blob[6] not in _CLASSES
+    _check_u64(epoch=epoch, start_seq=start_seq, packets=packets)
+    if not (0 <= d < 1 << 16 and 0 <= l < 1 << 32):
+        raise SerializationError(f"geometry ({d}, {l}) out of range")
+    if not isinstance(table, ColumnTable) or not isinstance(
+        table.spec, FullKeySpec
     ):
         raise SerializationError(
-            "embedded payload is not a sketch blob"
+            f"epoch payload must be a full-key ColumnTable, got "
+            f"{type(table).__name__}"
         )
-    _m, _v, _k, inner_d, inner_l, inner_kb, _sc = _HEADER.unpack(
-        sketch_blob[: _HEADER.size]
-    )
-    return b"".join(
-        [
-            _HEADER.pack(
-                _MAGIC, _VERSION, EPOCH_KIND, inner_d, inner_l, inner_kb, 0
-            ),
-            _EPOCH_META.pack(
-                epoch, start_seq, packets, float(closed_at),
-                len(sketch_blob),
-            ),
-            bytes(sketch_blob),
-        ]
-    )
+    spec = table.spec
+    if table.words.shape[0] != words_for_width(spec.width):
+        raise SerializationError(
+            f"{table.words.shape[0]} key words for a {spec.width}-bit key"
+        )
+    parts = [
+        _HEADER.pack(_MAGIC, _VERSION, EPOCH_KIND, d, l, 0, 0),
+        _EPOCH_META.pack(
+            epoch, start_seq, packets, float(closed_at), len(table),
+            len(spec.fields),
+        ),
+    ]
+    for fld in spec.fields:
+        name = fld.name.encode("utf-8")
+        if len(name) > 255:
+            raise SerializationError(f"field name {fld.name!r} too long")
+        parts.append(struct.pack("<BB", fld.width, len(name)) + name)
+    parts.append(np.ascontiguousarray(table.words, dtype="<u8").tobytes())
+    parts.append(np.ascontiguousarray(table.values, dtype="<f8").tobytes())
+    return b"".join(parts)
+
+
+def _load_key_spec(blob: bytes, offset: int, count: int):
+    """The key spec's field records at *offset*; returns it and the end."""
+    fields = []
+    for _ in range(count):
+        if len(blob) < offset + 2:
+            raise SerializationError("epoch blob truncated in the key spec")
+        width, size = struct.unpack_from("<BB", blob, offset)
+        offset += 2
+        raw = blob[offset : offset + size]
+        offset += size
+        try:
+            fields.append(Field(raw.decode("utf-8"), width))
+        except ValueError as exc:  # bad utf-8, width or empty name
+            raise SerializationError(f"bad key field: {exc}") from exc
+    try:
+        return FullKeySpec(fields), offset
+    except ValueError as exc:
+        raise SerializationError(f"bad key spec: {exc}") from exc
 
 
 def load_epoch(blob: bytes):
-    """Reconstruct ``(meta, sketch)`` from :func:`dump_epoch` output.
+    """Reconstruct ``(meta, table)`` from :func:`dump_epoch` output.
 
     ``meta`` is a dict with ``epoch``, ``start_seq``, ``packets``,
-    ``closed_at``, and the geometry the epoch was cut at (``d``, ``l``,
-    ``key_bytes``); ``sketch`` is the embedded sketch, rebuilt via
-    :func:`load_sketch`.  Blobs written before geometry was recorded in
-    the outer header (all-zero geometry fields) fall back to the
-    embedded sketch header, so old snapshot files keep loading with
-    correct metadata.  Truncated or corrupted snapshot files raise
+    ``closed_at`` and the geometry the epoch was cut at (``d``, ``l``);
+    ``table`` is a read-only raw :class:`ColumnTable` over the recorded
+    key spec.  Truncated or corrupted snapshot files raise
     :class:`SerializationError` rather than propagating a struct or
     numpy traceback.
     """
     if len(blob) < _HEADER.size + _EPOCH_META.size:
         raise SerializationError("epoch blob shorter than header")
-    magic, version, kind, meta_d, meta_l, meta_kb, _sc = _HEADER.unpack(
+    magic, version, kind, d, l, key_bytes, seed_count = _HEADER.unpack(
         blob[: _HEADER.size]
     )
     if magic != _MAGIC:
@@ -296,24 +326,36 @@ def load_epoch(blob: bytes):
             f"kind {kind} is not an epoch snapshot (expected "
             f"{EPOCH_KIND}); use load_sketch()"
         )
-    epoch, start_seq, packets, closed_at, length = _EPOCH_META.unpack_from(
-        blob, _HEADER.size
+    if key_bytes or seed_count:
+        raise SerializationError("epoch header carries sketch fields")
+    epoch, start_seq, packets, closed_at, rows, count = (
+        _EPOCH_META.unpack_from(blob, _HEADER.size)
     )
-    payload = blob[_HEADER.size + _EPOCH_META.size :]
-    if len(payload) != length:
+    spec, offset = _load_key_spec(
+        blob, _HEADER.size + _EPOCH_META.size, count
+    )
+    width = spec.width
+    w = words_for_width(width)
+    if len(blob) != offset + rows * 8 * (w + 1):
         raise SerializationError(
-            f"epoch payload length {len(payload)} != declared {length}"
+            f"epoch blob length {len(blob)} != {offset + rows * 8 * (w + 1)} "
+            f"for {rows} rows of {w} key words"
         )
-    sketch = load_sketch(payload)
-    if meta_d == 0 or meta_l == 0:  # legacy blob: geometry only inside
-        meta_d, meta_l, meta_kb = sketch.d, sketch.l, sketch.key_bytes
+    words = np.frombuffer(
+        blob, dtype="<u8", count=w * rows, offset=offset
+    ).reshape(w, rows)
+    values = np.frombuffer(
+        blob, dtype="<f8", count=rows, offset=offset + 8 * w * rows
+    )
+    top = width - 64 * (w - 1)
+    if top < 64 and rows and (words[w - 1] >> np.uint64(top)).any():
+        raise SerializationError(f"a key exceeds the spec's {width} bits")
     meta = {
         "epoch": epoch,
         "start_seq": start_seq,
         "packets": packets,
         "closed_at": closed_at,
-        "d": meta_d,
-        "l": meta_l,
-        "key_bytes": meta_kb,
+        "d": d,
+        "l": l,
     }
-    return meta, sketch
+    return meta, ColumnTable(spec, words, values)

@@ -202,6 +202,31 @@ def _packed_sort(words: "np.ndarray") -> Tuple["np.ndarray", "np.ndarray"]:
     return order, starts
 
 
+def unique_words(words: "np.ndarray") -> Tuple["np.ndarray", "np.ndarray"]:
+    """Sorted unique keys of word columns, and each row's index among them.
+
+    Returns ``(unique_words, inverse)``: the distinct keys in ascending
+    key order and an int32 column with ``unique_words[:, inverse] ==
+    words``.  The same packed value sort as :func:`group_words`; keys
+    that already ascend skip it.
+    """
+    n = words.shape[1]
+    if n == 0:
+        return words[:, :0], np.empty(0, dtype=np.int32)
+    starts = _ascending_starts(words)
+    order = None
+    if starts is None:
+        order, starts = _packed_sort(words)
+    group = np.cumsum(starts, dtype=np.int32)
+    group -= 1
+    start_idx = np.nonzero(starts)[0]
+    if order is None:
+        return words[:, start_idx], group
+    inverse = np.empty(n, dtype=np.int32)
+    inverse[order] = group
+    return np.take(words, order[start_idx], axis=1), inverse
+
+
 def group_words(
     words: "np.ndarray", values: "np.ndarray"
 ) -> Tuple["np.ndarray", "np.ndarray"]:

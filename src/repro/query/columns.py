@@ -163,13 +163,17 @@ class ColumnTable:
 
         A boolean mask keeps the rows in order, so a grouped table stays
         grouped; an index array may reorder them, so the result is not.
+        A mask becomes row indices first: ``take`` along the key axis is
+        several times faster than boolean indexing of the 2-d words.
         """
         mask = np.asarray(mask)
+        keeps_order = mask.dtype == np.bool_
+        rows = np.flatnonzero(mask) if keeps_order else mask
         return ColumnTable(
             self.spec,
-            self.words[:, mask],
-            self.values[mask],
-            self.grouped and mask.dtype == np.bool_,
+            np.take(self.words, rows, axis=1),
+            self.values[rows],
+            self.grouped and keeps_order,
         )
 
     def concat(self, other: "ColumnTable") -> "ColumnTable":

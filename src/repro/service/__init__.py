@@ -7,11 +7,12 @@ against live state.  This package is that system layer:
 * :class:`MeasurementDaemon` — a long-lived ingestion loop over
   in-process shard engines, rotating measurement epochs on
   packet-count or wall-clock boundaries and freezing each closed epoch
-  as an immutable snapshot holding a read-only sketch (exported through
-  the :mod:`repro.core.serialize` epoch wire kind by ``to_bytes()``).
+  as an immutable snapshot holding its read-only estimate table
+  (exported through the :mod:`repro.core.serialize` epoch wire kind by
+  ``to_bytes()``).
 * :class:`EpochStore` — bounded history of frozen epochs plus
-  time-travel: any contiguous epoch range merges into one queryable
-  sketch through the unbiased Theorem 1 fold.
+  time-travel: any contiguous epoch range is the sum of its epochs'
+  estimates (Lemma 3), two bincounts over one key dictionary.
 * :class:`ServiceServer` — a thread-safe HTTP API (``/query`` SQL,
   ``/topk``, ``/epochs``, ``/metrics``) over the live epoch, any
   historical epoch, and merged ranges.
@@ -34,7 +35,7 @@ from repro.service.daemon import (
 from repro.service.epochs import (
     EpochSnapshot,
     EpochStore,
-    epoch_merge_seed,
+    RangeSum,
     offline_epoch_run,
 )
 from repro.service.http import ServiceServer
@@ -44,9 +45,9 @@ __all__ = [
     "EpochSnapshot",
     "EpochStore",
     "MeasurementDaemon",
+    "RangeSum",
     "ServiceConfig",
     "ServiceError",
     "ServiceServer",
-    "epoch_merge_seed",
     "offline_epoch_run",
 ]

@@ -3,9 +3,10 @@
 Turns the batch engine into a system.  One :class:`MeasurementDaemon`
 owns a sequence of epochs; inside each epoch an :class:`EpochBuilder`
 owns the epoch's shard engines and feeds their chunk loop, and at every
-rotation boundary the shards fold, in process, into the read-only
-sketch of an immutable :class:`~repro.service.epochs.EpochSnapshot`.
-State becomes bytes only when a snapshot is exported
+rotation boundary the shards' occupied bucket rows become the read-only
+table of an immutable :class:`~repro.service.epochs.EpochSnapshot`:
+summed per key they are the epoch's estimates (Lemma 3), so no fold
+runs.  State becomes bytes only when a snapshot is exported
 (:meth:`~repro.service.epochs.EpochSnapshot.to_bytes`).
 
 Determinism contract (what the bit-identity suite gates): an epoch's
@@ -17,12 +18,11 @@ true:
 * the builder buffers arrivals and feeds the partitioner/engines in
   exact ``chunk``-sized blocks (the remainder flushes only at close),
   so engine-visible call boundaries never depend on arrival framing;
-* every random stream is positionally seeded — replacement RNGs by
-  ``(seed, epoch, shard)`` via
-  :func:`~repro.parallel.epoch_stream_seed`, the per-epoch shard fold
-  by :func:`~repro.service.epochs.epoch_merge_seed` — while the hash
-  family (from the spec seed) is shared by all epochs, keeping their
-  snapshots mergeable.
+* the only random streams, the replacement RNGs, are positionally
+  seeded by ``(seed, epoch, shard)`` via
+  :func:`~repro.parallel.epoch_stream_seed`; a snapshot's table is the
+  shards' rows in shard order, and ranges of epochs add their tables,
+  so no read draws a coin flip.
 
 Live reads never perturb that.  A live read is served by a
 :class:`~repro.query.slim.SlimReplica`, bootstrapped lazily from the
@@ -37,46 +37,42 @@ Nothing else a request does takes the ingest lock either.  The ingest
 thread publishes an immutable :class:`ReadState` record by one
 reference assignment (block start, each rotation, block end,
 ``rotate``/``close``), and staleness and status read that record;
-request counters live in a reader-side registry and the planner cache
-has its own lock.  So the replica's once-per-epoch bootstrap is the
-only request-path wait on an in-flight block.
+request counters live in a reader-side registry, the ingest registry
+has its own short lock (taken once per block and per snapshot), the
+one-epoch planner cache has its own lock, and a range read sums
+frozen tables under the store's locks.  So the replica's once-per-epoch
+bootstrap is the only request-path wait on an in-flight block.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import queue
-import random
 import threading
 import time
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.control.governor import GovernorConfig, ResourceGovernor, Signals
 # Imported only as layers benchmarks/ledger/tracer.py patches (no calls here).
 from repro.core.serialize import dump_sketch, load_sketch  # noqa: F401
+from repro.extensions.merging import merge_many  # noqa: F401
 from repro.engine.kernels import CHUNK_GAUGE
 from repro.engine.sharded import (
     PARTITION_STRATEGIES,
     SketchSpec,
     partition_columns,
 )
-from repro.extensions.merging import merge_many
 from repro.extensions.windowed import split_budget
 from repro.flowkeys.key import FullKeySpec
 from repro.obs.registry import TIME_EDGES, MetricsRegistry
 from repro.parallel import build_shard_sketch
+from repro.query.columns import ColumnTable
 from repro.query.planner import QueryPlanner
 from repro.query.slim import SlimReplica
-from repro.service.epochs import (
-    EpochSnapshot,
-    EpochStore,
-    epoch_merge_seed,
-    freeze,
-    frozen_copy,
-)
+from repro.service.epochs import EpochSnapshot, EpochStore, RangeSum, read_only
 
 #: Default engine feed granularity: the largest kernel chunk
 #: (`repro.engine.vectorized.MAX_PIPELINE_CHUNK`).  Engines derive
@@ -115,13 +111,14 @@ class ReadState(NamedTuple):
     closed: bool
 
 
-def _sketch_occupancy(sketch) -> float:
-    """Fraction of buckets holding a key, for any sketch variant."""
-    occ = getattr(sketch, "occupancy", None)
+def _occupied_mask(sketch) -> np.ndarray:
+    """``(d, l)`` mask of the buckets holding a key, for any sketch variant."""
+    occ = getattr(sketch, "_occupied", None)
     if occ is not None:
-        return float(occ())
-    filled = sum(k is not None for row in sketch._keys for k in row)
-    return filled / (sketch.d * sketch.l)
+        return occ
+    return np.array(
+        [[k is not None for k in row] for row in sketch._keys], dtype=bool
+    )
 
 
 @dataclass
@@ -130,7 +127,7 @@ class ServiceConfig:
 
     Args:
         spec: Per-shard sketch configuration (one hash family for the
-            daemon's whole lifetime — epochs must stay mergeable).
+            daemon's whole lifetime).
         key_spec: Full-key spec of the traffic (drives the query plane).
         shards: Worker sketch count.
         strategy: ``"hash"`` (flow-pure) or ``"round-robin"`` partitioner.
@@ -140,7 +137,8 @@ class ServiceConfig:
             splits mid-block when needed).  ``None`` — no packet bound.
         epoch_seconds: Rotate when the live epoch is older than this at
             the next ingest.  ``None`` — no wall-clock bound.
-        history: Closed epochs retained by the store.
+        history: Closed epochs retained by the store (and the most
+            one-epoch planners cached).
         live_refresh_packets: Freshness/throughput trade-off for live
             reads.  ``0`` (default) rebuilds the live view whenever new
             packets have flushed; a positive value keeps serving the
@@ -292,26 +290,36 @@ class EpochBuilder:
         surface; read them under the ingest lock, never racing :meth:`feed`)."""
         return self._shards
 
-    def close(self, closed_at: Optional[float] = None) -> EpochSnapshot:
-        """Flush the tail and freeze the shards into the epoch's snapshot.
+    def occupancy(self) -> float:
+        """Fraction of buckets some shard occupies (the governor's signal).
 
-        Shards fold on the epoch's merge stream; a lone shard is copied,
-        so the snapshot never holds a live engine.
+        The union of the shards' masks: exactly the occupancy of a
+        Theorem 1 fold of the shards, which keeps a bucket whenever
+        either side holds one.
+        """
+        masks = [_occupied_mask(s) for s in self._shards]
+        return float(np.logical_or.reduce(masks).mean())
+
+    def close(self, closed_at: Optional[float] = None) -> EpochSnapshot:
+        """Flush the tail and export the shards into the epoch's snapshot.
+
+        The table is each shard's occupied bucket rows, concatenated in
+        shard order (deterministic bytes) and read-only; it copies the
+        state, so the snapshot never holds a live engine.
         """
         self._flush(full_only=False)
-        if len(self._shards) == 1:
-            sketch = frozen_copy(self._shards[0])
-        else:
-            rng = random.Random(
-                epoch_merge_seed(self.config.spec.seed, self.epoch)
-            )
-            sketch = freeze(merge_many(self._shards, rng=rng))
+        spec = self.config.key_spec
+        table = ColumnTable.concat_many(
+            [ColumnTable.from_sketch(s, spec, group=False) for s in self._shards]
+        )
         return EpochSnapshot(
             epoch=self.epoch,
             start_seq=self.start_seq,
             packets=self.packets,
             closed_at=time.time() if closed_at is None else closed_at,
-            sketch=sketch,
+            d=self.spec.d,
+            l=self.spec.l,
+            table=read_only(table),
         )
 
 
@@ -328,8 +336,11 @@ class MeasurementDaemon:
 
     def __init__(self, config: ServiceConfig) -> None:
         self.config = config
-        self.store = EpochStore(config.history, seed=config.spec.seed)
+        self.store = EpochStore(config.history)
         self.registry = MetricsRegistry()
+        # The ingest registry's own lock: writers take it once per block
+        # (and per rotation), /metrics once per snapshot.
+        self._registry_lock = threading.Lock()
         self._lock = threading.RLock()
         # Per-request instruments (queries, planner cache, HTTP
         # outcomes): readers record here, never in the ingest registry.
@@ -372,7 +383,7 @@ class MeasurementDaemon:
         self._queue: Optional[queue.Queue] = None
         self._thread: Optional[threading.Thread] = None
         self._ingest_error: Optional[BaseException] = None
-        self._planners: Dict[Tuple[int, int], QueryPlanner] = {}
+        self._planners: Dict[int, QueryPlanner] = {}
         self._planners_lock = threading.Lock()
         # The live read replica costs nothing until the first live
         # read bootstraps it.
@@ -425,12 +436,15 @@ class MeasurementDaemon:
                 # rotate with the parent, not on the parent's packet
                 # boundary, so no splitting is needed here.
                 self._tenants.route(hi, lo, sizes)
-            self.registry.inc("service.ingest.packets", n)
-            self.registry.inc("service.ingest.blocks")
-            self.registry.set_gauge("service.epoch.live", self._builder.epoch)
-            self.registry.set_gauge(
-                "service.epoch.packets", self._builder.packets
-            )
+            with self._registry_lock:
+                self.registry.inc("service.ingest.packets", n)
+                self.registry.inc("service.ingest.blocks")
+                self.registry.set_gauge(
+                    "service.epoch.live", self._builder.epoch
+                )
+                self.registry.set_gauge(
+                    "service.epoch.packets", self._builder.packets
+                )
             self._returned = self._seq
             self._publish_locked()
 
@@ -495,16 +509,18 @@ class MeasurementDaemon:
         )
         chunk = getattr(builder.live_sketches()[0], "pipeline_chunk", None)
         if chunk is not None:
-            self.registry.set_gauge(CHUNK_GAUGE, float(chunk))
+            with self._registry_lock:
+                self.registry.set_gauge(CHUNK_GAUGE, float(chunk))
         return builder
 
     def _apply_geometry_locked(self, new_l: int) -> None:
         """Adopt *new_l* as the current geometry (caller holds the lock)."""
         self._spec = dataclasses.replace(self._spec, l=new_l)
-        self.registry.inc("control.resizes")
-        self.registry.set_gauge("control.geometry.l", float(self._spec.l))
+        with self._registry_lock:
+            self.registry.inc("control.resizes")
+            self.registry.set_gauge("control.geometry.l", float(self._spec.l))
 
-    def _control_locked(self, snap: EpochSnapshot) -> None:
+    def _control_locked(self, builder: EpochBuilder) -> None:
         """Run the control loop over the just-closed epoch's signals.
 
         Called between ``close()`` and the next builder's construction
@@ -518,13 +534,16 @@ class MeasurementDaemon:
                 new_l = self._pending_l
             self._pending_l = None
         if self._governor is not None:
-            occupancy = _sketch_occupancy(snap.sketch)
+            occupancy = builder.occupancy()
             decision = self._governor.decide(Signals(self._spec.l, occupancy))
-            self.registry.inc("control.governor.decisions")
-            self.registry.set_gauge("control.occupancy", occupancy)
-            if decision.resized and new_l is None:
+            resize = decision.resized and new_l is None
+            if resize:
                 new_l = decision.new_l
-                self.registry.inc("control.governor.resizes")
+            with self._registry_lock:
+                self.registry.inc("control.governor.decisions")
+                self.registry.set_gauge("control.occupancy", occupancy)
+                if resize:
+                    self.registry.inc("control.governor.resizes")
         if new_l is not None:
             self._apply_geometry_locked(new_l)
 
@@ -532,16 +551,18 @@ class MeasurementDaemon:
         start = time.perf_counter()
         snap = self._builder.close()
         self._store_locked(snap)
-        self._control_locked(snap)
+        self._control_locked(self._builder)
         self._builder = self._open_builder_locked(
             epoch=snap.epoch + 1, start_seq=self._seq
         )
         self._publish_locked()
         if self._tenants is not None:
             self._tenants.on_parent_rotate()
-        self.registry.observe(
-            "service.rotate.seconds", time.perf_counter() - start, TIME_EDGES
-        )
+        with self._registry_lock:
+            self.registry.observe(
+                "service.rotate.seconds", time.perf_counter() - start,
+                TIME_EDGES,
+            )
         return snap
 
     def close(self) -> None:
@@ -601,7 +622,8 @@ class MeasurementDaemon:
             if self._closed:
                 raise ServiceError("daemon is closed")
             self._pending_l = new_l
-            self.registry.inc("control.geometry.staged")
+            with self._registry_lock:
+                self.registry.inc("control.geometry.staged")
 
     def tenant_daemon(self, name: str) -> "MeasurementDaemon":
         """The named tenant's isolated daemon (KeyError if unknown)."""
@@ -733,41 +755,47 @@ class MeasurementDaemon:
         return max(int(state.bound) - (int(start) + int(packets)), 0)
 
     def epoch_planner(self, epoch: int) -> QueryPlanner:
-        """Planner over one frozen epoch: the one-epoch range."""
-        return self.range_planner(epoch, epoch)
+        """Memoized planner over one frozen epoch's table.
 
-    def range_planner(self, lo: int, hi: int) -> QueryPlanner:
-        """Memoized planner over the time-travel merge of epochs ``lo..hi``.
-
-        Frozen epochs never change, so the planner — extracted table
-        plus its last aggregate, the merged sketch released — is built
-        once per range and dropped when the store evicts ``lo``.  A
-        one-epoch range keeps the epoch's raw bucket rows: partial keys
-        aggregate straight off them, and the full-key sort runs only
-        for a query that needs unique full keys
-        (:meth:`QueryPlanner.grouped_base`).  A multi-epoch fold is
-        grouped up front, since its rows repeat keys across epochs.
-        A build that loses a race with an eviction raises KeyError
-        rather than serve or cache an evicted epoch.  The cache has
-        its own lock; the ingest lock is never taken.
+        Frozen epochs never change, so the planner — the epoch's raw
+        bucket rows plus its last aggregate — is built once per epoch
+        and dropped when the store evicts the epoch: the cache holds at
+        most ``history`` planners.  Partial keys aggregate straight off
+        the raw rows; the full-key sort runs only for a query that needs
+        unique full keys (:meth:`QueryPlanner.grouped_base`).  A build
+        that loses a race with an eviction raises KeyError rather than
+        serve or cache an evicted epoch.  The cache has its own lock;
+        the ingest lock is never taken.
         """
         with self._planners_lock:
-            planner = self._planners.get((lo, hi))
+            planner = self._planners.get(epoch)
         outcome = "misses" if planner is None else "hits"
         self._count(f"service.planner.cache.{outcome}")
         if planner is not None:
             return planner
-        merged = self.store.merged_range(lo, hi)
+        table = self.store.get(epoch).table
         planner = QueryPlanner(
-            merged, self.config.key_spec, group_base=lo != hi
+            table, self.config.key_spec, group_base=False
         ).freeze()
         with self._planners_lock:
             # Eviction prunes under this lock after the store drops the
             # epoch, so a build that passes this check is pruned later.
-            self.store.get(lo)  # evicted while building: KeyError
-            # Racing builds of one range are identical; keep the first.
-            planner = self._planners.setdefault((lo, hi), planner)
+            self.store.get(epoch)  # evicted while building: KeyError
+            # Racing builds of one epoch are identical; keep the first.
+            planner = self._planners.setdefault(epoch, planner)
         return planner
+
+    def range_planner(self, lo: int, hi: int) -> Union[QueryPlanner, RangeSum]:
+        """Planner over epochs ``lo..hi``: their summed estimates.
+
+        One epoch is :meth:`epoch_planner`.  A wider range is the
+        store's :class:`~repro.service.epochs.RangeSum`, computed per
+        call (two bincounts over the store's key dictionary) and never
+        cached; KeyError when any epoch in the range is gone.
+        """
+        if lo == hi:
+            return self.epoch_planner(lo)
+        return self.store.merged_range(lo, hi)
 
     def _store_locked(self, snap: EpochSnapshot) -> None:
         """Retain a closed epoch; prune planners over evicted epochs."""
@@ -775,9 +803,10 @@ class MeasurementDaemon:
         oldest = self.store.ids()[0]
         with self._planners_lock:
             self._planners = {
-                k: p for k, p in self._planners.items() if k[0] >= oldest
+                e: p for e, p in self._planners.items() if e >= oldest
             }
-        self.registry.inc("service.epochs.rotated")
+        with self._registry_lock:
+            self.registry.inc("service.epochs.rotated")
 
     def _count(self, name: str) -> None:
         with self._reads_lock:
@@ -802,13 +831,15 @@ class MeasurementDaemon:
     def metrics_snapshot(self) -> dict:
         """`repro.obs.metrics/v1` snapshot of the daemon's instruments.
 
-        Folds, at snapshot time, the ingest registry (read under the
-        ingest lock), the reader-side registry (``service.queries``,
-        ``service.query.seconds``, ``service.planner.cache.*``,
-        ``service.http.requests.*``), the slim replica's ``slim.*``
-        instruments and any tenants' rows; ``service.planner.cached``
-        is counted here.  Readers record only into the reader-side
-        and replica registries, never into the ingest one.
+        Folds, at snapshot time, the ingest registry (read under its
+        own short lock, never the ingest lock), the reader-side
+        registry (``service.queries``, ``service.query.seconds``,
+        ``service.planner.cache.*``, ``service.http.requests.*``), the
+        slim replica's ``slim.*`` instruments and any tenants' rows;
+        ``service.planner.cached`` (one-epoch planners) and the range
+        dictionary's ``service.epochs.dictionary.keys`` and
+        ``.compactions`` are read here.  Readers record only into the
+        reader-side and replica registries, never into the ingest one.
         """
         meta = {
             "service": "repro.service",
@@ -816,7 +847,7 @@ class MeasurementDaemon:
             "strategy": self.config.strategy,
             "seed": self.config.spec.seed,
         }
-        with self._lock:
+        with self._registry_lock:
             snap = self.registry.snapshot(meta=meta)
         with self._reads_lock:
             extras = [self._reads.snapshot()]
@@ -830,6 +861,10 @@ class MeasurementDaemon:
         with self._planners_lock:
             cached = len(self._planners)
         merged.set_gauge("service.planner.cached", float(cached))
+        merged.set_gauge(
+            "service.epochs.dictionary.keys", float(self.store.dictionary_keys())
+        )
+        merged.inc("service.epochs.dictionary.compactions", self.store.compactions)
         return merged.snapshot(meta=meta)
 
     def status(self) -> dict:

@@ -3,10 +3,12 @@
 Stdlib-only (``ThreadingHTTPServer``): every request runs in its own
 thread, so readers can hammer the API while the ingest thread rotates
 epochs underneath.  No request waits on the ingest lock except a live
-read's once-per-epoch replica bootstrap and ``/metrics``' snapshot of
-the ingest registry: staleness and ``/epochs`` read the daemon's
-published read-state record, frozen and range planners sit in a cache
-with its own lock, and request counters go to a reader-side registry.
+read's once-per-epoch replica bootstrap: staleness and ``/epochs`` read
+the daemon's published read-state record, ``/metrics`` snapshots the
+ingest registry under that registry's own short lock, one-epoch
+planners sit in a cache with its own lock, a range sums frozen epoch
+tables under the store's locks, and request counters go to a
+reader-side registry.
 
 Endpoints (all GET, JSON responses):
 
@@ -14,7 +16,7 @@ Endpoints (all GET, JSON responses):
   metadata, total packets.
 * ``/query?sql=...&epoch=live|K|LO-HI`` — the §4.3 SQL dialect via the
   columnar executor, against the live view (default), one frozen
-  epoch, or a merged epoch range (time-travel).
+  epoch, or the sum of an epoch range (time-travel).
 * ``/topk?key=SrcIP[/24][,DstIP...]&k=10&epoch=...`` — top-k flows on
   a partial key.
 * ``/metrics`` — the daemon's ``repro.obs.metrics/v1`` snapshot
@@ -103,6 +105,10 @@ class _Handler(BaseHTTPRequestHandler):
     # waits (Nagle) for the client's delayed ACK of the header segment,
     # about 40 ms per keep-alive request.
     disable_nagle_algorithm = True
+
+    # A buffered writer: the headers and the body leave in one send when
+    # handle_one_request() flushes, not in two.
+    wbufsize = -1
 
     # -- plumbing ------------------------------------------------------
 
@@ -238,7 +244,7 @@ class _Handler(BaseHTTPRequestHandler):
         k = int(params.get("k", "10"))
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
-        # Validate before resolving: a cold range costs a full merge.
+        # Validate before resolving, so a bad key costs no range sum.
         partial = parse_partial(self.server.daemon.config.key_spec, key_text)
         start = time.perf_counter()
         descriptor, planner = self._resolve(params)

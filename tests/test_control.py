@@ -6,9 +6,10 @@ Five families of guarantees, matching docs/governance.md:
   deterministic: grow/shrink thresholds, budget/floor clamps and the
   anti-flap shrink veto all behave exactly as specified.
 * **Resize statistics** — grow/shrink re-hash folds
-  (``resize_cocosketch``, which ``EpochStore.merged_range`` runs on
-  ranges straddling a resize) preserve Lemma-3 partial-key unbiasedness, gated through the shared stat harness so
-  ``REPRO_STAT_*`` margins apply.
+  (``resize_cocosketch``, a library function: the service sums epochs
+  across a resize instead) preserve Lemma-3 partial-key unbiasedness,
+  gated through the shared stat harness so ``REPRO_STAT_*`` margins
+  apply.
 * **Slim/fat consistency** — the slim replica's answers stay bit-exact
   against the fat path across a staged geometry change (the replica
   must re-bootstrap at the new shape rather than apply stale deltas).
@@ -174,7 +175,7 @@ RESIZE_SPECS = random_partial_specs(2, seed=3)
 
 
 class TestResizeUnbiasedness:
-    """The cross-geometry fold ``EpochStore.merged_range`` runs."""
+    """The cross-geometry re-hash fold ``resize_cocosketch``."""
 
     @pytest.mark.parametrize("spec", RESIZE_SPECS, ids=lambda s: s.name)
     @pytest.mark.parametrize("path", ["grow", "shrink", "round-trip"])

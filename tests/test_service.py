@@ -10,9 +10,10 @@ Three families of guarantees, matching the service's design contract
   sharded backends, across mid-chunk, exactly-on-boundary and
   empty-trailing-epoch rotations.  The no-rotation degenerate case is
   bit-identical to a monolithic single-pass sketch.
-* **Statistical correctness** — partial-key estimates from *merged
-  multi-epoch* state stay unbiased (Lemma 3), gated through the shared
-  harness so ``REPRO_STAT_*`` margins apply.
+* **Statistical correctness** — partial-key estimates *summed over
+  multi-epoch* ranges stay unbiased (Lemma 3), gated through the shared
+  harness so ``REPRO_STAT_*`` margins apply, and the two-bincount range
+  sum equals grouping the concatenated epoch tables bit for bit.
 * **Concurrency/soak** — threaded clients hammer ``/query``/``/topk``
   against live and frozen epochs during active ingestion: no 5xx, no
   torn reads (every response's epoch descriptor is internally
@@ -38,12 +39,13 @@ import numpy as np
 import pytest
 
 from repro.control import GovernorConfig
-from repro.core.serialize import dump_epoch, dump_sketch
+from repro.core.serialize import dump_epoch
 from repro.engine.kernels import BACKEND_ENV
 from repro.engine.sharded import SketchSpec
 from repro.extensions.windowed import WindowedMeasurement, split_budget
 from repro.flowkeys.key import FIVE_TUPLE
 from repro.obs.registry import histogram_quantile
+from repro.query.columns import ColumnTable
 from repro.query.planner import QueryPlanner
 from repro.service import (
     EpochSnapshot,
@@ -57,9 +59,10 @@ from repro.service import (
 from repro.service.daemon import QUEUE_BLOCKS, EpochBuilder
 from repro.sketches.base import COUNTER_BYTES, DEFAULT_KEY_BYTES
 from repro.traffic.synthetic import zipf_trace
+from repro.traffic.trace import Trace
 
 from tests.stat_harness import (
-    assert_partial_key_unbiased_states,
+    assert_partial_key_unbiased_planners,
     random_partial_specs,
 )
 
@@ -169,7 +172,10 @@ class TestEpochBitIdentity:
 
         reference = offline_epoch_run(cfg(), trace.batches(4_096))
         if "governor" in geometry:
-            chunks = [s.sketch.pipeline_chunk for s in reference]
+            chunks = [
+                dataclasses.replace(cfg().spec, l=s.l).build().pipeline_chunk
+                for s in reference
+            ]
             assert chunks[0] == 512 and chunks[-1] == 1024, chunks
         assert [s.packets for s in reference] == expected
         assert [s.epoch for s in reference] == list(range(len(expected)))
@@ -199,23 +205,28 @@ class TestEpochBitIdentity:
         snap = snaps[0]
         assert snap.to_bytes() == dump_epoch(
             snap.epoch, snap.start_seq, snap.packets, snap.closed_at,
-            dump_sketch(mono),
+            config.spec.d, config.spec.l,
+            ColumnTable.from_sketch(mono, FIVE_TUPLE, group=False),
         )
 
     def test_epochs_share_hash_family_but_not_rng_streams(self):
-        # Same packets fed to epoch 0 and epoch 1 produce different
-        # replacement decisions (decorrelated streams) yet mergeable
-        # state (one hash family) — the invariant time-travel rests on.
-        trace = make_trace(8_000)
-        config = make_config(epoch_packets=4_000)
-        snaps = run_daemon(config, trace, 4_000)
-        assert len(snaps) == 2
-        from repro.extensions.merging import merge_cocosketch
-
-        a, b = snaps[0].sketch, snaps[1].sketch
-        merged = merge_cocosketch(a, b, seed=9)  # raises if families differ
-        total = sum(merged.flow_table().values())
-        assert total == pytest.approx(trace.total_size)
+        # The same packets fed to epoch 0 and epoch 1 produce different
+        # replacement decisions (decorrelated streams) under one hash
+        # family; each epoch's table holds exactly its own mass.
+        half = make_trace(4_000)
+        hi, lo, sizes = next(iter(half.batches(4_000)))
+        daemon = MeasurementDaemon(make_config(epoch_packets=4_000))
+        families = []
+        for _ in range(2):
+            families.append(daemon._builder.live_sketches()[0]._family.seeds)
+            daemon.ingest(hi, lo, sizes)
+        daemon.close()
+        a, b = (daemon.store.get(e).table for e in daemon.store.ids())
+        assert families[0] == families[1]
+        assert a.total == b.total == half.total_size
+        assert not (
+            np.array_equal(a.words, b.words) and np.array_equal(a.values, b.values)
+        )
 
     def test_empty_trace_leaves_no_epochs(self):
         daemon = MeasurementDaemon(make_config(epoch_packets=100))
@@ -226,8 +237,22 @@ class TestEpochBitIdentity:
         trace = make_trace(5)
         snaps = run_daemon(make_config(epoch_packets=1), trace, 2)
         assert [s.packets for s in snaps] == [1] * 5
-        total = sum(sum(s.sketch.flow_table().values()) for s in snaps)
-        assert total == pytest.approx(trace.total_size)
+        total = sum(s.table.total for s in snaps)
+        assert total == trace.total_size
+
+
+def concat_reference(store, lo, hi):
+    """The range read's reference: epochs ``lo..hi``'s tables stacked,
+    in a planner that groups them up front."""
+    tables = [store.get(e).table for e in range(lo, hi + 1)]
+    return QueryPlanner(ColumnTable.concat_many(tables), FIVE_TUPLE)
+
+
+def bare_snapshot(epoch, table=None):
+    return EpochSnapshot(
+        epoch, epoch * 10, 10, 0.0, 2, 8,
+        ColumnTable.empty(FIVE_TUPLE) if table is None else table,
+    )
 
 
 class TestEpochMergeAndStore:
@@ -237,29 +262,25 @@ class TestEpochMergeAndStore:
         snaps = run_daemon(config, trace, 1_500)
 
         def build_store():
-            store = EpochStore(history=8, seed=config.spec.seed)
+            store = EpochStore(history=8)
             for snap in snaps:
                 store.add(snap)
             return store
 
-        merged_a = build_store().merged_range(0, 2)
-        merged_b = build_store().merged_range(0, 2)
-        assert dump_sketch(merged_a) == dump_sketch(merged_b)
-        assert sum(merged_a.flow_table().values()) == pytest.approx(
-            trace.total_size
-        )
-        # Sub-range mass equals the covered epochs' pack. sizes.
-        sub = build_store().merged_range(1, 2)
-        covered = sum(
-            sum(s.sketch.flow_table().values()) for s in snaps[1:]
-        )
-        assert sum(sub.flow_table().values()) == pytest.approx(covered)
+        full = FIVE_TUPLE.identity_partial()
+        merged_a = build_store().merged_range(0, 2).table(full)
+        merged_b = build_store().merged_range(0, 2).table(full)
+        assert np.array_equal(merged_a.words, merged_b.words)
+        assert np.array_equal(merged_a.values, merged_b.values)
+        assert merged_a.total == trace.total_size
+        # Sub-range mass equals the covered epochs' packet sizes.
+        sub = build_store().merged_range(1, 2).table(full)
+        assert sub.total == sum(s.table.total for s in snaps[1:])
 
     def test_store_bounds_history_and_rejects_holes(self):
-        store = EpochStore(history=3, seed=0)
-        sketch = SketchSpec(l=8).build()
+        store = EpochStore(history=3)
         for epoch in range(5):
-            store.add(EpochSnapshot(epoch, epoch * 10, 10, 0.0, sketch))
+            store.add(bare_snapshot(epoch))
         assert store.ids() == [2, 3, 4]
         with pytest.raises(KeyError):
             store.get(0)
@@ -268,16 +289,15 @@ class TestEpochMergeAndStore:
         with pytest.raises(ValueError):
             store.merged_range(4, 2)
         with pytest.raises(ValueError):
-            store.add(EpochSnapshot(4, 0, 10, 0.0, sketch))
+            store.add(bare_snapshot(4))
         assert len(store) == 3
 
     def test_wide_range_hole_check_is_bounded_by_history(self):
         # The check reads the retained ids, not every id in lo..hi: a
         # range a million epochs wide fails fast with a short message.
-        store = EpochStore(history=4, seed=0)
-        sketch = SketchSpec(l=8).build()
+        store = EpochStore(history=4)
         for epoch in range(4):
-            store.add(EpochSnapshot(epoch, epoch * 10, 10, 0.0, sketch))
+            store.add(bare_snapshot(epoch))
         with pytest.raises(KeyError) as err:
             store.merged_range(0, 10**6)
         message = str(err.value)
@@ -294,19 +314,19 @@ class TestEpochMergeAndStore:
         assert widths[0] == 512 and widths[-1] == 1024, widths
 
         def build_store():
-            store = EpochStore(history=8, seed=3)
+            store = EpochStore(history=8)
             for snap in snaps:
                 store.add(snap)
             return store
 
         hi = snaps[-1].epoch
-        merged_a = build_store().merged_range(0, hi)
-        merged_b = build_store().merged_range(0, hi)
-        assert merged_a.l == 1024
-        assert dump_sketch(merged_a) == dump_sketch(merged_b)
+        key = FIVE_TUPLE.partial(("SrcIP", 16))
+        merged_a = build_store().merged_range(0, hi).table(key)
+        merged_b = build_store().merged_range(0, hi).table(key)
+        assert np.array_equal(merged_a.words, merged_b.words)
+        assert np.array_equal(merged_a.values, merged_b.values)
         assert sum(s.packets for s in snaps) == trace.total_size
-        assert int(merged_a._vals.sum()) == trace.total_size
-        assert sum(merged_a.flow_table().values()) == trace.total_size
+        assert merged_a.total == trace.total_size
 
     def test_epoch_snapshot_wire_round_trip(self):
         snaps = run_daemon(
@@ -318,7 +338,7 @@ class TestEpochMergeAndStore:
 
 
 class TestMergedEpochUnbiasedness:
-    """Satellite: Lemma 3 on merged multi-epoch estimates.
+    """Satellite: Lemma 3 on summed multi-epoch estimates.
 
     Margins flow through the shared harness, so ``REPRO_STAT_Z`` /
     ``REPRO_STAT_REL_FLOOR`` overrides are honored.
@@ -338,7 +358,7 @@ class TestMergedEpochUnbiasedness:
     def test_merged_epochs_partial_key_unbiased(self, shards, new_l):
         trace = make_trace(20_000, flows=3_000, seed=11)
 
-        def make_state(seed):
+        def make_range(seed):
             config = make_config(
                 shards=shards, seed=seed, epoch_packets=6_000, l=1024
             )
@@ -348,20 +368,20 @@ class TestMergedEpochUnbiasedness:
                 snaps = staged_resize_run(
                     config, trace, 4_096, resize_after=2, new_l=new_l
                 )
-                assert {s.sketch.l for s in snaps} == {1024, new_l}
-            store = EpochStore(history=8, seed=seed)
+                assert {s.l for s in snaps} == {1024, new_l}
+            store = EpochStore(history=8)
             for snap in snaps:
                 store.add(snap)
             return store.merged_range(0, snaps[-1].epoch)
 
         for spec in random_partial_specs(2, seed=5):
-            assert_partial_key_unbiased_states(
-                make_state,
+            assert_partial_key_unbiased_planners(
+                make_range,
                 trace,
                 spec,
                 trials=12,
                 base_seed=40 + shards,
-                label=f"merged-epoch estimate (shards={shards}, new_l={new_l})",
+                label=f"summed-epoch estimate (shards={shards}, new_l={new_l})",
             )
 
 
@@ -942,7 +962,7 @@ class TestWallClockRotation:
 
 
 class TestFrozenEpochs:
-    """A closed epoch is a read-only sketch that retains no live engine."""
+    """A closed epoch is a read-only table that retains no live engine."""
 
     @pytest.mark.parametrize(
         "engine,shards", [("numpy", 1), ("numpy", 2), ("scalar", 1)]
@@ -963,9 +983,11 @@ class TestFrozenEpochs:
         finally:
             gc.enable()
         frozen = snap.to_bytes()
-        hi, lo, sizes = next(iter(trace.batches(CHUNK)))
-        with pytest.raises((ValueError, TypeError)):
-            snap.sketch.process_columns(hi, lo, sizes)
+        with pytest.raises(ValueError):
+            snap.table.values[0] = 1.0
+        with pytest.raises(ValueError):
+            snap.table.words[0, 0] = 1
+        assert snap.table.total == 3 * CHUNK
         assert snap.to_bytes() == frozen == snap.to_bytes()
         daemon.close()
 
@@ -984,21 +1006,24 @@ def _planners_cached(daemon):
 
 
 class TestPlannerCache:
-    """One memoized planner per ``(lo, hi)`` range, evicted with the store."""
+    """One memoized planner per frozen epoch, evicted with the store;
+    multi-epoch ranges are sums, computed per read and never cached."""
 
     KEY = FIVE_TUPLE.partial(("SrcIP", 16))
 
     def test_repeated_range_is_one_miss_then_hits(self):
         daemon = MeasurementDaemon(make_config(epoch_packets=2_000))
         _ingest(daemon, make_trace(6_000))
-        first = daemon.range_planner(0, 2)
-        assert daemon.range_planner(0, 2) is first
-        assert daemon.range_planner(0, 2) is first
+        first = daemon.epoch_planner(1)
+        assert daemon.epoch_planner(1) is first
+        # A one-epoch range is that epoch's planner: the same entry.
+        assert daemon.range_planner(1, 1) is first
         assert _counter(daemon, "service.planner.cache.misses") == 1
         assert _counter(daemon, "service.planner.cache.hits") == 2
-        # A single epoch is the one-epoch range: the same cache entry.
-        assert daemon.epoch_planner(1) is daemon.range_planner(1, 1)
-        assert _planners_cached(daemon) == 2
+        # A wider range is a fresh sum per call, outside the cache.
+        assert daemon.range_planner(0, 2) is not daemon.range_planner(0, 2)
+        assert _planners_cached(daemon) == 1
+        assert _counter(daemon, "service.planner.cache.misses") == 1
         # Ad-hoc keys do not pile up: a cached planner keeps the last
         # aggregate only, and a re-asked key answers the same rows.
         dst = FIVE_TUPLE.partial("DstIP")
@@ -1022,7 +1047,7 @@ class TestPlannerCache:
         assert widths[0] == 256 and widths[-1] == 512, widths
         last = daemon.store.ids()[-1]
         for lo, hi in [(0, last), (1, 3), (2, 2), (0, 0)]:
-            fresh = QueryPlanner(daemon.store.merged_range(lo, hi), FIVE_TUPLE)
+            fresh = concat_reference(daemon.store, lo, hi)
             for partial in (self.KEY, FIVE_TUPLE.partial("DstIP"), FIVE_TUPLE.identity_partial()):
                 cached = daemon.range_planner(lo, hi).table(partial)
                 want = fresh.table(partial)
@@ -1038,8 +1063,8 @@ class TestPlannerCache:
         assert daemon.store.ids() == [0, 1, 2]
         daemon.range_planner(0, 2)
         daemon.epoch_planner(0)
-        daemon.range_planner(1, 2)
-        assert _planners_cached(daemon) == 3
+        daemon.epoch_planner(1)
+        assert _planners_cached(daemon) == 2
         for hi, lo, sizes in blocks[3:]:
             daemon.ingest(hi, lo, sizes)
         assert daemon.store.ids() == [2, 3, 4]
@@ -1048,7 +1073,7 @@ class TestPlannerCache:
                 daemon.range_planner(lo, hi)
         with pytest.raises(KeyError):
             daemon.epoch_planner(0)
-        assert _planners_cached(daemon) == 0  # all three were pruned
+        assert _planners_cached(daemon) == 0  # both were pruned
         daemon.close()
 
     def test_http_range_with_evicted_lo_is_404(self):
@@ -1061,7 +1086,6 @@ class TestPlannerCache:
             status, payload = _get(url)
             assert status == 200 and payload["rows"]
             assert _get(url)[1]["rows"] == payload["rows"]
-            assert _counter(daemon, "service.planner.cache.hits") == 1
             for hi, lo, sizes in blocks[3:]:
                 daemon.ingest(hi, lo, sizes)
             for epoch in ("0-2", "0", "1-3"):
@@ -1078,6 +1102,8 @@ class TestPlannerCache:
                 with pytest.raises(urllib.error.HTTPError) as err:
                     _get(f"{server.url}/topk?key={key}&k=5&epoch=0-2")
                 assert err.value.code == 400, key
+        gauges = daemon.metrics_snapshot()["gauges"]
+        assert gauges["service.epochs.dictionary.keys"] == 0  # no range read
         assert _counter(daemon, "service.planner.cache.misses") == 0
         daemon.close()
 
@@ -1090,7 +1116,9 @@ class TestPlannerCache:
 
         def reader(idx):
             barrier.wait()
-            rows[idx] = _get(f"{base}/topk?key=SrcIP/16&k=20&epoch=0-3")[1]["rows"]
+            # Half read one cold epoch, half a cold range.
+            epoch = "3" if idx % 2 else "0-3"
+            rows[idx] = _get(f"{base}/topk?key=SrcIP/16&k=20&epoch={epoch}")[1]["rows"]
 
         with ServiceServer(daemon) as server:
             base = server.url
@@ -1100,8 +1128,12 @@ class TestPlannerCache:
             for thread in pool:
                 thread.join(timeout=60)
                 assert not thread.is_alive()
-        assert rows[0] and all(r == rows[0] for r in rows)
+        assert rows[0] and all(r == rows[0] for r in rows[::2])
+        assert rows[1] and all(r == rows[1] for r in rows[1::2])
         assert _planners_cached(daemon) == 1
+        # The racing range reads built the dictionary once.
+        want = len(concat_reference(daemon.store, 0, 3).grouped_base())
+        assert daemon.store.dictionary_keys() == want
         daemon.close()
 
     def test_reads_racing_rotation_keep_the_cache_consistent(self):
@@ -1120,10 +1152,10 @@ class TestPlannerCache:
             rng = random.Random(idx)
             while feeding.is_set():
                 newest = daemon.store.ids()[-1]
-                lo = rng.randint(max(newest - history, 0), newest)
+                epoch = rng.randint(max(newest - history, 0), newest)
                 calls[idx] += 1
                 try:
-                    daemon.range_planner(lo, rng.randint(lo, newest))
+                    daemon.epoch_planner(epoch)
                 except KeyError:
                     pass  # evicted between the pick and the lookup
 
@@ -1142,8 +1174,8 @@ class TestPlannerCache:
         finally:
             sys.setswitchinterval(previous)
         oldest = daemon.store.ids()[0]
-        assert all(lo >= oldest for lo, _ in daemon._planners)
-        assert len(daemon._planners) <= history * (history + 1) // 2
+        assert all(epoch >= oldest for epoch in daemon._planners)
+        assert len(daemon._planners) <= history
         assert _planners_cached(daemon) == len(daemon._planners)
         # Every lookup was counted once: no update was lost.
         counted = _counter(daemon, "service.planner.cache.hits") + _counter(
@@ -1210,8 +1242,13 @@ class TestReadsOffTheIngestLock:
                 cold = _within(lambda: _get(_sql_url(base, SOAK_SQL, epoch=2), timeout=2))
                 hot = _within(lambda: _get(_sql_url(base, SOAK_SQL, epoch=2), timeout=2))
                 assert cold == hot and cold[0] == 200 and cold[1]["rows"]
-                cached = _within(lambda: _get(base + topk_range, timeout=2))
-                assert cached[0] == 200 and cached[1]["rows"] == warm["rows"]
+                ranged = _within(lambda: _get(base + topk_range, timeout=2))
+                assert ranged[0] == 200 and ranged[1]["rows"] == warm["rows"]
+                status, metrics = _within(
+                    lambda: _get(f"{base}/metrics", timeout=2)
+                )
+                assert status == 200
+                assert metrics["counters"]["service.ingest.packets"] == 7_000
             finally:
                 release.set()
                 parker.join(timeout=10)
@@ -1373,8 +1410,8 @@ class TestOneEpochRawPlanners:
         [
             ("numpy", 1, "hash"),
             ("numpy", 2, "hash"),
-            # Round-robin shards share keys, so the folded epoch holds
-            # a key in more than one bucket: raw rows repeat keys.
+            # Round-robin shards share keys, so the epoch's table holds
+            # a key once per shard: raw rows repeat keys.
             ("numpy", 2, "round-robin"),
             ("scalar", 1, "hash"),
         ],
@@ -1409,7 +1446,7 @@ class TestOneEpochRawPlanners:
         monkeypatch.setattr(ColumnTable, "group", counting_group)
         repeats = 0
         for epoch in daemon.store.ids():
-            grouped = QueryPlanner(daemon.store.get(epoch).sketch, FIVE_TUPLE)
+            grouped = QueryPlanner(daemon.store.get(epoch).table, FIVE_TUPLE)
             raw = daemon.epoch_planner(epoch)
             # Engines export raw bucket rows; scalar tables are dicts,
             # packed and grouped at extraction.
@@ -1433,3 +1470,231 @@ class TestOneEpochRawPlanners:
             assert len(full_sorts) == (engine != "scalar"), (epoch, full_sorts)
             assert raw.grouped_base() is raw.grouped_base() is raw.base
         assert (repeats > 0) == (strategy == "round-robin"), repeats
+
+
+#: Epochs 0-1 at l=256, 2-3 at 512 (a grow), 4-5 at 128 (a shrink).
+RESIZES = {3: 512, 7: 128}
+
+#: Ranges within and across both resizes.
+RANGES = [(0, 5), (1, 2), (3, 4), (0, 3), (2, 5), (4, 5)]
+
+
+def resized_daemon(engine, shards, strategy, history=64):
+    daemon = MeasurementDaemon(
+        make_config(
+            engine=engine, shards=shards, strategy=strategy,
+            epoch_packets=2_000, l=256, history=history,
+        )
+    )
+    for n, (hi, lo, sizes) in enumerate(make_trace(12_000).batches(1_000)):
+        if n in RESIZES:
+            daemon.set_geometry(RESIZES[n])
+        daemon.ingest(hi, lo, sizes)
+    daemon.close()
+    return daemon
+
+
+class TestRangeSums:
+    """A multi-epoch range is two bincounts over the store's key
+    dictionary, and answers bit for bit as grouping the concatenated
+    epoch tables does."""
+
+    @pytest.mark.parametrize("engine", ["numpy", "scalar"])
+    @pytest.mark.parametrize(
+        "shards,strategy",
+        [
+            (1, "hash"),
+            (2, "hash"),
+            # Round-robin shards share keys: the tables repeat them.
+            (2, "round-robin"),
+        ],
+    )
+    def test_two_bincounts_equal_concat_and_group(self, engine, shards, strategy):
+        from repro.core.sql import run_query
+
+        daemon = resized_daemon(engine, shards, strategy)
+        widths = [meta["l"] for meta in daemon.store.metas()]
+        assert widths == [256, 256, 512, 512, 128, 128], widths
+        partials = list(ARE_KEYS) + random_partial_specs(6, seed=23)
+        sql = RAW_SQL + [
+            "SELECT DstIP/24, SUM(size) FROM flows GROUP BY DstIP/24 "
+            "ORDER BY SUM(size) DESC LIMIT 7",
+        ]
+        for lo, hi in RANGES:
+            got = daemon.range_planner(lo, hi)
+            want = concat_reference(daemon.store, lo, hi)
+            for partial in partials:
+                a, b = got.table(partial), want.table(partial)
+                assert np.array_equal(a.words, b.words), (lo, hi, partial)
+                assert np.array_equal(a.values, b.values), (lo, hi, partial)
+                assert a.top_k(10) == b.top_k(10), (lo, hi, partial)
+            full_a, full_b = got.grouped_base(), want.grouped_base()
+            assert np.array_equal(full_a.words, full_b.words), (lo, hi)
+            assert np.array_equal(full_a.values, full_b.values), (lo, hi)
+            assert full_a.total == sum(
+                daemon.store.get(e).packets for e in range(lo, hi + 1)
+            )
+            for text in sql:
+                assert run_query(text, planner=got) == run_query(
+                    text, planner=want
+                ), (lo, hi, text)
+        # Every range read shares one dictionary of the epochs' keys.
+        assert daemon.store.dictionary_keys() == len(
+            concat_reference(daemon.store, 0, 5).grouped_base()
+        )
+
+    def test_one_epoch_reads_never_touch_the_dictionary(self):
+        daemon = resized_daemon("numpy", 2, "hash")
+        for epoch in daemon.store.ids():
+            daemon.epoch_planner(epoch).table(ARE_KEYS[1])
+            daemon.range_planner(epoch, epoch).table(ARE_KEYS[2])
+        assert daemon.store.dictionary_keys() == 0
+
+    def test_key_churn_keeps_the_dictionary_within_twice_the_live_keys(self):
+        # Every epoch's flows are new (SrcIP's top byte is the epoch),
+        # so each eviction leaves its keys unreferenced.
+        epochs, flows, per_epoch = 12, 150, 1_500
+        rng = random.Random(4)
+        history = 4
+        daemon = MeasurementDaemon(
+            make_config(epoch_packets=per_epoch, l=1024, history=history)
+        )
+        key = FIVE_TUPLE.partial(("SrcIP", 16), "DstPort")
+        for e in range(epochs):
+            pool = [(e << 96) | rng.getrandbits(96) for _ in range(flows)]
+            keys = [rng.choice(pool) for _ in range(per_epoch)]
+            trace = Trace(FIVE_TUPLE, keys, name=f"epoch-{e}")
+            for hi, lo, sizes in trace.batches(per_epoch):
+                daemon.ingest(hi, lo, sizes)
+            ids = daemon.store.ids()
+            if len(ids) < 2:
+                continue
+            got = daemon.range_planner(ids[0], ids[-1])
+            want = concat_reference(daemon.store, ids[0], ids[-1])
+            live = len(want.grouped_base())
+            assert daemon.store.dictionary_keys() <= 2 * live, (e, live)
+            for partial in (key, FIVE_TUPLE.identity_partial()):
+                a, b = got.table(partial), want.table(partial)
+                assert np.array_equal(a.words, b.words), (e, partial)
+                assert np.array_equal(a.values, b.values), (e, partial)
+        counters = daemon.metrics_snapshot()["counters"]
+        assert counters["service.epochs.dictionary.compactions"] >= 2
+        daemon.close()
+
+    def test_store_writes_never_wait_on_a_dictionary_build(self):
+        store = EpochStore(history=2)
+        for epoch in range(2):
+            store.add(bare_snapshot(epoch))
+        with store._range_lock:  # a range read mid dictionary build
+            _within(lambda: store.add(bare_snapshot(2)))
+            assert _within(lambda: store.get(2)).epoch == 2
+            assert [m["epoch"] for m in _within(store.metas)] == [1, 2]
+
+    def test_a_range_over_an_evicted_epoch_is_never_partial(self):
+        history, per_epoch = 3, 500
+        daemon = MeasurementDaemon(
+            make_config(epoch_packets=per_epoch, history=history)
+        )
+        trace = make_trace(8_000)
+        blocks = list(trace.batches(250))
+        sizes = next(iter(trace.batches(len(trace))))[2]
+        for hi, lo, sz in blocks[:6]:
+            daemon.ingest(hi, lo, sz)
+        feeding = threading.Event()
+        feeding.set()
+        outcomes = [[0, 0] for _ in range(4)]
+        errors = []
+        key = FIVE_TUPLE.partial(("SrcIP", 8))
+
+        def reader(idx):
+            rng = random.Random(idx)
+            try:
+                while feeding.is_set():
+                    newest = daemon.store.ids()[-1]
+                    lo = rng.randint(max(newest - history, 0), newest - 1)
+                    hi = rng.randint(lo + 1, newest)
+                    try:
+                        total = daemon.range_planner(lo, hi).table(key).total
+                    except KeyError:
+                        outcomes[idx][1] += 1
+                        continue
+                    want = sizes[lo * per_epoch:(hi + 1) * per_epoch].sum()
+                    assert total == want, (lo, hi, total, want)
+                    outcomes[idx][0] += 1
+            except Exception as exc:  # pragma: no cover - failure detail
+                errors.append(exc)
+                raise
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            pool = [threading.Thread(target=reader, args=(i,)) for i in range(4)]
+            for thread in pool:
+                thread.start()
+            for hi, lo, sz in blocks[6:]:
+                daemon.ingest(hi, lo, sz)
+            feeding.clear()
+            for thread in pool:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(previous)
+        assert errors == []
+        assert sum(served for served, _ in outcomes) > 0
+        daemon.close()
+
+
+class TestShardedGovernorDecisions:
+    """The governor reads the union of the shards' occupied masks,
+    which is the occupancy the Theorem 1 shard fold used to hold."""
+
+    # Per-epoch widths and resize counts, recorded with the shard fold.
+    EXPECTED = {
+        ("numpy", "hash"): ([128, 256, 512] + [1024] * 4 + [512] * 5, 4),
+        ("numpy", "round-robin"): ([128, 256, 512] + [1024] * 9, 3),
+        ("scalar", "hash"): ([128, 256, 512] + [1024] * 4 + [512] * 5, 4),
+    }
+
+    @pytest.mark.parametrize("engine,strategy", sorted(EXPECTED))
+    def test_resize_decisions_match_the_shard_fold(
+        self, engine, strategy, monkeypatch
+    ):
+        from repro.extensions.merging import merge_many
+        from repro.traffic.synthetic import caida_like, mawi_like
+
+        folded = []
+        occupancy = EpochBuilder.occupancy
+
+        def checked(builder):
+            value = occupancy(builder)
+            fold = merge_many(builder.live_sketches(), seed=builder.epoch)
+            folded.append((value, float(np.mean(
+                [[k is not None for k in row] for row in fold._keys]
+            )) if engine == "scalar" else fold.occupancy()))
+            return value
+
+        monkeypatch.setattr(EpochBuilder, "occupancy", checked)
+        trace = Trace(
+            FIVE_TUPLE,
+            caida_like(24_000, 3_500, seed=5).keys
+            + mawi_like(24_000, 1_200, seed=6).keys,
+            name="shifting",
+        )
+        config = dataclasses.replace(
+            make_config(
+                engine=engine, shards=2, strategy=strategy, l=128,
+                epoch_packets=4_000,
+            ),
+            governor=GovernorConfig(
+                memory_bytes=2 * 2 * 2048 * (DEFAULT_KEY_BYTES + COUNTER_BYTES)
+            ),
+        )
+        daemon = MeasurementDaemon(config)
+        for hi, lo, sizes in trace.batches(3_000):
+            daemon.ingest(hi, lo, sizes)
+        daemon.close()
+        widths, resizes = self.EXPECTED[(engine, strategy)]
+        assert [meta["l"] for meta in daemon.store.metas()] == widths
+        assert _counter(daemon, "control.resizes") == resizes
+        assert len(folded) == len(widths)
+        assert all(ours == fold for ours, fold in folded), folded

@@ -18,7 +18,7 @@ file gates each piece:
 * **Staleness honesty** — reported packets-behind counts buffered
   sub-chunk arrivals, so it is never an undercount.
 * **Lemma 3 on served answers** — replica answers (including a slim
-  live view summed with a merged epoch range) stay unbiased, gated
+  live view plus a summed epoch range) stay unbiased, gated
   through the shared harness so ``REPRO_STAT_*`` margins apply.
 * **Concurrency** — threaded readers mid-ingestion see monotone
   versions and masses matching a consistent drained prefix (the
@@ -426,7 +426,7 @@ class TestSlimUnbiasedness:
         spec = random_partial_specs(1, seed=33)[0]
 
         class _SumPlanner:
-            """Sums a slim live view with a merged epoch range —
+            """Sums a slim live view with a summed epoch range —
             per-flow estimates add across disjoint packet prefixes, so
             Lemma 3 carries to the combined answer."""
 
