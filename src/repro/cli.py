@@ -39,10 +39,7 @@ from repro.core.query import FlowTable
 from repro.engine import available_engines, get_engine
 from repro.engine.kernels import BACKEND_CHOICES, BACKEND_ENV, resolve_kernels
 from repro.flowkeys.key import FIVE_TUPLE, PartialKeySpec, paper_partial_keys
-from repro.metrics.accuracy import (
-    evaluate_heavy_hitters,
-    evaluate_heavy_hitters_columns,
-)
+from repro.metrics.accuracy import evaluate_heavy_hitters_columns
 from repro.query.planner import QueryPlanner
 from repro.obs.registry import (
     MetricsRegistry,
@@ -176,11 +173,9 @@ def _cmd_measure(args: argparse.Namespace) -> int:
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     def body() -> int:
-        from repro.traffic.fast import FastGroundTruth
-
         trace, sketch = _load_sketch(args)
         planner = QueryPlanner(sketch, FIVE_TUPLE)
-        fast = FastGroundTruth(trace)
+        truth = trace.exact_table()
         keys = [parse_key(k) for k in args.key] or paper_partial_keys(6)
         threshold = args.threshold * trace.total_size
         print(
@@ -189,24 +184,9 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         )
         with get_registry().span("cli.aggregate"):
             for partial in keys:
-                table = planner.table(partial)
-                if fast.supported and partial.width <= 64:
-                    truth_keys, truth_totals = fast.ground_truth_columns(
-                        partial
-                    )
-                    report = evaluate_heavy_hitters_columns(
-                        table.words[0],
-                        table.values,
-                        truth_keys,
-                        truth_totals,
-                        threshold,
-                    )
-                else:
-                    report = evaluate_heavy_hitters(
-                        planner.sizes(partial),
-                        trace.ground_truth(partial),
-                        threshold,
-                    )
+                report = evaluate_heavy_hitters_columns(
+                    planner.table(partial), truth.aggregate(partial), threshold
+                )
                 print(
                     f"{partial.name:44s} {report.recall:7.2%} "
                     f"{report.precision:9.2%} {report.f1:6.3f} "

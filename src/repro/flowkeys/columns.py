@@ -8,9 +8,8 @@ hashing, projection and group-by all run as numpy array operations
 regardless of key width (the IPv4 5-tuple needs 2 words, the IPv6
 5-tuple 5).
 
-Three packing entry points used to live in three places (the engines'
-batch coercion, :mod:`repro.traffic.fast`, and per-sketch extraction);
-they all route here now:
+The packing entry points (the engines' batch coercion, a trace's exact
+table, per-sketch extraction) all route here:
 
 * :func:`pack_key_columns` — the historical 128-bit ``(hi, lo)`` pair
   (what :meth:`Trace.batches` and the execution engines exchange).
@@ -42,7 +41,7 @@ def pack_key_columns(keys: Sequence[int]) -> Tuple["np.ndarray", "np.ndarray"]:
 
     Returns ``(hi, lo)`` arrays with ``key = (hi << 64) | lo``.  This is
     the columnar key representation shared by the vectorised execution
-    engines, :meth:`Trace.batches` and the exact-aggregation fast path.
+    engines and :meth:`Trace.batches`.
     """
     n = len(keys)
     hi = np.fromiter(((k >> 64) & _MASK64 for k in keys), dtype=_U64, count=n)

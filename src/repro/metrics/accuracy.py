@@ -12,9 +12,15 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import AbstractSet, Dict, Iterable, Optional, Tuple
+from typing import TYPE_CHECKING, AbstractSet, Dict, Iterable, Optional, Tuple
 
 import numpy as np
+
+from repro.flowkeys.columns import unique_words
+from repro.flowkeys.key import FullKeySpec
+
+if TYPE_CHECKING:
+    from repro.query.columns import ColumnTable
 
 
 def recall_rate(reported: AbstractSet[int], truth: AbstractSet[int]) -> float:
@@ -72,6 +78,17 @@ class AccuracyReport:
     def f1(self) -> float:
         return f1_score(self.recall, self.precision)
 
+    @classmethod
+    def from_counts(
+        cls, n_reported: int, n_correct: int, n_hits: int, are_sum: float
+    ) -> "AccuracyReport":
+        """The report from set sizes and the ARE sum over correct flows."""
+        return cls(
+            recall=n_hits / n_correct if n_correct else 1.0,
+            precision=n_hits / n_reported if n_reported else 1.0,
+            are=are_sum / n_correct if n_correct else 0.0,
+        )
+
     @staticmethod
     def mean(reports: "Iterable[AccuracyReport]") -> "AccuracyReport":
         """Arithmetic mean across partial keys (the paper reports
@@ -87,22 +104,24 @@ class AccuracyReport:
         )
 
 
+def _as_partial(spec):
+    """A table's key as a partial key (a full-key table's is the identity)."""
+    return spec.identity_partial() if isinstance(spec, FullKeySpec) else spec
+
+
 def heavy_hitter_stats_columns(
-    est_keys: "np.ndarray",
-    est_values: "np.ndarray",
-    truth_keys: "np.ndarray",
-    truth_totals: "np.ndarray",
+    estimates: "ColumnTable",
+    truth: "ColumnTable",
     threshold: float,
 ) -> Tuple[int, int, int, float]:
-    """Vectorised HH set statistics over sorted-unique key columns.
+    """Vectorised HH set statistics over two column tables.
 
     Args:
-        est_keys / est_values: Estimated table as ascending unique
-            uint64 keys plus float sizes (a grouped
-            :class:`~repro.query.columns.ColumnTable`'s single key word
-            and values).
-        truth_keys / truth_totals: Exact table in the same shape (e.g.
-            :meth:`~repro.traffic.fast.FastGroundTruth.ground_truth_columns`).
+        estimates: Estimated table over one key (any word count;
+            grouped here if it is not already).
+        truth: Exact table over the same key spec (e.g.
+            ``trace.exact_table().aggregate(partial)``); another spec,
+            even one of the same word count, raises ``ValueError``.
         threshold: Absolute heavy-hitter threshold.
 
     Returns ``(n_reported, n_correct, n_hits, are_sum)`` — the raw
@@ -112,43 +131,40 @@ def heavy_hitter_stats_columns(
     threshold, correct = truly >= threshold, ARE summed over the true
     heavy hitters with missing estimates counted as 0.
     """
-    reported = est_keys[est_values >= threshold]
-    correct_mask = truth_totals >= threshold
-    correct = truth_keys[correct_mask]
-    correct_totals = truth_totals[correct_mask].astype(np.float64)
-    hits = np.intersect1d(reported, correct, assume_unique=True)
-    are_sum = 0.0
-    if len(correct):
-        est_at = np.zeros(len(correct), dtype=np.float64)
-        if len(est_keys):
-            idx = np.minimum(
-                np.searchsorted(est_keys, correct), len(est_keys) - 1
-            )
-            found = est_keys[idx] == correct
-            est_at = np.where(found, est_values[idx], 0.0)
-        are_sum = float(
-            (np.abs(est_at - correct_totals) / correct_totals).sum()
+    if _as_partial(estimates.spec) != _as_partial(truth.spec):
+        raise ValueError(
+            f"estimates over {estimates.spec} cannot be scored against "
+            f"truth over {truth.spec}"
         )
-    return len(reported), len(correct), len(hits), are_sum
+    estimates = estimates.group()
+    correct = truth.group().threshold(threshold)
+    reported = estimates.values >= threshold
+    # One id space over the estimated keys and the true heavy hitters.
+    n_est = len(estimates)
+    _, ids = unique_words(
+        np.concatenate([estimates.words, correct.words], axis=1)
+    )
+    est_ids, correct_ids = ids[:n_est], ids[n_est:]
+    est_at = np.zeros(len(ids), dtype=np.float64)
+    est_at[est_ids] = estimates.values
+    is_reported = np.zeros(len(ids), dtype=bool)
+    is_reported[est_ids[reported]] = True
+    n_hits = int(is_reported[correct_ids].sum())
+    errors = np.abs(est_at[correct_ids] - correct.values) / correct.values
+    are_sum = float(errors.sum())
+    return int(reported.sum()), len(correct), n_hits, are_sum
 
 
 def evaluate_heavy_hitters_columns(
-    est_keys: "np.ndarray",
-    est_values: "np.ndarray",
-    truth_keys: "np.ndarray",
-    truth_totals: "np.ndarray",
+    estimates: "ColumnTable",
+    truth: "ColumnTable",
     threshold: float,
 ) -> AccuracyReport:
     """Columnar :func:`evaluate_heavy_hitters` (same report, no dicts)."""
     if threshold <= 0:
         raise ValueError(f"threshold must be positive, got {threshold}")
-    n_reported, n_correct, n_hits, are_sum = heavy_hitter_stats_columns(
-        est_keys, est_values, truth_keys, truth_totals, threshold
-    )
-    return AccuracyReport(
-        recall=n_hits / n_correct if n_correct else 1.0,
-        precision=n_hits / n_reported if n_reported else 1.0,
-        are=are_sum / n_correct if n_correct else 0.0,
+    return AccuracyReport.from_counts(
+        *heavy_hitter_stats_columns(estimates, truth, threshold)
     )
 
 

@@ -11,19 +11,12 @@ entropy sketches cannot do:
   ``N - table total`` is spread over ``residual_flows`` phantom flows.
 * :func:`flow_size_histogram` / :func:`wmrd` — flow-size-distribution
   recovery and the standard Weighted Mean Relative Difference metric.
-
-Each statistic also has a ``*_columns`` variant taking the size column
-of a :class:`~repro.query.columns.ColumnTable` directly, so the
-columnar query plane feeds distribution answers without a dict
-round-trip.
 """
 
 from __future__ import annotations
 
 import math
 from typing import Dict, List, Tuple
-
-import numpy as np
 
 
 def empirical_entropy(counts: Dict[int, float]) -> float:
@@ -70,70 +63,6 @@ def entropy_from_table(
         if p > 0:
             entropy -= residual_flows * p * math.log2(p)
     return entropy
-
-
-def empirical_entropy_columns(values: "np.ndarray") -> float:
-    """:func:`empirical_entropy` over a size column (vectorised)."""
-    values = np.asarray(values, dtype=np.float64)
-    total = float(values.sum())
-    if total <= 0:
-        return 0.0
-    p = values[values > 0] / total
-    return float(-(p * np.log2(p)).sum())
-
-
-def entropy_from_columns(
-    values: "np.ndarray",
-    true_total: float,
-    residual_flows: int = 0,
-) -> float:
-    """:func:`entropy_from_table` over a size column (vectorised)."""
-    if true_total <= 0:
-        raise ValueError(f"true_total must be positive, got {true_total}")
-    values = np.asarray(values, dtype=np.float64)
-    positive = values[values > 0]
-    p = np.minimum(1.0, positive / true_total)
-    entropy = float(-(p * np.log2(p)).sum()) if len(positive) else 0.0
-    residual = max(0.0, true_total - float(positive.sum()))
-    if residual_flows > 0 and residual > 0:
-        p_tail = residual / true_total / residual_flows
-        if p_tail > 0:
-            entropy -= residual_flows * p_tail * math.log2(p_tail)
-    return entropy
-
-
-def flow_size_histogram_columns(
-    values: "np.ndarray", log_scale: bool = True
-) -> Dict[int, int]:
-    """:func:`flow_size_histogram` over a size column (vectorised)."""
-    values = np.asarray(values, dtype=np.float64)
-    sizes = values[values >= 1].astype(np.int64)
-    if len(sizes) == 0:
-        return {}
-    if log_scale:
-        # frexp exponent of an exact integer float is bit_length, so
-        # bucket = exponent - 1 reproduces int(size).bit_length() - 1.
-        _, exponents = np.frexp(sizes.astype(np.float64))
-        buckets = exponents.astype(np.int64) - 1
-    else:
-        buckets = sizes
-    uniq, counts = np.unique(buckets, return_counts=True)
-    return dict(zip(uniq.tolist(), counts.tolist()))
-
-
-def top_k_share_columns(values: "np.ndarray", k: int) -> float:
-    """:func:`top_k_share` over a size column (vectorised)."""
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
-    values = np.asarray(values, dtype=np.float64)
-    total = float(values.sum())
-    if total <= 0 or k == 0:
-        return 0.0
-    if k < len(values):
-        largest = np.partition(values, len(values) - k)[len(values) - k:]
-    else:
-        largest = values
-    return float(largest.sum()) / total
 
 
 def flow_size_histogram(

@@ -40,14 +40,13 @@ class Estimator(abc.ABC):
     def table(self, partial: PartialKeySpec) -> Dict[int, float]:
         """Estimated ``{partial_value: size}`` for one measured key."""
 
-    def column_table(self, partial: PartialKeySpec) -> Optional[ColumnTable]:
-        """Columnar table for one measured key, when supported.
+    def column_table(self, partial: PartialKeySpec) -> ColumnTable:
+        """:meth:`table` as a column table (what the tasks score).
 
-        Estimator families without a shared full-key sketch (per-key
-        banks, R-HHH levels) answer ``None`` and the tasks fall back to
-        the dict path; results are identical either way.
+        The default packs the dict table; estimators that hold columns
+        already (:class:`FullKeyEstimator`) answer without the dict.
         """
-        return None
+        return ColumnTable.from_dict(self.table(partial), partial)
 
 
 class FullKeyEstimator(Estimator):
@@ -123,7 +122,7 @@ class FullKeyEstimator(Estimator):
     def table(self, partial: PartialKeySpec) -> Dict[int, float]:
         return self.planner.sizes(partial)
 
-    def column_table(self, partial: PartialKeySpec) -> Optional[ColumnTable]:
+    def column_table(self, partial: PartialKeySpec) -> ColumnTable:
         return self.planner.table(partial)
 
 

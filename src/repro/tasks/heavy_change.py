@@ -9,81 +9,31 @@ are computed over the union of both windows' reported flows.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
 import numpy as np
 
 from repro.flowkeys.key import PartialKeySpec
-from repro.metrics.accuracy import (
-    AccuracyReport,
-    average_relative_error,
-    evaluate_heavy_hitters_columns,
-    precision_rate,
-    recall_rate,
-)
+from repro.metrics.accuracy import AccuracyReport, evaluate_heavy_hitters_columns
 from repro.query.columns import ColumnTable
 from repro.tasks.harness import Estimator
-from repro.traffic.fast import FastGroundTruth
 from repro.traffic.trace import Trace
 
 #: Paper's heavy-change threshold fraction of total traffic.
 DEFAULT_CHANGE_FRACTION = 1e-4
 
 
-def _change_table(
-    table_a: Dict[int, float], table_b: Dict[int, float]
-) -> Dict[int, float]:
-    """|size_a - size_b| per flow over the union of both tables."""
-    changes: Dict[int, float] = {}
-    for key in set(table_a) | set(table_b):
-        changes[key] = abs(table_a.get(key, 0.0) - table_b.get(key, 0.0))
-    return changes
-
-
 def _change_columns(
     table_a: ColumnTable, table_b: ColumnTable
 ) -> ColumnTable:
-    """Columnar :func:`_change_table`: |a - b| over the key union.
+    """|size_a - size_b| per flow over the union of both tables.
 
     ``concat(a, -b)`` grouped sums to ``a - b`` per key (exact — the
-    estimates are integer/half-integer floats), then the magnitudes.
+    sizes are integer/half-integer floats), then the magnitudes.
     """
     diff = table_a.concat(table_b.scaled(-1.0)).group()
     return ColumnTable(
         diff.spec, diff.words, np.abs(diff.values), grouped=True
-    )
-
-
-def _columnar_change_report(
-    est_a: Estimator,
-    est_b: Estimator,
-    fast_a: FastGroundTruth,
-    fast_b: FastGroundTruth,
-    partial: PartialKeySpec,
-    threshold: float,
-) -> Optional[AccuracyReport]:
-    """Fully columnar scoring for one partial key (None = fall back)."""
-    if not fast_a.supported or not fast_b.supported or partial.width > 64:
-        return None
-    cols_a = est_a.column_table(partial)
-    cols_b = est_b.column_table(partial)
-    if cols_a is None or cols_b is None:
-        return None
-    keys_a, totals_a = fast_a.ground_truth_columns(partial)
-    keys_b, totals_b = fast_b.ground_truth_columns(partial)
-    true_changes = _change_columns(
-        ColumnTable(partial, keys_a[None, :], totals_a, grouped=True),
-        ColumnTable(partial, keys_b[None, :], totals_b, grouped=True),
-    )
-    est_changes = _change_columns(cols_a.group(), cols_b.group())
-    # True changes are integral, so the |diff| column doubles as the
-    # rounded truth the dict path scores ARE against.
-    return evaluate_heavy_hitters_columns(
-        est_changes.words[0],
-        est_changes.values,
-        true_changes.words[0],
-        true_changes.values,
-        threshold,
     )
 
 
@@ -107,30 +57,18 @@ def heavy_change_task(
     est_b = make_estimator()
     est_b.process(iter(window_b))
     threshold = threshold_fraction * (window_a.total_size + window_b.total_size) / 2
-    fast_a = FastGroundTruth(window_a)
-    fast_b = FastGroundTruth(window_b)
-
-    reports: Dict[str, AccuracyReport] = {}
-    for partial in partial_keys:
-        report = _columnar_change_report(
-            est_a, est_b, fast_a, fast_b, partial, threshold
+    truth_a = window_a.exact_table()
+    truth_b = window_b.exact_table()
+    # ARE is scored over the true heavy changes, on the change magnitude.
+    return {
+        partial.name: evaluate_heavy_hitters_columns(
+            _change_columns(
+                est_a.column_table(partial), est_b.column_table(partial)
+            ),
+            _change_columns(
+                truth_a.aggregate(partial), truth_b.aggregate(partial)
+            ),
+            threshold,
         )
-        if report is not None:
-            reports[partial.name] = report
-            continue
-        true_changes = _change_table(
-            {k: float(v) for k, v in window_a.ground_truth(partial).items()},
-            {k: float(v) for k, v in window_b.ground_truth(partial).items()},
-        )
-        est_changes = _change_table(est_a.table(partial), est_b.table(partial))
-
-        reported = {k for k, v in est_changes.items() if v >= threshold}
-        correct = {k for k, v in true_changes.items() if v >= threshold}
-        # ARE over the true heavy changes, on the change magnitude.
-        truth_int = {k: int(round(v)) for k, v in true_changes.items() if v > 0}
-        reports[partial.name] = AccuracyReport(
-            recall=recall_rate(reported, correct),
-            precision=precision_rate(reported, correct),
-            are=average_relative_error(est_changes, truth_int, correct),
-        )
-    return reports
+        for partial in partial_keys
+    }

@@ -9,45 +9,15 @@ truth.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
-from repro.metrics.accuracy import (
-    AccuracyReport,
-    evaluate_heavy_hitters,
-    evaluate_heavy_hitters_columns,
-)
 from repro.flowkeys.key import PartialKeySpec
+from repro.metrics.accuracy import AccuracyReport, evaluate_heavy_hitters_columns
 from repro.tasks.harness import Estimator
-from repro.traffic.fast import FastGroundTruth
 from repro.traffic.trace import Trace
 
 #: Paper default: heavy hitter = flow >= 1e-4 of total traffic.
 DEFAULT_THRESHOLD_FRACTION = 1e-4
-
-
-def columnar_report(
-    estimator: Estimator,
-    fast: Optional[FastGroundTruth],
-    partial: PartialKeySpec,
-    threshold: float,
-) -> Optional[AccuracyReport]:
-    """Score one partial key fully columnar, when every piece allows it.
-
-    Needs the estimator to answer column tables, the trace's fast
-    ground truth to support the spec, and a partial key that fits one
-    key word.  Returns ``None`` otherwise (callers fall back to the
-    dict path; both paths score identically).
-    """
-    if fast is None or not fast.supported or partial.width > 64:
-        return None
-    table = estimator.column_table(partial)
-    if table is None:
-        return None
-    truth_keys, truth_totals = fast.ground_truth_columns(partial)
-    table = table.group()
-    return evaluate_heavy_hitters_columns(
-        table.words[0], table.values, truth_keys, truth_totals, threshold
-    )
 
 
 def heavy_hitter_task(
@@ -70,16 +40,15 @@ def heavy_hitter_task(
     if process:
         estimator.process(iter(trace))
     threshold = threshold_fraction * trace.total_size
-    fast = FastGroundTruth(trace)  # no-op shell when the spec is too wide
-    reports: Dict[str, AccuracyReport] = {}
-    for partial in partial_keys:
-        report = columnar_report(estimator, fast, partial, threshold)
-        if report is None:
-            truth = trace.ground_truth(partial)
-            estimates = estimator.table(partial)
-            report = evaluate_heavy_hitters(estimates, truth, threshold)
-        reports[partial.name] = report
-    return reports
+    truth = trace.exact_table()
+    return {
+        partial.name: evaluate_heavy_hitters_columns(
+            estimator.column_table(partial),
+            truth.aggregate(partial),
+            threshold,
+        )
+        for partial in partial_keys
+    }
 
 
 def average_report(reports: Dict[str, AccuracyReport]) -> AccuracyReport:

@@ -14,7 +14,7 @@ paper's comparison.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from repro.flowkeys.key import PartialKeySpec
 from repro.metrics.accuracy import (
@@ -25,7 +25,6 @@ from repro.metrics.accuracy import (
     recall_rate,
 )
 from repro.tasks.harness import Estimator
-from repro.traffic.fast import FastGroundTruth
 from repro.traffic.trace import Trace
 
 #: HHH threshold fraction used in the HHH figures.
@@ -54,63 +53,15 @@ def hhh_task(
     threshold = threshold_fraction * trace.total_size
 
     # Levels are disjoint under the (level, value) flow labelling, so
-    # the micro-averaged set metrics reduce to per-level counts — which
-    # the columnar scorer produces without materialising any dict.
-    n_reported = 0
-    n_correct = 0
-    n_hits = 0
-    are_total = 0.0
-    fast = FastGroundTruth(trace)
-    for level, partial in enumerate(hierarchy):
-        stats = _level_stats_columns(estimator, fast, partial, threshold)
-        if stats is None:
-            stats = _level_stats_dicts(estimator, trace, partial, threshold)
-        n_reported += stats[0]
-        n_correct += stats[1]
-        n_hits += stats[2]
-        are_total += stats[3]
-
-    return AccuracyReport(
-        recall=n_hits / n_correct if n_correct else 1.0,
-        precision=n_hits / n_reported if n_reported else 1.0,
-        are=are_total / n_correct if n_correct else 0.0,
-    )
-
-
-def _level_stats_columns(
-    estimator: Estimator,
-    fast: FastGroundTruth,
-    partial: PartialKeySpec,
-    threshold: float,
-) -> Optional[Tuple[int, int, int, float]]:
-    """One level's (reported, correct, hits, are_sum), vectorised."""
-    if not fast.supported or partial.width > 64:
-        return None
-    table = estimator.column_table(partial)
-    if table is None:
-        return None
-    truth_keys, truth_totals = fast.ground_truth_columns(partial)
-    table = table.group()
-    return heavy_hitter_stats_columns(
-        table.words[0], table.values, truth_keys, truth_totals, threshold
-    )
-
-
-def _level_stats_dicts(
-    estimator: Estimator,
-    trace: Trace,
-    partial: PartialKeySpec,
-    threshold: float,
-) -> Tuple[int, int, int, float]:
-    """Dict fallback for :func:`_level_stats_columns` (same counts)."""
-    truth = trace.ground_truth(partial)
-    estimates = estimator.table(partial)
-    reported = {k for k, v in estimates.items() if v >= threshold}
-    correct = {k for k, v in truth.items() if v >= threshold}
-    are_sum = sum(
-        abs(estimates.get(k, 0.0) - truth[k]) / truth[k] for k in correct
-    )
-    return len(reported), len(correct), len(correct & reported), are_sum
+    # the micro-averaged set metrics reduce to per-level counts.
+    truth = trace.exact_table()
+    totals = [0, 0, 0, 0.0]  # reported, correct, hits, ARE sum
+    for partial in hierarchy:
+        stats = heavy_hitter_stats_columns(
+            estimator.column_table(partial), truth.aggregate(partial), threshold
+        )
+        totals = [t + s for t, s in zip(totals, stats)]
+    return AccuracyReport.from_counts(*totals)
 
 
 def discounted_hhh(

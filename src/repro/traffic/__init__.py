@@ -21,8 +21,9 @@ Contents:
   windows for heavy-change detection (§7.2).
 * CSV round-trip helpers in :mod:`repro.traffic.storage`; classic
   PCAP ingest/export in :mod:`repro.traffic.pcap`.
-* :class:`~repro.traffic.fast.FastGroundTruth` — vectorised exact
-  aggregation for large traces.
+* :meth:`Trace.exact_table() <repro.traffic.trace.Trace.exact_table>`
+  — the exact per-flow totals as a column table, aggregated onto any
+  partial key like a sketch's table.
 """
 
 from repro.traffic.synthetic import (
@@ -32,7 +33,7 @@ from repro.traffic.synthetic import (
     uniform_workload,
     zipf_trace,
 )
-from repro.traffic.fast import FastGroundTruth, pack_key_columns
+from repro.flowkeys.columns import pack_key_columns
 from repro.traffic.trace import Trace
 from repro.traffic.storage import load_csv, save_csv
 
@@ -45,6 +46,5 @@ __all__ = [
     "heavy_change_windows",
     "load_csv",
     "save_csv",
-    "FastGroundTruth",
     "pack_key_columns",
 ]

@@ -4,16 +4,24 @@ A :class:`Trace` is an ordered sequence of ``(key, size)`` records over a
 fixed :class:`~repro.flowkeys.key.FullKeySpec`.  It exposes exactly what
 the evaluation needs: iteration for sketch updates, exact per-flow totals
 on the full key, and exact aggregation onto any partial key (the ground
-truth every accuracy metric compares against).
+truth every accuracy metric compares against).  The exact totals come in
+two shapes: the :meth:`Trace.full_counts` / :meth:`Trace.ground_truth`
+dicts, and :meth:`Trace.exact_table`, the same totals as a grouped
+:class:`~repro.query.columns.ColumnTable` that the task scorers
+aggregate like any sketch's table.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.flowkeys.columns import pack_key_columns, pack_key_words
 from repro.flowkeys.key import FullKeySpec, PartialKeySpec
+
+if TYPE_CHECKING:
+    from repro.query.columns import ColumnTable
 
 
 class Trace:
@@ -43,6 +51,7 @@ class Trace:
         self.name = name
         self._full_counts: Optional[Dict[int, int]] = None
         self._columns: Optional[Tuple["np.ndarray", "np.ndarray", "np.ndarray"]] = None
+        self._exact: Optional["ColumnTable"] = None
 
     def __len__(self) -> int:
         return len(self.keys)
@@ -88,6 +97,31 @@ class Trace:
             out[pkey] = out.get(pkey, 0) + size
         return out
 
+    def exact_table(self) -> "ColumnTable":
+        """Exact per-flow totals on the full key as a grouped column table.
+
+        The columnar :meth:`full_counts` (cached the same way): keys are
+        packed into word columns for any spec width, and the truth for a
+        partial key is ``exact_table().aggregate(partial)`` — the same
+        projection and group-by that answer a sketch's table.  Totals
+        are float64, exact while a flow's total stays below 2**53.
+        """
+        if self._exact is None:
+            # Imported here: the query package imports the engines,
+            # which import this module.
+            from repro.query.columns import ColumnTable
+
+            words = pack_key_words(self.keys, self.spec.width)
+            self._exact = ColumnTable(
+                self.spec, words, self._weights()
+            ).group()
+        return self._exact
+
+    def _weights(self) -> "np.ndarray":
+        if self.sizes is None:
+            return np.ones(len(self.keys), dtype=np.int64)
+        return np.asarray(self.sizes, dtype=np.int64)
+
     def batches(
         self, batch_size: int
     ) -> Iterator[Tuple["np.ndarray", "np.ndarray", "np.ndarray"]]:
@@ -107,17 +141,10 @@ class Trace:
                 f"spec {self.spec} is {self.spec.width}"
             )
         if self._columns is None:
-            # Imported here: fast.py imports Trace for its constructor type.
-            from repro.flowkeys.columns import pack_key_columns
-
             hi, lo = pack_key_columns(self.keys)
-            if self.sizes is None:
-                sizes = np.ones(len(self.keys), dtype=np.int64)
-            else:
-                sizes = np.asarray(self.sizes, dtype=np.int64)
             # Cache: packing walks python ints; repeated consumers
             # (benchmark sweeps, multi-sketch runs) slice views instead.
-            self._columns = (hi, lo, sizes)
+            self._columns = (hi, lo, self._weights())
         hi, lo, sizes = self._columns
         for start in range(0, len(self.keys), batch_size):
             stop = start + batch_size

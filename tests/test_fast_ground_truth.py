@@ -1,62 +1,63 @@
-"""Tests for the vectorised ground-truth engine."""
+"""Tests for the columnar ground truth, ``Trace.exact_table()``."""
 
 import time
 
 import pytest
 
-from repro.flowkeys.key import FIVE_TUPLE, IPV6_FIVE_TUPLE, paper_partial_keys
-from repro.traffic.fast import FastGroundTruth
+from repro.flowkeys.key import FIVE_TUPLE, IPV6_FIVE_TUPLE
 from repro.traffic.trace import Trace
 from repro.traffic.synthetic import zipf_trace
 
 
+def _truth(trace, pk):
+    """The exact table's aggregate onto *pk*, as a dict."""
+    return trace.exact_table().aggregate(pk).to_dict()
+
+
 class TestExactness:
     def test_full_counts_match(self, small_trace):
-        fast = FastGroundTruth(small_trace)
-        assert fast.full_counts() == small_trace.full_counts()
+        assert small_trace.exact_table().to_dict() == small_trace.full_counts()
 
     def test_all_paper_keys_match(self, small_trace, six_keys):
-        fast = FastGroundTruth(small_trace)
         for pk in six_keys:
-            assert fast.ground_truth(pk) == small_trace.ground_truth(pk)
+            assert _truth(small_trace, pk) == small_trace.ground_truth(pk)
 
     def test_prefix_keys_match(self, small_trace):
-        fast = FastGroundTruth(small_trace)
-        for plen in (1, 7, 8, 13, 24, 32):
+        for plen in range(1, 33):
             pk = FIVE_TUPLE.partial(("SrcIP", plen))
-            assert fast.ground_truth(pk) == small_trace.ground_truth(pk)
+            assert _truth(small_trace, pk) == small_trace.ground_truth(pk)
 
     def test_cross_64bit_boundary_fields(self, small_trace):
         # SrcIP spans bits 72..104, DstIP 40..72 (crosses the split).
-        fast = FastGroundTruth(small_trace)
         pk = FIVE_TUPLE.partial(("DstIP", 20))
-        assert fast.ground_truth(pk) == small_trace.ground_truth(pk)
+        assert _truth(small_trace, pk) == small_trace.ground_truth(pk)
 
     def test_weighted_trace(self):
         trace = zipf_trace(5_000, 500, seed=44, with_bytes=True)
-        fast = FastGroundTruth(trace)
         pk = FIVE_TUPLE.partial("SrcIP", "SrcPort")
-        assert fast.ground_truth(pk) == trace.ground_truth(pk)
+        assert _truth(trace, pk) == trace.ground_truth(pk)
 
     def test_foreign_spec_rejected(self, small_trace):
-        fast = FastGroundTruth(small_trace)
         with pytest.raises(ValueError):
-            fast.ground_truth(IPV6_FIVE_TUPLE.partial("Proto"))
+            small_trace.exact_table().aggregate(IPV6_FIVE_TUPLE.partial("Proto"))
 
+    def test_ipv6_spec_matches(self):
+        keys = [
+            IPV6_FIVE_TUPLE.pack((1 << 100) | i % 7, 2 + i % 3, 3, 4 + i % 5, 6)
+            for i in range(40)
+        ]
+        trace = Trace(IPV6_FIVE_TUPLE, keys)
+        assert trace.exact_table().to_dict() == trace.full_counts()
+        for pk in (
+            IPV6_FIVE_TUPLE.partial("Proto"),
+            IPV6_FIVE_TUPLE.partial(("SrcIPv6", 40), "DstPort"),
+            IPV6_FIVE_TUPLE.identity_partial(),
+        ):
+            assert _truth(trace, pk) == trace.ground_truth(pk)
 
-class TestFallbacks:
-    def test_wide_spec_falls_back(self):
-        key = IPV6_FIVE_TUPLE.pack(1 << 100, 2, 3, 4, 6)
-        trace = Trace(IPV6_FIVE_TUPLE, [key, key])
-        fast = FastGroundTruth(trace)
-        assert not fast.supported
-        pk = IPV6_FIVE_TUPLE.partial("Proto")
-        assert fast.ground_truth(pk) == trace.ground_truth(pk)
-
-    def test_wide_partial_falls_back(self, small_trace):
-        fast = FastGroundTruth(small_trace)
-        pk = small_trace.spec.identity_partial()  # 104 bits > 64
-        assert fast.ground_truth(pk) == small_trace.ground_truth(pk)
+    def test_full_key_partial_matches(self, small_trace):
+        pk = small_trace.spec.identity_partial()  # 104 bits, two words
+        assert _truth(small_trace, pk) == small_trace.ground_truth(pk)
 
 
 class TestSpeed:
@@ -65,7 +66,7 @@ class TestSpeed:
         # flaky under CI scheduling noise; the minimum is the stable
         # estimate of each implementation's actual cost.  64 keys over
         # 15k distinct flows keeps the structural margin >2x — the dict
-        # loop pays per key what the packed engine pays once, while the
+        # loop pays per key what the packed table pays once, while the
         # packing cost scales only with packets (kept modest).
         trace = zipf_trace(30_000, 15_000, seed=45)
         keys = [
@@ -75,10 +76,11 @@ class TestSpeed:
         ]
 
         def time_fast():
+            trace._exact = None  # drop the cache: same work each run
             start = time.perf_counter()
-            fast = FastGroundTruth(trace)
+            table = trace.exact_table()
             for pk in keys:
-                fast.ground_truth(pk)
+                table.aggregate(pk)
             return time.perf_counter() - start
 
         def time_slow():
