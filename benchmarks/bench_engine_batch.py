@@ -16,7 +16,7 @@ headline is wall-clock packets/sec and its scaling over one worker;
 beside it sit the CPU-derived fleet capacity (what one core per worker
 would sustain), the driver-efficiency ratio between the two (gated at
 ``DRIVER_EFFICIENCY_FLOOR`` when run at full scale), load imbalance,
-and the SrcIP heavy-hitter ARE of the merged sketch; its accuracy gate
+and the SrcIP heavy-hitter ARE of the summed shard tables; its accuracy gate
 is that the 4-worker ARE stays within the statistical-harness margin
 of the single-sketch reference while fleet capacity scales above 1x.
 
@@ -186,7 +186,7 @@ def run_shard_sweep(
     shard_counts=SHARD_COUNTS,
     gate_trials: int = 4,
 ) -> Dict:
-    """Throughput scaling + merged-sketch accuracy across shard counts.
+    """Throughput scaling + summed-shard accuracy across shard counts.
 
     The headline is *wall* packets/sec and its scaling over one worker:
     what this host actually achieved.  *CPU capacity* — the sum of

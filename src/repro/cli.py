@@ -18,7 +18,7 @@ batched updates; same estimator, much faster on large traces).
 
 ``--shards N`` (with optional ``--shard-strategy hash|round-robin``)
 scatters the trace across N worker processes — one engine-backed
-sketch each, combined by the unbiased Theorem 1 merge — and prints the
+sketch each, answering with the sum of their tables (Lemma 3) — and prints the
 aggregate and per-worker packet rates.  ``--memory-kb`` stays the
 *per-worker* budget, so accuracy at a given ``--memory-kb`` is
 comparable across shard counts.

@@ -1,27 +1,27 @@
-"""Sharded multi-worker measurement pipeline with unbiased merge.
+"""Sharded multi-worker measurement pipeline whose shards add.
 
-CocoSketch's Theorem 1 replacement rule makes sketch state mergeable
-without bias, which the paper pitches for multi-core and multi-switch
-deployment.  This module turns that into a horizontal scaling lever:
+CocoSketch's per-flow estimates are unbiased (Theorem 1), and estimates
+of disjoint sub-streams add (Lemma 3).  This module turns that into a
+horizontal scaling lever:
 
 1. **Partition** — a trace's columnar ``(hi, lo, sizes)`` stream is
    split across ``N`` shards, either by a hash of the full key (every
    flow lands wholly on one worker, the multi-core NIC/RSS shape) or
-   round-robin (flows split across workers; the merge is unbiased
+   round-robin (flows split across workers; the sum is unbiased
    either way, and tests exercise both).
 2. **Measure** — one engine-backed sketch per shard runs behind a
    persistent streaming worker (:class:`repro.parallel.StreamDriver`):
    the driver partitions one stream block while the workers consume the
    previous one through bounded queues — no per-batch pool barrier.
-   Workers share one hash-family seed (mergeable state) but draw
-   replacement decisions from decorrelated streams.  In process mode a
-   worker's state crosses back through the :mod:`repro.core.serialize`
-   wire format; inline runs hand their sketches over as objects.
-3. **Combine** — the collector folds worker sketches through the
-   unbiased merge (:func:`repro.extensions.merging.merge_cocosketch`)
-   *incrementally, in shard order, as each worker's state arrives* —
-   all coin flips from one seeded stream, yielding a single queryable
-   sketch whose per-flow expectations equal the sum of the shards'.
+   Workers share one hash-family seed but draw replacement decisions
+   from decorrelated streams.  In process mode a worker's state
+   crosses back through the :mod:`repro.core.serialize` wire format;
+   inline runs hand their sketches over as objects.
+3. **Sum** — the shard sketches are kept as they are, in shard order,
+   and every answer is the sum of theirs: a flow's estimate is the sum
+   of its per-shard estimates, and a table is the group-by of the
+   shards' concatenated rows (:func:`sum_rows`).  No coin flip is drawn
+   to combine them, and all ``N`` sketches' buckets stay in use.
 
 With one shard the pipeline replays the unsharded execution exactly —
 same update order, same RNG stream — so ``shards=1`` is bit-identical
@@ -31,9 +31,8 @@ this for both engines).
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -52,7 +51,6 @@ from repro.sketches.base import (
 )
 
 _PARTITION_SALT = 0xA11CE
-_MERGE_STREAM_SALT = 0x3A6ED
 
 PARTITION_STRATEGIES = ("hash", "round-robin")
 
@@ -71,7 +69,7 @@ class SketchSpec:
 
     Picklable and tiny — this is what crosses the process boundary,
     not sketch objects.  All workers built from one spec share a hash
-    family (mergeable) while the driver decorrelates their RNGs.
+    family while the driver decorrelates their RNGs.
     """
 
     engine: str = "scalar"
@@ -226,22 +224,50 @@ def partition_columns(
     return _split_by_assignment(hi, lo, sizes, assign, shards)
 
 
-def shard_table_columns(sketches, key_spec):
-    """Combined flow table of per-shard sketches as one grouped ColumnTable.
+def sum_rows(sketches, key_spec):
+    """The raw rows of several sketches' tables, concatenated in sketch order.
 
-    The *sum-of-shards* read semantics the slim replica serves: each
-    shard's recorded table is an unbiased per-flow estimate (Theorem 1),
-    and a flow's combined estimate is the sum of its per-shard estimates
-    — so any partial-key aggregate over the concatenation stays unbiased
-    (Lemma 3).  Unlike the coin-flip state fold
-    (:func:`repro.extensions.merging.merge_many`) this involves no
-    randomness, which is what makes replica-vs-fat differential tests
-    bit-exact.
+    Each sketch's recorded table is an unbiased per-flow estimate of
+    the traffic it saw (Theorem 1), and for disjoint sub-streams
+    (shards, the switches of an exactly-once collector, the shards of an
+    epoch) a flow's estimate over the whole stream is the sum of its
+    per-sketch estimates (Lemma 3).  So the group-by of these rows is
+    the measurement's table, and any partial-key aggregate over them
+    stays unbiased.  Engine sketches contribute their raw bucket rows
+    (duplicates included); the rows are deterministic bytes and no
+    randomness is involved.
     """
     from repro.query.columns import ColumnTable
 
-    tables = [ColumnTable.from_sketch(sketch, key_spec) for sketch in sketches]
-    return ColumnTable.concat_many(tables, key_spec).group()
+    return ColumnTable.concat_many(
+        [ColumnTable.from_sketch(s, key_spec, group=False) for s in sketches],
+        key_spec,
+    )
+
+
+def shard_table_columns(sketches, key_spec):
+    """The sum of several sketches' tables as one grouped ColumnTable."""
+    return sum_rows(sketches, key_spec).group()
+
+
+def _occupied_mask(sketch) -> np.ndarray:
+    """``(d, l)`` mask of the buckets holding a key, for any sketch variant."""
+    occ = getattr(sketch, "_occupied", None)
+    if occ is not None:
+        return occ
+    return np.array(
+        [[k is not None for k in row] for row in sketch._keys], dtype=bool
+    )
+
+
+def sum_occupancy(sketches) -> float:
+    """Fraction of bucket positions some same-geometry sketch occupies.
+
+    The union of the sketches' occupied masks: a bucket position counts
+    once however many of the summed sketches hold a key there.
+    """
+    masks = [_occupied_mask(s) for s in sketches]
+    return float(np.logical_or.reduce(masks).mean())
 
 
 def _iter_blocks(
@@ -274,7 +300,7 @@ def _iter_blocks(
 
 
 class ShardedSketch(Sketch):
-    """N worker sketches behind a single queryable merged sketch.
+    """N worker sketches answering as one through the sum of their tables.
 
     Args:
         spec: Per-worker sketch configuration (one hash family for all).
@@ -285,12 +311,13 @@ class ShardedSketch(Sketch):
             for tests and tiny traces).
         batch_size: Per-worker update batch; ``None`` = engine default.
 
-    ``process()`` runs the full scatter/measure/merge pipeline; the
-    merged sketch then serves ``query``/``flow_table`` so the class
+    ``process()`` runs the scatter/measure pipeline and keeps the shard
+    sketches in :attr:`sketches`, in shard order; ``query`` and
+    ``flow_table`` then answer with the sum over them, so the class
     drops into :class:`~repro.tasks.harness.FullKeyEstimator` (or is
-    built for you by its ``shards=`` argument).  Repeated ``process``
-    calls fold new results into the existing state through the same
-    seeded merge stream.
+    built for you by its ``shards=`` argument).  A repeated ``process``
+    appends the new run's shard sketches: the runs' traffic is disjoint,
+    so their estimates add too.
     """
 
     name = "CocoSketch-sharded"
@@ -317,42 +344,26 @@ class ShardedSketch(Sketch):
         self.d = spec.d
         self.l = spec.l
         self.key_bytes = spec.key_bytes
-        self._merged: Optional[Sketch] = None
+        self.sketches: List[Sketch] = []
         self._cost: Optional[UpdateCost] = None
-        # One injected stream drives every merge coin flip this pipeline
-        # ever makes, so results are reproducible under spec.seed.
-        self._merge_rng = random.Random(mix64(spec.seed ^ _MERGE_STREAM_SALT))
         self.worker_reports: List[WorkerThroughput] = []
         self.wall_elapsed_s = 0.0
-        self.merge_elapsed_s = 0.0
-
-    @property
-    def merged(self) -> Optional[Sketch]:
-        """The combined post-merge sketch (None before ``process``)."""
-        return self._merged
 
     def process(
         self,
         packets: Iterable[Tuple[int, int]],
         batch_size: Optional[int] = None,
     ) -> None:
-        """Stream the trace through the shard workers, folding results in.
+        """Stream the trace through the shard workers and keep their sketches.
 
-        The steady state is a three-way overlap: the driver partitions
-        stream block *k+1* while the workers' engines chew on
-        block *k*'s chunks, and each worker's final state is folded into
-        the merged sketch as soon as it (and every lower-numbered
-        shard) arrives — shard order keeps the single seeded merge
-        stream reproducible.  Wall time covers the
-        partition/stream/gather pipeline; the folds run interleaved
-        with still-active workers but their own time, with the
-        driver's loading of process-mode worker state, is tracked
-        separately (``merge_elapsed_s``), since both scale with sketch
-        geometry, not packets.
+        The steady state is a two-way overlap: the driver partitions
+        stream block *k+1* while the workers' engines chew on block
+        *k*'s chunks.  Wall time covers the partition/stream/gather
+        pipeline, less the driver's loading of process-mode worker
+        state, which scales with sketch geometry, not packets.
         """
         import time
 
-        from repro.extensions.merging import merge_cocosketch
         from repro.obs.registry import get_registry
         from repro.parallel import StreamDriver, stream_batch_for
 
@@ -381,45 +392,20 @@ class ShardedSketch(Sketch):
                     if len(ssz):
                         counts[shard] += len(ssz)
                         driver.send(shard, shi, slo, ssz)
-            # Incremental shard-order fold: results arrive in completion
-            # order, but the one seeded merge stream must consume them
-            # in shard order — fold shard k as soon as it and every
-            # lower-numbered shard are in, overlapping the merge with
-            # still-running workers.
-            pending = {}
-            next_fold = 0
-            merge_elapsed = 0.0
-            for result in driver.results():
-                pending[result[0]] = result
-                while next_fold in pending:
-                    shard, sketch, packets_n, elapsed, cpu, metrics = (
-                        pending.pop(next_fold)
-                    )
-                    self.worker_reports.append(
-                        WorkerThroughput(
-                            shard=shard,
-                            packets=packets_n,
-                            elapsed_s=elapsed,
-                            cpu_s=cpu,
-                        )
-                    )
-                    if reg.enabled and metrics is not None:
-                        reg.merge_snapshot(metrics)
-                    with reg.span("shard.merge"):
-                        fold_start = time.perf_counter()
-                        if self._merged is None:
-                            self._merged = sketch
-                        else:
-                            self._merged = merge_cocosketch(
-                                self._merged, sketch, rng=self._merge_rng
-                            )
-                        merge_elapsed += time.perf_counter() - fold_start
-                    next_fold += 1
-            merge_elapsed += driver.load_elapsed_s
-        self.merge_elapsed_s += merge_elapsed
+            # Results arrive in completion order; keep them in shard order.
+            results = sorted(driver.results(), key=lambda result: result[0])
         self.wall_elapsed_s += (
-            time.perf_counter() - wall_start - merge_elapsed
+            time.perf_counter() - wall_start - driver.load_elapsed_s
         )
+        for shard, sketch, packets_n, elapsed, cpu, metrics in results:
+            self.worker_reports.append(
+                WorkerThroughput(
+                    shard=shard, packets=packets_n, elapsed_s=elapsed, cpu_s=cpu
+                )
+            )
+            if reg.enabled and metrics is not None:
+                reg.merge_snapshot(metrics)
+            self.sketches.append(sketch)
         if reg.enabled:
             for shard, count in enumerate(counts):
                 reg.inc(f"shard.{shard}.packets", count)
@@ -440,7 +426,7 @@ class ShardedSketch(Sketch):
             wall_elapsed_s=self.wall_elapsed_s,
         )
 
-    # -- Sketch interface: queries answered by the merged state --------
+    # -- Sketch interface: answers are sums over the shard sketches ------
 
     def update(self, key: int, size: int = 1) -> None:
         raise NotImplementedError(
@@ -457,28 +443,34 @@ class ShardedSketch(Sketch):
         )
 
     def query(self, key: int) -> float:
-        if self._merged is None:
-            return 0.0
-        return self._merged.query(key)
+        return float(sum(sketch.query(key) for sketch in self.sketches))
 
-    def flow_table(self):
-        if self._merged is None:
-            return {}
-        return self._merged.flow_table()
+    def flow_table(self) -> Dict[int, float]:
+        table: Dict[int, float] = {}
+        for sketch in self.sketches:
+            for key, size in sketch.flow_table().items():
+                table[key] = table.get(key, 0.0) + size
+        return table
 
     def export_columns(self):
-        """Columnar state export of the post-merge sketch.
+        """The shard sketches' columnar exports, concatenated in shard order.
 
         Lets the columnar query plane (:mod:`repro.query`) read a
-        sharded measurement without a python-dict round trip when the
-        merged sketch is engine-backed; returns ``None`` (falling back
-        to :meth:`flow_table`) otherwise.
+        sharded measurement without a python-dict round trip: grouping
+        the rows is :meth:`flow_table`.  Returns ``None`` (falling back
+        to :meth:`flow_table`) when the shards have no columnar export.
         """
-        if self._merged is None:
+        parts = []
+        for sketch in self.sketches:
+            export = getattr(sketch, "export_columns", None)
+            part = export() if export is not None else None
+            if part is None:
+                return None
+            parts.append(part)
+        if not parts:
             empty = np.empty(0, dtype=np.uint64)
             return empty, empty, np.empty(0, dtype=np.float64)
-        export = getattr(self._merged, "export_columns", None)
-        return export() if export is not None else None
+        return tuple(np.concatenate(column) for column in zip(*parts))
 
     def memory_bytes(self) -> int:
         """Total data-plane footprint across all worker sketches."""
@@ -492,19 +484,13 @@ class ShardedSketch(Sketch):
         return self._cost
 
     def reset(self) -> None:
-        self._merged = None
+        self.sketches = []
         self.worker_reports = []
         self.wall_elapsed_s = 0.0
-        self.merge_elapsed_s = 0.0
-        self._merge_rng = random.Random(
-            mix64(self.spec.seed ^ _MERGE_STREAM_SALT)
-        )
 
     def occupancy(self) -> float:
-        """Bucket occupancy of the merged sketch (0.0 before process)."""
-        if self._merged is None or not hasattr(self._merged, "occupancy"):
-            return 0.0
-        return self._merged.occupancy()
+        """Fraction of bucket positions some shard occupies (0.0 before process)."""
+        return sum_occupancy(self.sketches) if self.sketches else 0.0
 
     def __repr__(self) -> str:
         return (

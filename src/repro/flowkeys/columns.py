@@ -41,10 +41,17 @@ def pack_key_columns(keys: Sequence[int]) -> Tuple["np.ndarray", "np.ndarray"]:
 
     Returns ``(hi, lo)`` arrays with ``key = (hi << 64) | lo``.  This is
     the columnar key representation shared by the vectorised execution
-    engines and :meth:`Trace.batches`.
+    engines and :meth:`Trace.batches`.  A wider (or negative) key raises
+    ``ValueError`` rather than losing its high bits.
     """
     n = len(keys)
-    hi = np.fromiter(((k >> 64) & _MASK64 for k in keys), dtype=_U64, count=n)
+    try:
+        hi = np.fromiter((k >> 64 for k in keys), dtype=_U64, count=n)
+    except OverflowError:
+        raise ValueError(
+            "(hi, lo) columns hold non-negative keys of at most 128 bits; "
+            "use a key spec of at most 128 bits or the scalar engine"
+        ) from None
     lo = np.fromiter((k & _MASK64 for k in keys), dtype=_U64, count=n)
     return hi, lo
 

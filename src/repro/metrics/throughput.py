@@ -77,8 +77,8 @@ class ShardedThroughputResult:
     """Aggregate + per-worker rates of one sharded measurement run.
 
     ``wall_elapsed_s`` covers the partition → stream → gather pipeline
-    (merge time is tracked separately by the sharded facade — it scales
-    with sketch geometry, not packets), so ``aggregate_pps`` is the
+    (less the loading of process-mode worker state, which scales with
+    sketch geometry, not packets), so ``aggregate_pps`` is the
     packet rate the driver actually sustains; per-worker rates time
     only each worker's own update loop and show how evenly the
     partitioner spread the load.
@@ -150,7 +150,7 @@ class ShardedThroughputResult:
     def driver_efficiency(self) -> float:
         """Wall rate over fleet capacity: ``aggregate_pps / capacity_pps``.
 
-        1.0 means the driver (partitioning, queueing, gather, merge)
+        1.0 means the driver (partitioning, queueing, gather)
         added no overhead beyond the workers' own update loops; the gap
         below 1.0 *is* the driver overhead, reported explicitly instead
         of leaving callers to infer it from two other numbers.  0.0

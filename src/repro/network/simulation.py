@@ -4,7 +4,7 @@ Flows (with packed 5-tuple keys) are assigned to host pairs, packets
 are routed across the topology, and every switch runs a CocoSketch.
 Who updates on a packet is the *observation policy*:
 
-* ``EVERY_HOP`` — every on-path switch counts the packet.  Merging
+* ``EVERY_HOP`` — every on-path switch counts the packet.  Summing
   then over-counts multi-hop flows (each packet counted path-length
   times); kept as the cautionary baseline.
 * ``INGRESS`` — only the first switch on the path counts.  Every
@@ -13,19 +13,20 @@ Who updates on a packet is the *observation policy*:
   as the flow's owner (the standard network-wide dedup, cf. cSamp):
   exactly-once counting with the load spread across the path.
 
-The collector merges the per-switch sketches with the unbiased bucket
-fold (:func:`repro.extensions.merging.merge_cocosketch`) and exposes
-one network-wide :class:`~repro.core.query.FlowTable`.
+Under an exactly-once policy the switches see disjoint sub-streams, so
+their per-flow estimates add (Lemma 3): the collector sums the
+per-switch tables (:func:`repro.engine.sharded.sum_rows`) into one
+network-wide :class:`~repro.core.query.FlowTable`.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from repro.core.cocosketch import BasicCocoSketch
 from repro.core.query import FlowTable
-from repro.extensions.merging import merge_cocosketch
+from repro.engine.sharded import sum_rows
 from repro.flowkeys.key import FIVE_TUPLE, FullKeySpec
 from repro.hashing.family import mix64
 from repro.network.topology import Topology
@@ -40,14 +41,13 @@ class ObservationPolicy(enum.Enum):
 
 
 class NetworkMeasurement:
-    """Per-switch CocoSketches over a topology plus a merge collector.
+    """Per-switch CocoSketches over a topology plus a summing collector.
 
     Args:
         topology: The switch/host graph.
         memory_bytes: Per-switch sketch budget.
         policy: Observation policy (default FLOW_OWNERSHIP).
-        d: CocoSketch arrays; all switches share one hash family/seed
-            so the collector can merge.
+        d: CocoSketch arrays; all switches share one hash family/seed.
     """
 
     def __init__(
@@ -109,16 +109,8 @@ class NetworkMeasurement:
             self.observe(key, size, route(src, dst))
 
     def collect(self) -> FlowTable:
-        """Merge all per-switch sketches into one network-wide table."""
-        merged: Optional[BasicCocoSketch] = None
-        for index, sketch in enumerate(self.sketches.values()):
-            if merged is None:
-                merged = sketch
-            else:
-                merged = merge_cocosketch(
-                    merged, sketch, seed=self.seed + index
-                )
-        return FlowTable.from_sketch(merged, self.spec)
+        """Sum the per-switch tables into one network-wide table."""
+        return FlowTable.from_columns(sum_rows(self.sketches.values(), self.spec))
 
     def per_switch_load(self) -> Dict[str, float]:
         """Total weight absorbed by each switch (load-balance view)."""

@@ -64,12 +64,13 @@ from repro.engine.sharded import (
     PARTITION_STRATEGIES,
     SketchSpec,
     partition_columns,
+    sum_occupancy,
+    sum_rows,
 )
 from repro.extensions.windowed import split_budget
 from repro.flowkeys.key import FullKeySpec
 from repro.obs.registry import TIME_EDGES, MetricsRegistry
 from repro.parallel import build_shard_sketch
-from repro.query.columns import ColumnTable
 from repro.query.planner import QueryPlanner
 from repro.query.slim import SlimReplica
 from repro.service.epochs import EpochSnapshot, EpochStore, RangeSum, read_only
@@ -109,16 +110,6 @@ class ReadState(NamedTuple):
     d: int
     l: int
     closed: bool
-
-
-def _occupied_mask(sketch) -> np.ndarray:
-    """``(d, l)`` mask of the buckets holding a key, for any sketch variant."""
-    occ = getattr(sketch, "_occupied", None)
-    if occ is not None:
-        return occ
-    return np.array(
-        [[k is not None for k in row] for row in sketch._keys], dtype=bool
-    )
 
 
 @dataclass
@@ -297,8 +288,7 @@ class EpochBuilder:
         Theorem 1 fold of the shards, which keeps a bucket whenever
         either side holds one.
         """
-        masks = [_occupied_mask(s) for s in self._shards]
-        return float(np.logical_or.reduce(masks).mean())
+        return sum_occupancy(self._shards)
 
     def close(self, closed_at: Optional[float] = None) -> EpochSnapshot:
         """Flush the tail and export the shards into the epoch's snapshot.
@@ -308,10 +298,7 @@ class EpochBuilder:
         state, so the snapshot never holds a live engine.
         """
         self._flush(full_only=False)
-        spec = self.config.key_spec
-        table = ColumnTable.concat_many(
-            [ColumnTable.from_sketch(s, spec, group=False) for s in self._shards]
-        )
+        table = sum_rows(self._shards, self.config.key_spec)
         return EpochSnapshot(
             epoch=self.epoch,
             start_seq=self.start_seq,

@@ -4,6 +4,9 @@ import pytest
 
 from repro.core.cocosketch import BasicCocoSketch
 from repro.core.query import FlowTable
+from repro.engine.sharded import ShardedSketch, SketchSpec
+from repro.engine.vectorized import NumpyCocoSketch
+from repro.flowkeys.columns import pack_key_columns
 from repro.flowkeys.fields import format_ipv6, parse_ipv6
 from repro.flowkeys.key import IPV6_FIVE_TUPLE
 from repro.hashing.family import HashFamily
@@ -93,3 +96,41 @@ class TestIpv6Sketching:
         table = FlowTable.from_sketch(sketch, IPV6_FIVE_TUPLE)
         dst = IPV6_FIVE_TUPLE.partial("DstIPv6")
         assert table.aggregate(dst).total == 60
+
+
+class TestWideKeysOnColumnarEngines:
+    """The (hi, lo) engines refuse keys wider than 128 bits loudly."""
+
+    KEY_BYTES = IPV6_FIVE_TUPLE.width_bytes
+
+    def _trace(self):
+        keys = [
+            IPV6_FIVE_TUPLE.pack((1 << 127) | i, (1 << 127) | 7, 443, 80, 6)
+            for i in range(50)
+        ]
+        return Trace(IPV6_FIVE_TUPLE, keys)
+
+    def test_list_batch_raises(self):
+        sketch = NumpyCocoSketch(d=2, l=64, key_bytes=self.KEY_BYTES)
+        with pytest.raises(ValueError, match="128 bits"):
+            sketch.update_batch(list(self._trace().keys))
+
+    @pytest.mark.parametrize("shards", [None, 2])
+    def test_process_iterator_raises(self, shards):
+        spec = SketchSpec(engine="numpy", d=2, l=64, key_bytes=self.KEY_BYTES)
+        sketch = (
+            spec.build()
+            if shards is None
+            else ShardedSketch(spec, shards, processes=False)
+        )
+        with pytest.raises(ValueError, match="128 bits"):
+            sketch.process(iter(self._trace()))
+
+    def test_widest_key_round_trips(self):
+        top = (1 << 128) - 1
+        hi, lo = pack_key_columns([top])
+        assert int(hi[0]) == int(lo[0]) == (1 << 64) - 1
+        sketch = NumpyCocoSketch(d=2, l=64)
+        sketch.update_batch([top, top])
+        assert sketch.flow_table() == {top: 2.0}
+        assert sketch.query(top) == 2.0

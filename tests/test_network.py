@@ -131,6 +131,15 @@ class TestObservationPolicies:
         for key, size in top:
             assert table.query(key) == pytest.approx(size, rel=0.2)
 
+    def test_collector_is_sum_of_switch_tables(self, trace, topo):
+        net = self._run(ObservationPolicy.FLOW_OWNERSHIP, trace, topo)
+        summed = {}
+        for sketch in net.sketches.values():
+            for key, size in sketch.flow_table().items():
+                summed[key] = summed.get(key, 0.0) + size
+        assert net.collect().sizes == summed
+        assert sum(summed.values()) == trace.total_size
+
     def test_collector_partial_key_query(self, trace, topo):
         net = self._run(ObservationPolicy.FLOW_OWNERSHIP, trace, topo)
         table = net.collect()

@@ -1,9 +1,10 @@
 """Tests for the sharded multi-worker pipeline (engine.sharded + parallel).
 
-Three layers of guarantees:
+Four layers of guarantees:
 
 * partitioning properties (flow purity, order preservation, determinism),
-* ``shards=1`` bit-identity with the unsharded engines, and
+* ``shards=1`` bit-identity with the unsharded engines,
+* answers equal to the sum of the shard sketches' tables, and
 * the statistical gate — a 4-worker run's per-flow estimates are
   unbiased and its partial-key error profile matches the single-sketch
   reference within the harness margins (:mod:`tests.stat_harness`).
@@ -31,6 +32,7 @@ from repro.parallel import (
     StreamDriver,
     worker_seed,
 )
+from repro.query.columns import ColumnTable
 from repro.tasks.harness import FullKeyEstimator
 from repro.traffic.synthetic import zipf_trace
 from tests.stat_harness import (
@@ -49,6 +51,14 @@ def _total_mass(sketch) -> float:
     if hasattr(vals, "sum"):
         return float(vals.sum())
     return float(sum(sum(row) for row in vals))
+
+
+def _sharded_mass(sharded) -> float:
+    return sum(_total_mass(s) for s in sharded.sketches)
+
+
+def _dumps(sharded):
+    return [dump_sketch(s) for s in sharded.sketches]
 
 
 class TestPartitioning:
@@ -128,7 +138,7 @@ class TestShardsOneBitIdentity:
         plain.process(tiny_trace)
         sharded = ShardedSketch(spec, 1, processes=False)
         sharded.process(tiny_trace)
-        assert dump_sketch(sharded.merged) == dump_sketch(plain)
+        assert _dumps(sharded) == [dump_sketch(plain)]
 
     @pytest.mark.parametrize("engine", ["scalar", "numpy"])
     def test_estimator_tables_identical(self, tiny_trace, engine):
@@ -151,7 +161,7 @@ class TestShardsOneBitIdentity:
         plain.process(tiny_trace)
         sharded = ShardedSketch(spec, 1, processes=False)
         sharded.process(tiny_trace)
-        assert dump_sketch(sharded.merged) == dump_sketch(plain)
+        assert _dumps(sharded) == [dump_sketch(plain)]
 
 
 class TestShardedPipeline:
@@ -160,7 +170,7 @@ class TestShardedPipeline:
         spec = SketchSpec(engine="numpy", d=2, l=256, seed=2)
         sketch = ShardedSketch(spec, 4, strategy=strategy, processes=False)
         sketch.process(tiny_trace)
-        assert _total_mass(sketch.merged) == tiny_trace.total_size
+        assert _sharded_mass(sketch) == tiny_trace.total_size
 
     @pytest.mark.parametrize("variant", ["basic", "hardware"])
     @pytest.mark.parametrize("engine", ["scalar", "numpy"])
@@ -170,7 +180,7 @@ class TestShardedPipeline:
         serial.process(tiny_trace)
         pooled = ShardedSketch(spec, 2, processes=True)
         pooled.process(tiny_trace)
-        assert dump_sketch(pooled.merged) == dump_sketch(serial.merged)
+        assert _dumps(pooled) == _dumps(serial)
 
     def test_pool_metrics_match_serial(self, tiny_trace):
         """Worker snapshots cross the process boundary intact."""
@@ -193,19 +203,20 @@ class TestShardedPipeline:
         sketch = ShardedSketch(spec, 2, processes=False)
         sketch.process(tiny_trace)
         sketch.process(tiny_trace)
-        assert _total_mass(sketch.merged) == 2 * tiny_trace.total_size
+        assert len(sketch.sketches) == 4
+        assert _sharded_mass(sketch) == 2 * tiny_trace.total_size
 
     def test_reset_restores_fresh_pipeline(self, tiny_trace):
         spec = SketchSpec(engine="numpy", d=2, l=256, seed=2)
         sketch = ShardedSketch(spec, 2, processes=False)
         sketch.process(tiny_trace)
-        first = dump_sketch(sketch.merged)
+        first = _dumps(sketch)
         sketch.reset()
-        assert sketch.merged is None
+        assert sketch.sketches == []
         assert sketch.flow_table() == {}
         assert sketch.query(123) == 0.0
         sketch.process(tiny_trace)
-        assert dump_sketch(sketch.merged) == first
+        assert _dumps(sketch) == first
 
     def test_update_paths_refused(self):
         sketch = ShardedSketch(SketchSpec(), 2, processes=False)
@@ -324,12 +335,12 @@ class TestShardedStatistics:
     def test_sharded_error_profile_matches_single_sketch(self, small_trace):
         """4-worker partial-key ARE within harness margin of one sketch.
 
-        The Theorem 1 fold is unbiased but adds variance (a collided
-        bucket's whole mass goes to one surviving key), so at a
-        light-load operating point the sharded ARE sits a small constant
-        above the single-sketch ARE.  The harness's 2-point absolute
-        floor budgets exactly that fold cost; a biased or broken merge
-        lands far outside it (an overloaded sketch shows +12 points).
+        The sharded answer sums four shard sketches' tables: unbiased,
+        with the four workers' buckets all in use, so at a light-load
+        operating point its ARE sits at or near the single-sketch ARE.
+        The harness's 2-point absolute floor is kept as a margin for
+        seed noise; a biased or broken sum lands far outside it (an
+        overloaded sketch shows +12 points).
         """
         partial = FIVE_TUPLE.partial("SrcIP")
         truth = small_trace.ground_truth(partial)
@@ -387,3 +398,45 @@ class TestShardedThroughputReporting:
         )
         est.process(tiny_trace)
         assert est.sketch.throughput().shards == 2
+
+
+class TestShardSum:
+    """A sharded run answers from the sum of its shard sketches' tables.
+
+    Per-flow estimates of disjoint sub-streams add (Lemma 3), so the
+    combined table is the group-by of the shards' concatenated rows;
+    no coin flip is drawn to combine them.
+    """
+
+    @pytest.mark.parametrize("shards", [1, 2, 4])
+    @pytest.mark.parametrize("processes", [False, True])
+    @pytest.mark.parametrize("strategy", PARTITION_STRATEGIES)
+    @pytest.mark.parametrize("engine", ["numpy", "scalar"])
+    def test_answers_equal_sum_of_shard_tables(
+        self, tiny_trace, engine, strategy, processes, shards
+    ):
+        spec = SketchSpec(engine=engine, d=2, l=64, seed=21)
+        sharded = ShardedSketch(
+            spec, shards, strategy=strategy, processes=processes
+        )
+        sharded.process(tiny_trace)
+        parts = sharded.sketches
+        assert len(parts) == shards
+
+        ref = ColumnTable.concat_many(
+            [ColumnTable.from_sketch(s, FIVE_TUPLE, group=False) for s in parts]
+        ).group()
+        got = ColumnTable.from_sketch(sharded, FIVE_TUPLE)
+        assert np.array_equal(got.words, ref.words)
+        assert np.array_equal(got.values, ref.values)
+
+        summed = {}
+        for part in parts:
+            for key, size in part.flow_table().items():
+                summed[key] = summed.get(key, 0.0) + size
+        assert sharded.flow_table() == summed
+        assert sum(summed.values()) == tiny_trace.total_size
+
+        keys = sorted(tiny_trace.full_counts())[:50] + [12345]
+        for key in keys:
+            assert sharded.query(key) == sum(p.query(key) for p in parts)
