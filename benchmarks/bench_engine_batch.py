@@ -21,8 +21,10 @@ is that the 4-worker ARE stays within the statistical-harness margin
 of the single-sketch reference while fleet capacity scales above 1x.
 
 The pipeline sweep times each step of the numpy engines' chunk loop
-(hash → replace → stats) via the ``pipeline.stage.*`` metric spans and
-records the per-step breakdown with the chunk counter.
+(hash per block → replace → stats per chunk) via the
+``pipeline.stage.*`` metric spans and records the per-step breakdown
+with the chunk counter, for both rules at d=2 and for the basic rule at
+the governor's d=8 widths.
 
 The kernels sweep races the replace-stage backends
 (:mod:`repro.engine.kernels`): staged-numpy vs the numba-jitted kernel
@@ -73,6 +75,7 @@ from _config import mem_bytes  # noqa: E402
 from repro import obs  # noqa: E402
 from repro.engine import get_engine  # noqa: E402
 from repro.engine.sharded import ShardedSketch, SketchSpec  # noqa: E402
+from repro.engine.vectorized import MAX_PIPELINE_CHUNK  # noqa: E402
 from repro.flowkeys.key import FIVE_TUPLE  # noqa: E402
 from repro.tasks.harness import FullKeyEstimator  # noqa: E402
 from repro.traffic.synthetic import zipf_trace  # noqa: E402
@@ -342,11 +345,27 @@ PIPELINE_TITLE = "Engine chunk loop: per-step timing breakdown (numpy engines)"
 PIPELINE_HEADERS = [
     "variant",
     "stage",
-    "chunks",
+    "spans",
     "total_s",
-    "mean_us_per_chunk",
+    "mean_us_per_span",
     "share",
 ]
+
+#: Basic-rule widths the elastic governor runs at d=8: its 1/8-budget
+#: start, the doublings, and the ablation-best budget width.
+GOVERNOR_WIDTHS = (188, 376, 752, 1505)
+
+
+def _pipeline_sketches(seed: int):
+    """(variant label, metric tag, sketch) for each pipeline-sweep row set."""
+    engine = get_engine("numpy")
+    memory = mem_bytes(MEMORY_KB)
+    yield "basic", "basic", engine.cocosketch_from_memory(memory, d=2, seed=seed)
+    yield "hardware", "hw", engine.hardware_cocosketch_from_memory(
+        memory, d=2, seed=seed
+    )
+    for l in GOVERNOR_WIDTHS:
+        yield f"basic d=8 l={l}", "basic", engine.cocosketch(8, l, seed=seed)
 
 
 def run_pipeline_stages(packets: int, flows: int, seed: int = 7) -> Dict:
@@ -354,26 +373,20 @@ def run_pipeline_stages(packets: int, flows: int, seed: int = 7) -> Dict:
 
     Runs each numpy variant's ``process`` path under a metrics registry,
     validates the snapshot against ``repro.obs.metrics/v1``, and turns
-    the ``pipeline.stage.*`` spans into rows: chunk count, total step
-    seconds, mean microseconds per chunk, and each step's share of the
-    loop's time.  The chunk counter and the end-to-end rate ride along
-    per variant.
+    the ``pipeline.stage.*`` spans into rows: span count (chunks for
+    replace and stats, 16384-packet blocks for hash), total step
+    seconds, mean microseconds per span, and each step's share of the
+    loop's time.  Besides the d=2 default geometry, the basic rule also
+    runs at the governor's d=8 widths on the same trace, where its
+    conflict rounds dominate.  The chunk counter, the kernel chunk and
+    the end-to-end rate ride along per variant.
     """
     from repro.obs.schema import validate_snapshot
 
     trace = zipf_trace(packets, flows, alpha=1.05, seed=seed)
-    engine = get_engine("numpy")
     rows: List[List] = []
     variants: Dict[str, Dict] = {}
-    for variant, tag in (("basic", "basic"), ("hardware", "hw")):
-        if variant == "basic":
-            sketch = engine.cocosketch_from_memory(
-                mem_bytes(MEMORY_KB), d=2, seed=seed
-            )
-        else:
-            sketch = engine.hardware_cocosketch_from_memory(
-                mem_bytes(MEMORY_KB), d=2, seed=seed
-            )
+    for variant, tag, sketch in _pipeline_sketches(seed):
         for _ in trace.batches(sketch.pipeline_chunk):
             break
         with obs.collecting() as reg:
@@ -404,6 +417,7 @@ def run_pipeline_stages(packets: int, flows: int, seed: int = 7) -> Dict:
             )
         variants[variant] = {
             "chunks": snap["counters"].get(f"pipeline.numpy.{tag}.chunks", 0),
+            "chunk": sketch.pipeline_chunk,
             "pps": len(trace) / elapsed,
         }
     return {
@@ -601,12 +615,15 @@ def test_pipeline_stage_breakdown(record):
         },
     )
     counts = {(row[0], row[1]): row[2] for row in sweep["rows"]}
-    for variant in ("basic", "hardware"):
-        chunks = sweep["variants"][variant]["chunks"]
-        assert chunks > 0
-        for stage in ("hash", "replace", "stats"):
+    blocks = -(-sweep["packets"] // MAX_PIPELINE_CHUNK)
+    assert len(sweep["variants"]) == 2 + len(GOVERNOR_WIDTHS)
+    for variant, stats in sweep["variants"].items():
+        chunks = stats["chunks"]
+        assert chunks == -(-sweep["packets"] // stats["chunk"]), variant
+        expected = {"hash": blocks, "replace": chunks, "stats": chunks}
+        for stage, count in expected.items():
             assert (variant, stage) in counts, f"missing span {variant}/{stage}"
-            assert counts[variant, stage] == chunks, (variant, stage)
+            assert counts[variant, stage] == count, (variant, stage)
 
 
 def test_kernel_sweep(record):
@@ -966,17 +983,18 @@ def _drive_obs(args) -> tuple:
 def _drive_pipeline(args) -> tuple:
     sweep = run_pipeline_stages(args.packets, args.flows, seed=args.seed)
     print(
-        f"{'variant':<10} {'stage':<8} {'chunks':>7} {'total s':>9} "
-        f"{'us/chunk':>9} {'share':>6}"
+        f"{'variant':<16} {'stage':<8} {'spans':>7} {'total s':>9} "
+        f"{'us/span':>9} {'share':>6}"
     )
-    for variant, stage, chunks, total_s, mean_us, share in sweep["rows"]:
+    for variant, stage, spans, total_s, mean_us, share in sweep["rows"]:
         print(
-            f"{variant:<10} {stage:<8} {chunks:>7} {total_s:>9.4f} "
+            f"{variant:<16} {stage:<8} {spans:>7} {total_s:>9.4f} "
             f"{mean_us:>9.1f} {share:>5.0%}"
         )
     for variant, stats in sweep["variants"].items():
         print(
-            f"{variant}: {stats['chunks']} chunks, {stats['pps']:,.0f} pps"
+            f"{variant}: {stats['chunks']} chunks of {stats['chunk']}, "
+            f"{stats['pps']:,.0f} pps"
         )
     payload = {
         "title": PIPELINE_TITLE,

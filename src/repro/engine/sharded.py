@@ -473,9 +473,9 @@ class ShardedSketch(Sketch):
         return tuple(np.concatenate(column) for column in zip(*parts))
 
     def memory_bytes(self) -> int:
-        """Total data-plane footprint across all worker sketches."""
+        """Data-plane footprint of every worker sketch held (``shards`` before a run)."""
         per_worker = self.d * self.l * (self.key_bytes + COUNTER_BYTES)
-        return self.shards * per_worker
+        return max(len(self.sketches), self.shards) * per_worker
 
     def update_cost(self) -> UpdateCost:
         """Per-packet cost inside one worker (same rule as unsharded)."""

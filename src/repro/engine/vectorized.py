@@ -6,13 +6,14 @@ per-packet pure-Python work of the scalar classes — d hash closures, RNG
 draws, list indexing — becomes a handful of array operations per batch.
 
 The two CocoSketch variants change state in one chunk loop
-(``_ColumnarKeyValueSketch._run_chunks``): input is sliced into kernel
-chunks of at most ``pipeline_chunk`` packets, and each chunk runs three
-named steps in order — **hash** (allocation-free mix64 into the
-scratch index rows) → **replace** (the replacement-rule kernel mutating
-sketch state, then the chunk's slim-replica delta) → **stats** (fold
-the kernel's decision-counter delta into :class:`CocoStats` and the
-metrics registry).  ``process``, ``process_columns`` and
+(``_ColumnarKeyValueSketch._run_chunks``) of three named steps.
+**hash** runs once per block of at most :data:`MAX_PIPELINE_CHUNK`
+packets (allocation-free mix64 into the scratch index rows).  The block
+is sliced into kernel chunks of at most ``pipeline_chunk`` packets, and
+each chunk runs **replace** (the replacement-rule kernel mutating
+sketch state on its columns of the index rows, then the chunk's
+slim-replica delta) → **stats** (fold the kernel's decision-counter
+delta into :class:`CocoStats` and the metrics registry).  ``process``, ``process_columns`` and
 ``update_batch`` are thin adapters onto that loop, so all three are
 bit-identical on the same stream — a differential test asserts it.
 
@@ -57,11 +58,14 @@ Batch scheduling:
   one of their buckets commit their counter adds in one ``np.add.at``
   (pure additions commute), then a maximal earliest-first set of
   bucket-disjoint remaining packets runs the full eviction rule
-  vectorised.  The owner of each contended bucket (its earliest packet)
-  is found with the same packed value sort.  Conflicting packets wait
+  vectorised.  The owner of each bucket (its earliest packet) is a
+  scatter-min of arrival positions (``np.minimum.at``) into a per-bucket
+  int16 table that is reset after each epoch.  Conflicting packets wait
   for the next epoch, which re-checks matches against the updated keys —
   so a flow adopted mid-batch absorbs its later packets as cheap matched
-  adds.  Skewed traffic typically needs only a few epochs per chunk.
+  adds.  Only adoptions write keys, so an epoch after one that adopted
+  nothing skips the match check.  Skewed traffic typically needs only a
+  few epochs per chunk.
 """
 
 from __future__ import annotations
@@ -156,19 +160,26 @@ def as_columns(
 StatsDelta = Tuple[int, int, int, int, int, List[int], Optional[int]]
 
 
-class _KernelScratch:
-    """Pre-allocated per-sketch work arrays sized to one kernel chunk."""
+#: Free mark of the basic rule's int16 owner table (positions < 16384).
+_NO_OWNER = np.iinfo(np.int16).max
 
-    __slots__ = ("fold", "z", "t", "J", "pos", "t64", "flags")
+
+class _KernelScratch:
+    """Per-sketch work arrays: hash rows for a block, kernel arrays for a chunk."""
+
+    __slots__ = ("fold", "t", "J", "pos", "pos16", "tiled", "t64", "flags", "owner")
 
     def __init__(self, capacity: int, d: int) -> None:
-        self.fold = np.empty(capacity, dtype=np.uint64)
-        self.z = np.empty(capacity, dtype=np.uint64)
-        self.t = np.empty(capacity, dtype=np.uint64)
-        self.J = np.empty((d, capacity), dtype=np.int64)
+        self.fold = np.empty(MAX_PIPELINE_CHUNK, dtype=np.uint64)
+        self.t = np.empty(MAX_PIPELINE_CHUNK, dtype=np.uint64)
+        self.J = np.empty((d, MAX_PIPELINE_CHUNK), dtype=np.int64)
         self.pos = np.arange(capacity, dtype=np.int64)
+        self.pos16 = np.arange(capacity, dtype=np.int16)
+        self.tiled = np.empty(d * capacity, dtype=np.int16)
         self.t64 = np.empty(capacity, dtype=np.int64)
         self.flags = np.empty(capacity, dtype=bool)
+        # Basic numpy kernel only: per-bucket owner, allocated on use.
+        self.owner: Optional["np.ndarray"] = None
 
 
 class _ColumnarKeyValueSketch(Sketch):
@@ -247,11 +258,13 @@ class _ColumnarKeyValueSketch(Sketch):
     def _run_chunks(self, hi, lo, w) -> None:
         """Apply one columnar block, chunk by chunk, in arrival order.
 
-        Each chunk runs hash → replace → stats.  The replace step also
-        emits the chunk's bucket delta, so an attached sink sees chunks
-        in exact update order.  With the registry enabled every step is
-        a ``pipeline.stage.<step>`` span (delta emission inside the
-        replace span) and each chunk counts once in
+        Each block of up to ``MAX_PIPELINE_CHUNK`` packets is hashed
+        once; each of its chunks then runs replace (on its columns of
+        the index rows) → stats.  The replace step also emits the
+        chunk's bucket delta, so an attached sink sees chunks in exact
+        update order.  With the registry enabled every step is a
+        ``pipeline.stage.<step>`` span (hash once per block, delta
+        emission inside the replace span) and each chunk counts once in
         ``pipeline.numpy.<variant>.chunks``.
         """
         n = len(w)
@@ -268,20 +281,24 @@ class _ColumnarKeyValueSketch(Sketch):
         if obs.enabled:
             obs.set_gauge(KERNEL_GAUGE, KERNEL_BACKEND_CODES[self._kernels.name])
             obs.set_gauge(CHUNK_GAUGE, float(chunk))
-        for start in range(0, n, chunk):
-            stop = min(start + chunk, n)
-            m = stop - start
-            chi = hi[start:stop]
-            clo = lo[start:stop]
+        for block in range(0, n, MAX_PIPELINE_CHUNK):
+            end = min(block + MAX_PIPELINE_CHUNK, n)
             with obs.span("pipeline.stage.hash"):
-                self._hash_chunk(chi, clo, m, J)
-            with obs.span("pipeline.stage.replace"):
-                delta = self._update_chunk(chi, clo, w[start:stop], J, self._seq)
-                self._emit_chunk_delta(J, m)
-            self._seq += m
-            with obs.span("pipeline.stage.stats"):
-                self._fold_delta(delta)
-            obs.inc(self._chunk_counter)
+                self._hash_block(hi[block:end], lo[block:end], end - block, J)
+            for start in range(block, end, chunk):
+                stop = min(start + chunk, end)
+                m = stop - start
+                Jc = J[:, start - block:]  # C-contiguous at a block's start
+                with obs.span("pipeline.stage.replace"):
+                    delta = self._update_chunk(
+                        hi[start:stop], lo[start:stop], w[start:stop], Jc,
+                        self._seq,
+                    )
+                    self._emit_chunk_delta(Jc, m)
+                self._seq += m
+                with obs.span("pipeline.stage.stats"):
+                    self._fold_delta(delta)
+                obs.inc(self._chunk_counter)
 
     def process(
         self,
@@ -293,11 +310,12 @@ class _ColumnarKeyValueSketch(Sketch):
         Columnar sources (a Trace) stream straight in; plain iterables
         are buffered into columns first.  *batch_size* caps the feed
         granularity (chunks never exceed ``pipeline_chunk`` regardless);
-        the default feeds one kernel chunk at a time.
+        the default feeds one hash block of ``MAX_PIPELINE_CHUNK``
+        packets at a time.
         """
         if batch_size is not None and batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        step = batch_size if batch_size is not None else self.pipeline_chunk
+        step = batch_size if batch_size is not None else MAX_PIPELINE_CHUNK
         with get_registry().span("sketch.process"):
             batches = getattr(packets, "batches", None)
             if batches is not None:
@@ -333,7 +351,7 @@ class _ColumnarKeyValueSketch(Sketch):
         if batch_size is not None and batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         hi, lo, w = as_columns((hi, lo), sizes)
-        step = batch_size if batch_size is not None else self.pipeline_chunk
+        step = batch_size if batch_size is not None else MAX_PIPELINE_CHUNK
         for start in range(0, len(w), step):
             stop = start + step
             self._run_chunks(hi[start:stop], lo[start:stop], w[start:stop])
@@ -349,27 +367,21 @@ class _ColumnarKeyValueSketch(Sketch):
 
     # -- per-chunk kernels --------------------------------------------
 
-    def _hash_chunk(self, hi, lo, n: int, out: "np.ndarray") -> None:
-        """Hash one chunk into *out* rows — allocation-free mix64."""
+    def _hash_block(self, hi, lo, n: int, out: "np.ndarray") -> None:
+        """Hash one block into *out* rows — allocation-free mix64."""
         s = self._scratch
         fold = s.fold[:n]
         np.bitwise_xor(hi, lo, out=fold)
         if self._kernels.hash_indices is not None:
             self._kernels.hash_indices(fold, self._seeds_arr, self._usize, out)
         else:
-            self._family.index_arrays_into(fold, self.l, out, s.z[:n], s.t[:n])
+            self._family.index_arrays_into(fold, self.l, out, s.t[:n])
 
     def _update_chunk(self, hi, lo, w, J, seq_base: int) -> StatsDelta:
         """Replace-step dispatch: compiled kernel when active, else numpy."""
         if self._kernels.compiled:
             return self._update_chunk_kernel(hi, lo, w, J, seq_base)
         return self._update_chunk_numpy(hi, lo, w, J, seq_base)
-
-    def _update_chunk_numpy(self, hi, lo, w, J, seq_base: int) -> StatsDelta:
-        raise NotImplementedError
-
-    def _update_chunk_kernel(self, hi, lo, w, J, seq_base: int) -> StatsDelta:
-        raise NotImplementedError
 
     def _unpack_counts(self, n: int) -> StatsDelta:
         """Turn the kernels' counts array into a StatsDelta (extra=None)."""
@@ -562,62 +574,56 @@ class NumpyCocoSketch(_ColumnarKeyValueSketch):
         scans = 0
         repl = 0
         rejects = 0
-        evictions = [0] * d
+        evictions = np.zeros(d, dtype=np.int64)
         epochs = 0
 
+        owner = s.owner
+        if owner is None:
+            owner = s.owner = np.full(d * self.l, _NO_OWNER, dtype=np.int16)
         flat = J[:, :n] + self._row_offsets  # (d, n) flat bucket ids
         remaining = s.pos[:n]
+        # Only an adoption writes a key, and it lands in one of its own
+        # key's buckets: a packet that did not match can match later only
+        # after a round that adopted something.
+        check = True
         while remaining.size:
             epochs += 1
             idx = remaining
             b = flat if idx.size == n else flat[:, idx]
             # -- matched adds: key already held by a candidate bucket
-            match = (
-                occupied[b]
-                & (key_hi[b] == hi[idx])
-                & (key_lo[b] == lo[idx])
-            )
-            any_match = match.any(axis=0)
-            if any_match.any():
-                cols = np.nonzero(any_match)[0]
-                # First matching array, as in the scalar early return.
-                first_i = np.argmax(match[:, cols], axis=0)
-                np.add.at(vals, b[first_i, cols], w[idx[cols]])
-                matched += cols.size
-                scans += int(first_i.sum()) + cols.size
-                keep = ~any_match
-                idx = idx[keep]
-                b = b[:, keep]
-                if idx.size == 0:
-                    break
+            if check:
+                match = (
+                    occupied[b]
+                    & (key_hi[b] == hi[idx])
+                    & (key_lo[b] == lo[idx])
+                )
+                any_match = match.any(axis=0)
+                if any_match.any():
+                    cols = np.nonzero(any_match)[0]
+                    # First matching array, as in the scalar early return.
+                    first_i = np.argmax(match[:, cols], axis=0)
+                    np.add.at(vals, b[first_i, cols], w[idx[cols]])
+                    matched += cols.size
+                    scans += int(first_i.sum()) + cols.size
+                    keep = ~any_match
+                    idx = idx[keep]
+                    b = b[:, keep]
+                    if idx.size == 0:
+                        break
             # -- eviction rule on a bucket-disjoint earliest-first set.
-            # Bucket owners (earliest packet per contended bucket) come
-            # from one packed value sort over (flat bucket, position)
-            # composites; a packet owning all d of its buckets runs the
-            # rule this epoch.
+            # Bucket owners (earliest packets) by scatter-min; ufunc.at
+            # needs flat, equal-length index and value arrays.  A packet
+            # owning all d of its buckets runs the rule this epoch.
             m = idx.size
-            pos_bits = max((m - 1).bit_length(), 1)
-            comp = b << np.int64(pos_bits)
-            comp |= s.pos[:m]
-            c = comp.ravel()
-            if (d * self.l) << pos_bits < 1 << 32:
-                c = c.astype(np.uint32)
-                c.sort()
-                bkt = (c >> np.uint32(pos_bits)).astype(np.int64)
-                p = (c & np.uint32((1 << pos_bits) - 1)).astype(np.int64)
-            else:
-                c.sort()
-                bkt = c >> np.int64(pos_bits)
-                p = c & np.int64((1 << pos_bits) - 1)
-            total = d * m
-            rs = np.empty(total, dtype=bool)
-            rs[0] = True
-            np.not_equal(bkt[1:], bkt[:-1], out=rs[1:])
-            rs_idx = np.nonzero(rs)[0]
-            rcounts = np.diff(np.append(rs_idx, total))
-            owner = p[rs_idx]  # earliest packet per bucket run
-            ok = p == np.repeat(owner, rcounts)
-            selected = np.bincount(p[ok], minlength=m) == d
+            pos = s.pos16[:m]
+            tiled = s.tiled[: d * m]
+            tiled.reshape(d, m)[:] = pos
+            bf = b.ravel()
+            np.minimum.at(owner, bf, tiled)
+            selected = (owner[b] == pos).all(axis=0)
+            owner[bf] = _NO_OWNER
+            if not selected[0]:  # the earliest packet owns all its buckets
+                raise RuntimeError("conflict round selected no packet")
             sel = idx[selected]
             sN = sel.size
             bs = b[:, selected]  # (d, s), disjoint across packets
@@ -628,15 +634,12 @@ class NumpyCocoSketch(_ColumnarKeyValueSketch):
             ties = V == minval[None, :]
             cnt = ties.sum(axis=0)
             if replay:
-                u_tie = replay_draws(
-                    self._replay_seed, seq_base + sel, PURPOSE_TIEBREAK
-                )
-                u_adopt = replay_draws(
-                    self._replay_seed, seq_base + sel, PURPOSE_ADOPT
-                )
+                u_tie = replay_draws(self._replay_seed, seq_base + sel, PURPOSE_TIEBREAK)
+                u_adopt = replay_draws(self._replay_seed, seq_base + sel, PURPOSE_ADOPT)
             else:
-                u_tie = rng.random(sN)
-                u_adopt = rng.random(sN)
+                # One call, the same stream as tie draws then adopt draws.
+                u = rng.random(2 * sN)
+                u_tie, u_adopt = u[:sN], u[sN:]
             kth = np.minimum((u_tie * cnt).astype(np.int64), cnt - 1)
             chosen_i = np.argmax(
                 np.cumsum(ties, axis=0) > kth[None, :], axis=0
@@ -654,19 +657,16 @@ class NumpyCocoSketch(_ColumnarKeyValueSketch):
             occupied[ta] = True
             scans += d * sN
             adopted = int(adopt.sum())
+            check = adopted > 0
             repl += adopted
             rejects += sN - adopted
-            evicting = adopt & was_occupied
-            if evicting.any():
-                per_array = np.bincount(chosen_i[evicting], minlength=d)
-                for i in range(d):
-                    evictions[i] += int(per_array[i])
+            evictions += np.bincount(chosen_i[adopt & was_occupied], minlength=d)
             remaining = idx[~selected]
             if obs.enabled:
                 obs.observe(
                     "engine.numpy.basic.conflict_set", remaining.size
                 )
-        return (n, matched, scans, repl, rejects, evictions, epochs)
+        return (n, matched, scans, repl, rejects, evictions.tolist(), epochs)
 
     def query(self, key: int) -> float:
         """Sum of values of mapped buckets holding *key* (as scalar)."""

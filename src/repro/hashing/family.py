@@ -192,16 +192,15 @@ class HashFamily:
         keys: "np.ndarray",
         size: int,
         out: "np.ndarray",
-        z: "np.ndarray",
         t: "np.ndarray",
     ) -> None:
         """Allocation-free :meth:`index_arrays` over pre-folded keys.
 
-        Writes row *i* of *out* (an int64 ``(d, >= n)`` array) for each
-        hash function; *z* and *t* are caller-owned uint64 scratch of
-        length ``n = len(keys)``.  Bit-identical to
+        Hashes in place into row *i* of *out* (a C-contiguous int64
+        ``(d, >= n)`` array) for each hash function; *t* is caller-owned
+        uint64 scratch of length ``n = len(keys)``.  Bit-identical to
         :meth:`index_arrays` — the engines' chunk-loop hash step uses
-        this to keep the hot path free of per-chunk allocation.
+        this to keep the hot path free of per-block allocation.
         """
         if self.backend != "mix64":
             raise NotImplementedError("vectorised hashing requires mix64")
@@ -211,10 +210,10 @@ class HashFamily:
         usize = np.uint64(size)
         n = len(keys)
         for i in range(self.d):
+            z = out[i, :n].view(np.uint64)
             np.bitwise_xor(keys, seeds[i], out=z)
             mix64_into(z, z, t)
             np.mod(z, usize, out=z)
-            out[i][:n] = z
 
 
 def uniform_random_stream(seed: int, count: int) -> Sequence[int]:

@@ -271,7 +271,7 @@ class MetricsRegistry:
         self.histogram(name, edges).observe(value)
 
     def span(self, name: str) -> _Span:
-        """Time a pipeline stage: ``with registry.span("shard.merge"):``."""
+        """Time a pipeline stage: ``with registry.span("pipeline.stage.replace"):``."""
         return _Span(self, name)
 
     def _record_span(self, name: str, elapsed_s: float) -> None:

@@ -12,11 +12,14 @@ Two levels of guarantee, matching ``repro/engine/vectorized.py``:
 
 from __future__ import annotations
 
+import types
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.analysis.empirical import (
     estimate_moments,
     mean_confidence_halfwidth,
@@ -33,9 +36,12 @@ from repro.engine import (
 )
 from repro.flowkeys.key import FIVE_TUPLE
 from repro.hashing.family import HashFamily, fold_columns
+from repro.obs.registry import get_registry
+from repro.obs.replay import PURPOSE_ADOPT, PURPOSE_TIEBREAK, replay_draws
 from repro.sketches.countmin import CountMinSketch
 from repro.sketches.countsketch import CountSketch
 from repro.traffic.synthetic import zipf_trace
+from repro.traffic.trace import Trace
 
 TRIALS = 60
 
@@ -222,3 +228,218 @@ class TestStatisticalEquivalence:
         mean, _ = estimate_moments(estimates)
         halfwidth = mean_confidence_halfwidth(estimates, z=3.5)
         assert abs(mean - size) <= max(halfwidth, 0.02 * size)
+
+
+# -- the epoch schedule against its packed-sort reference -----------------
+
+
+def _packed_sort_update_chunk(self, hi, lo, w, J, seq_base):
+    """The basic rule's numpy kernel with bucket owners found by a packed
+    value sort: the epoch schedule's reference, kept verbatim."""
+    n = len(w)
+    d = self.d
+    s = self._scratch
+    obs = get_registry()
+    key_hi = self._key_hi_flat
+    key_lo = self._key_lo_flat
+    occupied = self._occupied_flat
+    vals = self._vals_flat
+    rng = self._rng
+    replay = self._replay
+    matched = 0
+    scans = 0
+    repl = 0
+    rejects = 0
+    evictions = [0] * d
+    epochs = 0
+
+    flat = J[:, :n] + self._row_offsets  # (d, n) flat bucket ids
+    remaining = s.pos[:n]
+    while remaining.size:
+        epochs += 1
+        idx = remaining
+        b = flat if idx.size == n else flat[:, idx]
+        # -- matched adds: key already held by a candidate bucket
+        match = (
+            occupied[b]
+            & (key_hi[b] == hi[idx])
+            & (key_lo[b] == lo[idx])
+        )
+        any_match = match.any(axis=0)
+        if any_match.any():
+            cols = np.nonzero(any_match)[0]
+            # First matching array, as in the scalar early return.
+            first_i = np.argmax(match[:, cols], axis=0)
+            np.add.at(vals, b[first_i, cols], w[idx[cols]])
+            matched += cols.size
+            scans += int(first_i.sum()) + cols.size
+            keep = ~any_match
+            idx = idx[keep]
+            b = b[:, keep]
+            if idx.size == 0:
+                break
+        # -- eviction rule on a bucket-disjoint earliest-first set.
+        # Bucket owners (earliest packet per contended bucket) come
+        # from one packed value sort over (flat bucket, position)
+        # composites; a packet owning all d of its buckets runs the
+        # rule this epoch.
+        m = idx.size
+        pos_bits = max((m - 1).bit_length(), 1)
+        comp = b << np.int64(pos_bits)
+        comp |= s.pos[:m]
+        c = comp.ravel()
+        if (d * self.l) << pos_bits < 1 << 32:
+            c = c.astype(np.uint32)
+            c.sort()
+            bkt = (c >> np.uint32(pos_bits)).astype(np.int64)
+            p = (c & np.uint32((1 << pos_bits) - 1)).astype(np.int64)
+        else:
+            c.sort()
+            bkt = c >> np.int64(pos_bits)
+            p = c & np.int64((1 << pos_bits) - 1)
+        total = d * m
+        rs = np.empty(total, dtype=bool)
+        rs[0] = True
+        np.not_equal(bkt[1:], bkt[:-1], out=rs[1:])
+        rs_idx = np.nonzero(rs)[0]
+        rcounts = np.diff(np.append(rs_idx, total))
+        owner = p[rs_idx]  # earliest packet per bucket run
+        ok = p == np.repeat(owner, rcounts)
+        selected = np.bincount(p[ok], minlength=m) == d
+        sel = idx[selected]
+        sN = sel.size
+        bs = b[:, selected]  # (d, s), disjoint across packets
+        V = vals[bs]
+        minval = V.min(axis=0)
+        # Uniform tie-break among minima (same law as the scalar
+        # reservoir walk): the k-th tied bucket, k ~ U{0..ties-1}.
+        ties = V == minval[None, :]
+        cnt = ties.sum(axis=0)
+        if replay:
+            u_tie = replay_draws(
+                self._replay_seed, seq_base + sel, PURPOSE_TIEBREAK
+            )
+            u_adopt = replay_draws(
+                self._replay_seed, seq_base + sel, PURPOSE_ADOPT
+            )
+        else:
+            u_tie = rng.random(sN)
+            u_adopt = rng.random(sN)
+        kth = np.minimum((u_tie * cnt).astype(np.int64), cnt - 1)
+        chosen_i = np.argmax(
+            np.cumsum(ties, axis=0) > kth[None, :], axis=0
+        )
+        targets = bs[chosen_i, np.arange(sN)]
+        was_occupied = occupied[targets]
+        ws = w[sel]
+        new_v = minval + ws
+        vals[targets] = new_v
+        # Replacement with probability w / V_new (Theorem 1).
+        adopt = u_adopt * new_v < ws
+        ta = targets[adopt]
+        key_hi[ta] = hi[sel][adopt]
+        key_lo[ta] = lo[sel][adopt]
+        occupied[ta] = True
+        scans += d * sN
+        adopted = int(adopt.sum())
+        repl += adopted
+        rejects += sN - adopted
+        evicting = adopt & was_occupied
+        if evicting.any():
+            per_array = np.bincount(chosen_i[evicting], minlength=d)
+            for i in range(d):
+                evictions[i] += int(per_array[i])
+        remaining = idx[~selected]
+        if obs.enabled:
+            obs.observe(
+                "engine.numpy.basic.conflict_set", remaining.size
+            )
+    return (n, matched, scans, repl, rejects, evictions, epochs)
+
+
+#: Histograms the epoch schedule publishes per chunk and per round.
+SCHEDULE_HISTOGRAMS = (
+    "engine.numpy.basic.epochs_per_batch",
+    "engine.numpy.basic.conflict_set",
+)
+
+#: Feeds into the chunk loop: name -> fn(sketch, trace, hi, lo, sizes).
+FEEDS = {
+    "process": lambda sk, trace, hi, lo, sizes: sk.process(trace),
+    "update_batch": lambda sk, trace, hi, lo, sizes: sk.update_batch(
+        (hi, lo), sizes
+    ),
+    **{
+        f"columns-{block}": (
+            lambda sk, trace, hi, lo, sizes, _b=block: sk.process_columns(
+                hi, lo, sizes, batch_size=_b
+            )
+        )
+        for block in (1, 511, 513, 16384, 20000)
+    },
+}
+
+
+def _schedule_run(d, l, replay, feed, trace, reference):
+    """Feed *trace* into a numpy-pinned basic sketch; return it and the
+    schedule histograms it published."""
+    sketch = NumpyCocoSketch(d, l, seed=5, replay=replay, kernels="numpy")
+    if reference:
+        sketch._update_chunk_numpy = types.MethodType(
+            _packed_sort_update_chunk, sketch
+        )
+    hi, lo, sizes = next(trace.batches(len(trace)))
+    with obs.collecting() as reg:
+        FEEDS[feed](sketch, trace, hi, lo, sizes)
+    hists = reg.snapshot()["histograms"]
+    return sketch, {name: hists.get(name) for name in SCHEDULE_HISTOGRAMS}
+
+
+def _schedule_trace(packets, flows, mixed, seed):
+    """Zipf trace; *mixed* draws sizes log-uniformly from 1 to 10**6."""
+    trace = zipf_trace(packets, flows, alpha=1.1, seed=seed)
+    if not mixed:
+        return trace
+    rng = np.random.default_rng(seed)
+    sizes = np.exp(rng.uniform(0, np.log(1e6), packets)).astype(np.int64)
+    return Trace(trace.spec, trace.keys, sizes.tolist())
+
+
+class TestEpochScheduleReference:
+    """The basic rule's numpy kernel keeps the epoch schedule bit for bit.
+
+    Each case feeds one trace into two numpy-pinned sketches: one runs
+    the engine's kernel, the other the packed-sort reference above.
+    Both must end with the same key, occupancy and value arrays, the
+    same ``CocoStats`` and the same per-chunk round and per-round
+    conflict-set histograms, which pins the selections, the draws and
+    their order.
+    """
+
+    @staticmethod
+    def assert_same_schedule(d, l, replay, feed, trace):
+        new, new_hists = _schedule_run(d, l, replay, feed, trace, False)
+        ref, ref_hists = _schedule_run(d, l, replay, feed, trace, True)
+        for field in ("_key_hi", "_key_lo", "_occupied", "_vals"):
+            assert np.array_equal(getattr(new, field), getattr(ref, field)), field
+        assert new.stats.as_dict() == ref.stats.as_dict()
+        assert ref_hists["engine.numpy.basic.epochs_per_batch"] is not None
+        assert new_hists == ref_hists
+
+    @pytest.mark.parametrize("mixed", [False, True], ids=["unit", "mixed"])
+    @pytest.mark.parametrize("replay", [False, True], ids=["rng", "replay"])
+    @pytest.mark.parametrize("l", [7, 188, 1505, 65536])
+    @pytest.mark.parametrize("d", [1, 2, 4, 8])
+    def test_geometry(self, d, l, replay, mixed):
+        trace = _schedule_trace(5_000, 1_500, mixed, seed=d * 31 + l)
+        self.assert_same_schedule(d, l, replay, "columns-20000", trace)
+
+    @pytest.mark.parametrize(
+        "mixed, replay", [(False, False), (True, True)], ids=["unit", "mixed-replay"]
+    )
+    @pytest.mark.parametrize("feed", sorted(FEEDS))
+    @pytest.mark.parametrize("d, l", [(8, 188), (2, 1505)])
+    def test_feed(self, d, l, feed, mixed, replay):
+        packets = 2_000 if feed == "columns-1" else 24_000
+        trace = _schedule_trace(packets, 4_000, mixed, seed=l)
+        self.assert_same_schedule(d, l, replay, feed, trace)

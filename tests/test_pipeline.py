@@ -1,10 +1,10 @@
 """Chunk-loop tests for the numpy CocoSketch engines.
 
 ``process``, ``process_columns`` and ``update_batch`` are adapters onto
-one per-chunk loop (hash → replace → stats).  These tests pin the
-loop's step order and metrics, the geometry-derived kernel chunk, the
-three entry points' byte-identical state and ``CocoStats``, and that an
-engine is freed as soon as its last reference drops.
+one chunk loop (hash per block, then replace → stats per chunk).  These
+tests pin the loop's step order and metrics, the geometry-derived kernel
+chunk, the three entry points' byte-identical state and ``CocoStats``,
+and that an engine is freed as soon as its last reference drops.
 """
 
 import gc
@@ -43,8 +43,6 @@ KERNEL_BACKENDS = [
         ),
     ),
 ]
-
-STAGES = ("hash", "replace", "stats")
 
 
 def columns(n, start=0):
@@ -88,7 +86,7 @@ def n_chunks(n, step, chunk):
 
 def record_steps(sketch, log):
     """Wrap the loop's per-chunk steps on *sketch* to log their calls."""
-    for name in ("_hash_chunk", "_update_chunk", "_emit_chunk_delta", "_fold_delta"):
+    for name in ("_hash_block", "_update_chunk", "_emit_chunk_delta", "_fold_delta"):
         original = getattr(sketch, name)
 
         def step(*args, _name=name, _original=original):
@@ -150,12 +148,13 @@ def test_multi_stage_chunks_traverse_stages_in_dataflow_order():
     log = []
     record_steps(sketch, log)
     sketch.update_batch((hi, lo), sizes)
-    order = ["_hash_chunk", "_update_chunk", "_emit_chunk_delta", "_fold_delta"]
+    order = ["_hash_block", "_update_chunk", "_emit_chunk_delta", "_fold_delta"]
     assert [name for name, _ in log] == order * 2
 
 
 def test_pipeline_metrics_under_collection():
-    """Every entry point counts chunks and times the three steps per chunk."""
+    """Every entry point counts chunks, times replace and stats per chunk
+    and hash per block."""
     hi, lo, sizes = trace_columns(6_000, 800, seed=2)
     for cls, tag in ((NumpyCocoSketch, "basic"), (NumpyHardwareCocoSketch, "hw")):
         sketch = cls(d=2, l=64, seed=1, kernels="numpy")
@@ -168,8 +167,13 @@ def test_pipeline_metrics_under_collection():
         n = len(sizes)
         chunks = 2 * n_chunks(n, n, chunk) + n_chunks(n, 1000, chunk)
         assert snap["counters"][f"pipeline.numpy.{tag}.chunks"] == chunks
-        for stage in STAGES:
+        for stage in ("replace", "stats"):
             assert snap["spans"][f"pipeline.stage.{stage}"]["count"] == chunks
+        # One hash span per block of at most MAX_PIPELINE_CHUNK packets.
+        blocks = 2 * n_chunks(n, n, MAX_PIPELINE_CHUNK) + n_chunks(
+            n, 1000, MAX_PIPELINE_CHUNK
+        )
+        assert snap["spans"]["pipeline.stage.hash"]["count"] == blocks
         assert snap["counters"][f"engine.numpy.{tag}.batches"] == chunks
 
 
@@ -296,7 +300,9 @@ def test_basic_chunk_is_fixed_at_construction():
         with obs.collecting() as reg:
             sketch.process_columns(hi, lo, sizes)
             scratch = sketch._scratch
-            assert scratch.J.shape == (8, chunk)
+            # Hash rows cover a block, kernel arrays one chunk.
+            assert scratch.J.shape == (8, MAX_PIPELINE_CHUNK)
+            assert scratch.pos.shape == (chunk,)
             sketch.update_batch((hi, lo), sizes)
         assert sketch._scratch is scratch
         snap = reg.snapshot()

@@ -201,9 +201,12 @@ class TestShardedPipeline:
     def test_repeated_process_accumulates(self, tiny_trace):
         spec = SketchSpec(engine="numpy", d=2, l=256, seed=2)
         sketch = ShardedSketch(spec, 2, processes=False)
+        per_worker = spec.build().memory_bytes()
+        assert sketch.memory_bytes() == 2 * per_worker
         sketch.process(tiny_trace)
         sketch.process(tiny_trace)
         assert len(sketch.sketches) == 4
+        assert sketch.memory_bytes() == 4 * per_worker
         assert _sharded_mass(sketch) == 2 * tiny_trace.total_size
 
     def test_reset_restores_fresh_pipeline(self, tiny_trace):
