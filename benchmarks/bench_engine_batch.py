@@ -91,8 +91,18 @@ SHARD_SWEEP_L = 65536
 SHARD_HH_THRESHOLD = 1e-3
 
 
+def _feed(sketch, trace, batch_size) -> None:
+    """``update_batch`` over ``trace.batches(batch_size)``; ``None`` runs
+    ``process(trace)``, where the engine picks its own blocks."""
+    if batch_size is None:
+        sketch.process(trace)
+        return
+    for hi, lo, sizes in trace.batches(batch_size):
+        sketch.update_batch((hi, lo), sizes)
+
+
 def _time_engine(engine_name: str, trace, batch_size, variant: str) -> float:
-    """Packets/sec of one engine's full ``process`` path over *trace*."""
+    """Packets/sec of one engine's feed of *trace* (see :func:`_feed`)."""
     engine = get_engine(engine_name)
     if variant == "basic":
         sketch = engine.cocosketch_from_memory(mem_bytes(MEMORY_KB), d=2, seed=7)
@@ -106,7 +116,7 @@ def _time_engine(engine_name: str, trace, batch_size, variant: str) -> float:
         for _ in trace.batches(batch_size):
             break
     start = time.perf_counter()
-    sketch.process(trace, batch_size=batch_size)
+    _feed(sketch, trace, batch_size)
     elapsed = time.perf_counter() - start
     return len(trace) / elapsed
 
@@ -280,8 +290,9 @@ OBS_OVERHEAD_FLOOR = 0.95
 def _time_obs(trace, variant: str, batch_size, instrumented: bool) -> float:
     """Packets/sec of the numpy engine, registry on or off.
 
-    ``batch_size=None`` runs the engine's default streaming path — the
-    chunk loop at its own ``pipeline_chunk`` — which is the
+    ``batch_size=None`` runs the engine's default streaming path —
+    ``process(trace)``, the chunk loop at its own ``pipeline_chunk`` —
+    which is the
     configuration whose overhead the gate certifies; smaller explicit
     batches multiply the per-chunk span frequency beyond anything the
     engine would choose itself.
@@ -298,11 +309,11 @@ def _time_obs(trace, variant: str, batch_size, instrumented: bool) -> float:
     if instrumented:
         with obs.collecting():
             start = time.perf_counter()
-            sketch.process(trace, batch_size=batch_size)
+            _feed(sketch, trace, batch_size)
             elapsed = time.perf_counter() - start
     else:
         start = time.perf_counter()
-        sketch.process(trace, batch_size=batch_size)
+        _feed(sketch, trace, batch_size)
         elapsed = time.perf_counter() - start
     return len(trace) / elapsed
 

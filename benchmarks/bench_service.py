@@ -81,9 +81,7 @@ def time_batch_baseline(trace, repeats: int) -> float:
     best = float("inf")
     spec = _spec()
     for _ in range(repeats):
-        driver = StreamDriver(
-            spec, SHARDS, processes=False, batch_size=CHUNK
-        )
+        driver = StreamDriver(spec, SHARDS, processes=False)
         start = time.perf_counter()
         offset = 0
         for hi, lo, sizes in trace.batches(CHUNK):

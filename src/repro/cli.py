@@ -6,7 +6,7 @@ Usage::
     python -m repro.cli measure out.csv --memory-kb 200 --top 10 \
         --key SrcIP --key SrcIP/24 --key SrcIP+DstIP
     python -m repro.cli evaluate out.csv --memory-kb 200 --threshold 1e-4 \
-        --engine numpy --batch-size 4096
+        --engine numpy
 
 Key syntax: ``Field[/prefix]`` joined by ``+``, over the 5-tuple full
 key — e.g. ``SrcIP``, ``SrcIP/24``, ``SrcIP+DstIP``, ``DstIP+DstPort``.
@@ -14,7 +14,6 @@ key — e.g. ``SrcIP``, ``SrcIP/24``, ``SrcIP+DstIP``, ``DstIP+DstPort``.
 ``--engine`` picks the execution engine for the measuring sketch:
 ``scalar`` (reference pure Python, default) or ``numpy`` (columnar
 batched updates; same estimator, much faster on large traces).
-``--batch-size`` overrides the numpy engine's 4096-packet default.
 
 ``--shards N`` (with optional ``--shard-strategy hash|round-robin``)
 scatters the trace across N worker processes — one engine-backed
@@ -98,16 +97,14 @@ def _load_sketch(args: argparse.Namespace):
             sketch = ShardedSketch(
                 spec, args.shards, strategy=args.shard_strategy
             )
-            sketch.process(trace, batch_size=args.batch_size)
+            sketch.process(trace)
             print(f"sharded {sketch.throughput().summary()}")
             return trace, sketch
         engine = get_engine(args.engine)
         sketch = engine.cocosketch_from_memory(
             int(args.memory_kb * 1024), d=args.d, seed=args.seed
         )
-        # batch_size None lets vectorised sketches pick their default
-        # and keeps the scalar engine on the plain per-packet loop.
-        sketch.process(trace, batch_size=args.batch_size)
+        sketch.process(trace)
         if reg.enabled:
             stats = getattr(sketch, "stats", None)
             if stats is not None:
@@ -202,6 +199,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     from repro.engine.sharded import SketchSpec
     from repro.service import MeasurementDaemon, ServiceConfig, ServiceServer
+    from repro.service.daemon import DEFAULT_CHUNK
 
     trace = load_csv(args.path, FIVE_TUPLE)
     spec = SketchSpec.from_memory(
@@ -249,10 +247,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     server = ServiceServer(daemon, host=args.host, port=args.port).start()
     # Parsed by wrappers (CI smoke) that need the ephemeral port.
     print(f"serving on {server.url}", flush=True)
-    block = args.batch_size or 16384
     try:
         for _ in range(args.loop):
-            for hi, lo, sizes in trace.batches(block):
+            for hi, lo, sizes in trace.batches(DEFAULT_CHUNK):
                 daemon.offer(hi, lo, sizes)
         daemon.stop_feeder()
         print(
@@ -314,12 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=available_engines(),
         default="scalar",
         help="execution engine for the sketch update path",
-    )
-    common.add_argument(
-        "--batch-size",
-        type=int,
-        default=None,
-        help="packets per update_batch call (default: engine's choice)",
     )
     common.add_argument(
         "--kernels",

@@ -14,7 +14,7 @@ Typical use::
     from repro.engine import get_engine
 
     sketch = get_engine("numpy").cocosketch_from_memory(200 * 1024, d=2)
-    sketch.process(trace, batch_size=4096)   # columnar Trace.batches path
+    sketch.process(trace)   # columnar blocks; the engine cuts its chunks
 
 When to stay scalar: traces of a few thousand packets (batch setup
 overhead dominates), exotic hash backends (``bob`` has no vectorised
@@ -23,15 +23,15 @@ epoch scheduling loses its advantage.
 
 Either engine scales horizontally through the sharded pipeline
 (:mod:`repro.engine.sharded`): partition a trace across worker
-processes, one engine-backed sketch each, and fold the results with
-the unbiased Theorem 1 merge::
+processes, one engine-backed sketch each, and answer with the sum of
+the shards' tables (Lemma 3: estimates of disjoint traffic add)::
 
     from repro.engine import ShardedSketch, SketchSpec
 
     spec = SketchSpec.from_memory(200 * 1024, engine="numpy", seed=1)
     sketch = ShardedSketch(spec, shards=4)
-    sketch.process(trace)          # scatter -> pool -> merge
-    sketch.flow_table()            # queryable like any single sketch
+    sketch.process(trace)          # partition -> shard workers -> keep
+    sketch.flow_table()            # the sum of the shard tables
 """
 
 from repro.engine.base import (

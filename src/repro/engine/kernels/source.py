@@ -19,8 +19,9 @@ differential suite):
   order, first-match early return, k-th-minimum tie-break, adoption
   with probability ``w / V_new`` — so under replay mode its state and
   :class:`~repro.obs.stats.CocoStats` counters equal the scalar
-  engine's at *any* chunk framing (and the numpy epoch kernel's at
-  ``batch_size=1``, where that schedule degenerates to sequential).
+  engine's at *any* chunk framing (and the numpy epoch kernel's when
+  fed one packet per ``update_batch``, where that schedule degenerates
+  to sequential).
 * ``hw_replace_kernel`` applies the unconditional §4.2 rule per packet
   per array; because the numpy kernel's sorted-cumsum schedule is
   sequential-equivalent bucket by bucket and replay draws are keyed on

@@ -48,6 +48,7 @@ from repro.sketches.base import (
     KeyBatch,
     Sketch,
     UpdateCost,
+    iter_blocks,
 )
 
 _PARTITION_SALT = 0xA11CE
@@ -270,35 +271,6 @@ def sum_occupancy(sketches) -> float:
     return float(np.logical_or.reduce(masks).mean())
 
 
-def _iter_blocks(
-    packets: Iterable[Tuple[int, int]], block: int
-) -> Iterable[Tuple["np.ndarray", "np.ndarray", "np.ndarray"]]:
-    """Yield the input as (hi, lo, sizes) blocks of at most *block*.
-
-    A :class:`~repro.traffic.trace.Trace` supplies (and caches) its own
-    columns; any other ``(key, size)`` iterable is packed here block by
-    block — the streaming driver never materialises the whole trace.
-    """
-    batches = getattr(packets, "batches", None)
-    if batches is not None:
-        yield from batches(block)
-        return
-    from repro.flowkeys.columns import pack_key_columns
-
-    keys: list = []
-    szs: list = []
-    for key, size in packets:
-        keys.append(key)
-        szs.append(size)
-        if len(keys) >= block:
-            hi, lo = pack_key_columns(keys)
-            yield hi, lo, np.asarray(szs, dtype=np.int64)
-            keys, szs = [], []
-    if keys:
-        hi, lo = pack_key_columns(keys)
-        yield hi, lo, np.asarray(szs, dtype=np.int64)
-
-
 class ShardedSketch(Sketch):
     """N worker sketches answering as one through the sum of their tables.
 
@@ -309,7 +281,6 @@ class ShardedSketch(Sketch):
         processes: ``True`` — one worker process per shard; ``False``
             — sequential in-process workers (identical results; handy
             for tests and tiny traces).
-        batch_size: Per-worker update batch; ``None`` = engine default.
 
     ``process()`` runs the scatter/measure pipeline and keeps the shard
     sketches in :attr:`sketches`, in shard order; ``query`` and
@@ -328,7 +299,6 @@ class ShardedSketch(Sketch):
         shards: int,
         strategy: str = "hash",
         processes: bool = True,
-        batch_size: Optional[int] = None,
     ) -> None:
         if shards < 1:
             raise ValueError(f"shards must be >= 1, got {shards}")
@@ -340,7 +310,6 @@ class ShardedSketch(Sketch):
         self.shards = shards
         self.strategy = strategy
         self.processes = processes
-        self.batch_size = batch_size
         self.d = spec.d
         self.l = spec.l
         self.key_bytes = spec.key_bytes
@@ -349,49 +318,48 @@ class ShardedSketch(Sketch):
         self.worker_reports: List[WorkerThroughput] = []
         self.wall_elapsed_s = 0.0
 
-    def process(
-        self,
-        packets: Iterable[Tuple[int, int]],
-        batch_size: Optional[int] = None,
-    ) -> None:
+    def process(self, packets: Iterable[Tuple[int, int]]) -> None:
         """Stream the trace through the shard workers and keep their sketches.
 
         The steady state is a two-way overlap: the driver partitions
         stream block *k+1* while the workers' engines chew on block
         *k*'s chunks.  Wall time covers the partition/stream/gather
         pipeline, less the driver's loading of process-mode worker
-        state, which scales with sketch geometry, not packets.
+        state, which scales with sketch geometry, not packets.  An
+        error from the packet source or the partition step stops the
+        workers before it propagates.
         """
         import time
 
         from repro.obs.registry import get_registry
-        from repro.parallel import StreamDriver, stream_batch_for
+        from repro.parallel import StreamDriver
 
         reg = get_registry()
-        bs = batch_size or self.batch_size
-        step = stream_batch_for(bs)
         counts = [0] * self.shards
         wall_start = time.perf_counter()
         driver = StreamDriver(
             self.spec,
             self.shards,
             processes=self.processes,
-            batch_size=bs,
             collect_metrics=reg.enabled,
         )
         with reg.span("shard.workers"):
             offset = 0
-            for bhi, blo, bsizes in _iter_blocks(packets, step):
-                with reg.span("shard.partition"):
-                    parts = partition_columns(
-                        bhi, blo, bsizes, self.shards, self.strategy,
-                        self.spec.seed, offset=offset,
-                    )
-                offset += len(bsizes)
-                for shard, (shi, slo, ssz) in enumerate(parts):
-                    if len(ssz):
-                        counts[shard] += len(ssz)
-                        driver.send(shard, shi, slo, ssz)
+            try:
+                for bhi, blo, bsizes in iter_blocks(packets):
+                    with reg.span("shard.partition"):
+                        parts = partition_columns(
+                            bhi, blo, bsizes, self.shards, self.strategy,
+                            self.spec.seed, offset=offset,
+                        )
+                    offset += len(bsizes)
+                    for shard, (shi, slo, ssz) in enumerate(parts):
+                        if len(ssz):
+                            counts[shard] += len(ssz)
+                            driver.send(shard, shi, slo, ssz)
+            except BaseException:
+                driver.abort()
+                raise
             # Results arrive in completion order; keep them in shard order.
             results = sorted(driver.results(), key=lambda result: result[0])
         self.wall_elapsed_s += (

@@ -13,9 +13,11 @@ is sliced into kernel chunks of at most ``pipeline_chunk`` packets, and
 each chunk runs **replace** (the replacement-rule kernel mutating
 sketch state on its columns of the index rows, then the chunk's
 slim-replica delta) → **stats** (fold the kernel's decision-counter
-delta into :class:`CocoStats` and the metrics registry).  ``process``, ``process_columns`` and
-``update_batch`` are thin adapters onto that loop, so all three are
-bit-identical on the same stream — a differential test asserts it.
+delta into :class:`CocoStats` and the metrics registry).
+``process_columns`` and ``update_batch`` are thin adapters onto that
+loop, and :meth:`Sketch.process` feeds ``process_columns`` whole
+blocks, so every feed is bit-identical on the same stream — a
+differential test asserts it.
 
 Chunking every batch to ``pipeline_chunk`` packets keeps the kernel
 working set (key columns + hashes + sort scratch) cache-resident: the
@@ -70,7 +72,7 @@ Batch scheduling:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -300,61 +302,17 @@ class _ColumnarKeyValueSketch(Sketch):
                     self._fold_delta(delta)
                 obs.inc(self._chunk_counter)
 
-    def process(
-        self,
-        packets: Iterable[Tuple[int, int]],
-        batch_size: Optional[int] = None,
-    ) -> None:
-        """Feed a packet source through the chunk loop.
-
-        Columnar sources (a Trace) stream straight in; plain iterables
-        are buffered into columns first.  *batch_size* caps the feed
-        granularity (chunks never exceed ``pipeline_chunk`` regardless);
-        the default feeds one hash block of ``MAX_PIPELINE_CHUNK``
-        packets at a time.
-        """
-        if batch_size is not None and batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        step = batch_size if batch_size is not None else MAX_PIPELINE_CHUNK
-        with get_registry().span("sketch.process"):
-            batches = getattr(packets, "batches", None)
-            if batches is not None:
-                for bhi, blo, bsizes in batches(step):
-                    self._run_chunks(*as_columns((bhi, blo), bsizes))
-                return
-            keys: list = []
-            szs: list = []
-            for key, size in packets:
-                keys.append(key)
-                szs.append(size)
-                if len(keys) >= step:
-                    self._run_chunks(*as_columns(keys, szs))
-                    keys, szs = [], []
-            if keys:
-                self._run_chunks(*as_columns(keys, szs))
-
     def process_columns(
-        self,
-        hi: "np.ndarray",
-        lo: "np.ndarray",
-        sizes: "np.ndarray",
-        batch_size: Optional[int] = None,
+        self, hi: "np.ndarray", lo: "np.ndarray", sizes: "np.ndarray"
     ) -> None:
         """Feed one pre-packed columnar block through the chunk loop.
 
-        Same routing as :meth:`process` on a columnar source; the
-        sharded workers call this per received chunk, so the chunk
-        boundaries (hence replay draws and RNG consumption) match the
-        unsharded run whenever upstream blocks arrive in
-        ``pipeline_chunk`` multiples.
+        The loop cuts hash blocks and kernel chunks from the block's
+        start, so feeds in multiples of the hash block reproduce one
+        big :meth:`update_batch` bit for bit; the sharded workers and
+        the daemon's epoch builder call this per block.
         """
-        if batch_size is not None and batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        hi, lo, w = as_columns((hi, lo), sizes)
-        step = batch_size if batch_size is not None else MAX_PIPELINE_CHUNK
-        for start in range(0, len(w), step):
-            stop = start + step
-            self._run_chunks(hi[start:stop], lo[start:stop], w[start:stop])
+        self._run_chunks(*as_columns((hi, lo), sizes))
 
     def update_batch(
         self, keys: KeyBatch, sizes: Optional[Sequence[int]] = None

@@ -127,12 +127,12 @@ class WindowedMeasurement:
             if self._packets_in_window >= self.interval:
                 self.rotate()
 
-    def process_columns(self, hi, lo, sizes, batch_size=None) -> None:
+    def process_columns(self, hi, lo, sizes) -> None:
         """Feed one columnar block; splits it across window boundaries."""
         n = len(sizes)
         if self.interval is None:
             if n:
-                self._active.process_columns(hi, lo, sizes, batch_size)
+                self._active.process_columns(hi, lo, sizes)
             self._packets_in_window += n
             return
         start = 0
@@ -140,7 +140,7 @@ class WindowedMeasurement:
             take, _rest = split_budget(n - start, self._remaining())
             end = start + take
             self._active.process_columns(
-                hi[start:end], lo[start:end], sizes[start:end], batch_size
+                hi[start:end], lo[start:end], sizes[start:end]
             )
             self._packets_in_window += take
             start = end

@@ -103,10 +103,6 @@ class ShardedThroughputResult:
         return self.packets / self.wall_elapsed_s
 
     @property
-    def aggregate_mpps(self) -> float:
-        return self.aggregate_pps / 1e6
-
-    @property
     def capacity_pps(self) -> float:
         """Combined worker capacity: the sum of per-worker rates.
 
@@ -118,10 +114,6 @@ class ShardedThroughputResult:
         pipeline's wall time on *this* host.
         """
         return sum(w.pps for w in self.workers)
-
-    @property
-    def capacity_mpps(self) -> float:
-        return self.capacity_pps / 1e6
 
     @property
     def cpu_capacity_pps(self) -> float:
@@ -137,10 +129,6 @@ class ShardedThroughputResult:
         achieved *here*.
         """
         return sum(w.cpu_pps for w in self.workers)
-
-    @property
-    def cpu_capacity_mpps(self) -> float:
-        return self.cpu_capacity_pps / 1e6
 
     @property
     def worker_pps(self) -> Tuple[float, ...]:

@@ -20,8 +20,9 @@ consumes *identical* randomness, regardless of engine, batch schedule,
 or vectorisation.  Consequences the differential tests lean on:
 
 * scalar vs numpy **basic** CocoSketch are bit-identical (state and
-  eviction/replacement counters) when the numpy engine runs with
-  ``batch_size=1`` (its epoch schedule is then exactly sequential);
+  eviction/replacement counters) when the numpy engine is fed
+  ``update_batch`` one packet at a time (its epoch schedule is then
+  exactly sequential);
 * scalar vs numpy **hardware** CocoSketch are bit-identical at *any*
   batch size, since the per-array cumulative-sum schedule is
   sequential-equivalent and replay draws are order-independent.

@@ -53,13 +53,6 @@ from repro.sketches.base import Sketch
 _WORKER_RNG_SALT = 0x51A8D
 _EPOCH_RNG_SALT = 0xE70C4
 
-#: Driver scatter granularity in packets.  A power of two and a
-#: multiple of every engine ``pipeline_chunk`` (a power of two in
-#: [512, 16384], derived from the geometry), so the chunk boundaries a
-#: worker's engine sees match an unsharded run's exactly (the
-#: shards=1 bit-identity tests rely on this).
-STREAM_BATCH = 65536
-
 #: Chunks a worker's input queue may hold before the driver's scatter
 #: loop blocks.
 WORKER_CREDITS = 4
@@ -131,22 +124,6 @@ def build_shard_sketch(spec, shard: int, epoch: int = 0) -> Sketch:
     return sketch
 
 
-def stream_batch_for(batch_size: Optional[int]) -> int:
-    """Scatter block size compatible with an explicit worker batch.
-
-    Defaults to :data:`STREAM_BATCH`; with an explicit *batch_size* the
-    block is rounded up to a multiple of it so per-worker batch
-    boundaries stay stream-position invariant.
-    """
-    if batch_size is None:
-        return STREAM_BATCH
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    if batch_size >= STREAM_BATCH:
-        return batch_size
-    return batch_size * (STREAM_BATCH // batch_size)
-
-
 class _ShardRun:
     """Worker-side state for one shard: sketch, registry, timing."""
 
@@ -162,7 +139,7 @@ class _ShardRun:
         self.elapsed = 0.0
         self.cpu = 0.0
 
-    def consume(self, hi, lo, sizes, batch_size: Optional[int]) -> None:
+    def consume(self, hi, lo, sizes) -> None:
         """Feed one chunk through the engine's streaming path, timed.
 
         Both clocks run over the same region: wall span (what the
@@ -175,7 +152,7 @@ class _ShardRun:
         try:
             start = time.perf_counter()
             cpu_start = time.process_time()
-            self.sketch.process_columns(hi, lo, sizes, batch_size)
+            self.sketch.process_columns(hi, lo, sizes)
             self.cpu += time.process_time() - cpu_start
             self.elapsed += time.perf_counter() - start
         finally:
@@ -202,7 +179,7 @@ class _ShardRun:
         )
 
 
-def _stream_worker(spec, shard, batch_size, collect, in_q, out_q) -> None:
+def _stream_worker(spec, shard, collect, in_q, out_q) -> None:
     """Process entry point: consume one shard's chunks until ``None``.
 
     Data chunks arrive as ``(hi, lo, sizes)``.  On success the worker
@@ -230,7 +207,7 @@ def _stream_worker(spec, shard, batch_size, collect, in_q, out_q) -> None:
             break
         if error is None:
             try:
-                run.consume(*message, batch_size)
+                run.consume(*message)
             except Exception:
                 error = traceback.format_exc()
     if error is None:
@@ -255,8 +232,6 @@ class StreamDriver:
         shards: Total shard count; each shard owns one sketch.
         processes: ``True`` — one OS process per shard; ``False`` — run
             every shard inline in this process.
-        batch_size: Per-worker ``process_columns`` slice; ``None`` lets
-            each engine use its own streaming default.
         collect_metrics: When true each shard runs under its own
             :class:`~repro.obs.registry.MetricsRegistry` and returns its
             snapshot with the results.
@@ -267,7 +242,6 @@ class StreamDriver:
         spec,
         shards: int,
         processes: bool = True,
-        batch_size: Optional[int] = None,
         collect_metrics: bool = False,
     ) -> None:
         if shards < 1:
@@ -276,9 +250,9 @@ class StreamDriver:
         #: Seconds :meth:`results` spent loading worker blobs (state
         #: transfer, which scales with geometry rather than packets).
         self.load_elapsed_s = 0.0
-        self._batch_size = batch_size
         self._closed = False
         self._procs: List = []
+        self._in_qs: List = []
         if not processes:
             self._inline = [
                 _ShardRun(spec, shard, collect_metrics) for shard in range(shards)
@@ -287,15 +261,11 @@ class StreamDriver:
         self._inline = None
         ctx = multiprocessing.get_context()
         self._out_q = ctx.Queue()
-        self._in_qs = []
         for shard in range(shards):
             in_q = ctx.Queue(maxsize=WORKER_CREDITS)
             proc = ctx.Process(
                 target=_stream_worker,
-                args=(
-                    spec, shard, batch_size, collect_metrics,
-                    in_q, self._out_q,
-                ),
+                args=(spec, shard, collect_metrics, in_q, self._out_q),
             )
             proc.start()
             self._in_qs.append(in_q)
@@ -316,7 +286,7 @@ class StreamDriver:
         if len(sizes) == 0:
             return
         if self._inline is not None:
-            self._inline[shard].consume(hi, lo, sizes, self._batch_size)
+            self._inline[shard].consume(hi, lo, sizes)
             return
         self._put(shard, (hi, lo, sizes))
 
@@ -347,7 +317,7 @@ class StreamDriver:
                 self.load_elapsed_s += time.perf_counter() - start
                 yield (result[0], sketch) + result[2:]
         except BaseException:
-            self._abort()
+            self.abort()
             raise
         for proc in self._procs:
             proc.join()
@@ -362,7 +332,7 @@ class StreamDriver:
             except queue.Full:
                 code = self._procs[shard].exitcode
                 if code is not None:
-                    self._abort()
+                    self.abort()
                     raise ShardWorkerError(
                         shard, f"worker exited with code {code}"
                     ) from None
@@ -389,8 +359,12 @@ class StreamDriver:
                         f"returning its state",
                     ) from None
 
-    def _abort(self) -> None:
-        """Stop every worker and drop undelivered chunks."""
+    def abort(self) -> None:
+        """Stop every worker and drop undelivered chunks.
+
+        For a caller whose scatter loop fails before :meth:`results`:
+        without it the workers wait for chunks that never come.
+        """
         self._closed = True
         for proc in self._procs:
             if proc.exitcode is None:

@@ -273,7 +273,7 @@ class EpochBuilder:
         )
         for shard, (shi, slo, ssz) in enumerate(parts):
             if len(ssz):
-                self._shards[shard].process_columns(shi, slo, ssz, cfg.chunk)
+                self._shards[shard].process_columns(shi, slo, ssz)
         self.flushed += len(sizes)
 
     def live_sketches(self) -> List:

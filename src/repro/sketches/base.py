@@ -33,8 +33,11 @@ DEFAULT_KEY_BYTES = 13
 #: Per-bucket counter storage in bytes (32-bit, as in the paper's code).
 COUNTER_BYTES = 4
 
-#: Chunk size used when a vectorised sketch processes a plain iterable.
-DEFAULT_BATCH_SIZE = 4096
+#: Packets per columnar block when a packet source is fed to a
+#: vectorised sketch (:meth:`Sketch.process`) or scattered to shard
+#: workers.  A multiple of the columnar engines' 16384-packet hash
+#: block, so block edges never move an engine's chunk boundaries.
+STREAM_BATCH = 65536
 
 #: Batch keys: python ints, a uint64 array (keys < 2**64), or columnar
 #: (hi, lo) uint64 arrays as yielded by ``Trace.batches``.
@@ -62,6 +65,36 @@ def iter_batch(
         if isinstance(sizes, np.ndarray):
             sizes = sizes.tolist()
         yield from zip(ints, sizes)
+
+
+def iter_blocks(
+    packets: Iterable[Tuple[int, int]],
+) -> Iterator[Tuple["np.ndarray", "np.ndarray", "np.ndarray"]]:
+    """Yield a packet source as ``(hi, lo, sizes)`` blocks of at most
+    :data:`STREAM_BATCH` packets.
+
+    A :class:`~repro.traffic.trace.Trace` supplies (and caches) its own
+    columns; any other ``(key, size)`` iterable is packed here block by
+    block, so the whole source is never materialised.
+    """
+    batches = getattr(packets, "batches", None)
+    if batches is not None:
+        yield from batches(STREAM_BATCH)
+        return
+    from repro.flowkeys.columns import pack_key_columns
+
+    keys: list = []
+    szs: list = []
+    for key, size in packets:
+        keys.append(key)
+        szs.append(size)
+        if len(keys) >= STREAM_BATCH:
+            hi, lo = pack_key_columns(keys)
+            yield hi, lo, np.asarray(szs, dtype=np.int64)
+            keys, szs = [], []
+    if keys:
+        hi, lo = pack_key_columns(keys)
+        yield hi, lo, np.asarray(szs, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -169,81 +202,43 @@ class Sketch(abc.ABC):
     def update_cost(self) -> UpdateCost:
         """Static worst-case per-packet operation counts."""
 
-    def process(
-        self,
-        packets: Iterable[Tuple[int, int]],
-        batch_size: Optional[int] = None,
-    ) -> None:
+    def process(self, packets: Iterable[Tuple[int, int]]) -> None:
         """Feed a packet source (a Trace or any ``(key, size)`` iterable).
 
-        Routing: with an explicit *batch_size* — or by default when the
-        sketch is vectorised — packets flow through :meth:`update_batch`
-        in chunks; a source exposing ``batches`` (a Trace) supplies
-        columnar chunks directly with no per-packet python work.
-        Otherwise this is the classic scalar loop.
+        Vectorised sketches take the source as columnar blocks
+        (:func:`iter_blocks`) through :meth:`process_columns`; the
+        engine decides how to cut each block.  Other sketches run the
+        per-packet :meth:`update` loop, which also takes keys of any
+        width.
         """
-        if batch_size is None and self.vectorized:
-            batch_size = DEFAULT_BATCH_SIZE
         with get_registry().span("sketch.process"):
-            if batch_size is not None:
-                if batch_size < 1:
-                    raise ValueError(
-                        f"batch_size must be >= 1, got {batch_size}"
-                    )
-                batches = getattr(packets, "batches", None)
-                if batches is not None:
-                    for hi, lo, sizes in batches(batch_size):
-                        self.update_batch((hi, lo), sizes)
-                    return
-                keys: list = []
-                sizes: list = []
-                for key, size in packets:
-                    keys.append(key)
-                    sizes.append(size)
-                    if len(keys) >= batch_size:
-                        self.update_batch(keys, sizes)
-                        keys, sizes = [], []
-                if keys:
-                    self.update_batch(keys, sizes)
+            if self.vectorized:
+                for hi, lo, sizes in iter_blocks(packets):
+                    self.process_columns(hi, lo, sizes)
                 return
             update = self.update
             for key, size in packets:
                 update(key, size)
 
     def process_columns(
-        self,
-        hi: "np.ndarray",
-        lo: "np.ndarray",
-        sizes: "np.ndarray",
-        batch_size: Optional[int] = None,
+        self, hi: "np.ndarray", lo: "np.ndarray", sizes: "np.ndarray"
     ) -> None:
         """Consume one columnar ``(hi, lo, sizes)`` block.
 
-        The streaming entry point the sharded workers use: mirrors
-        :meth:`process` routing over pre-packed columns — vectorised
-        sketches consume batch slices (engine default size when
-        *batch_size* is None), scalar sketches run the per-packet loop
-        — so a one-shard streamed run replays the unsharded execution
-        bit for bit.  The columnar CocoSketch engines override this to
-        feed their chunk loop directly.
+        The streaming entry point the shard workers and the daemon use:
+        vectorised sketches take the block in one :meth:`update_batch`,
+        scalar sketches run the per-packet loop.  The columnar
+        CocoSketch engines override this to feed their chunk loop.
         """
         n = len(sizes)
         if n == 0:
             return
-        if batch_size is None and self.vectorized:
-            batch_size = DEFAULT_BATCH_SIZE
-        if batch_size is None:
+        if self.vectorized:
+            self.update_batch((hi, lo), sizes)
+        else:
             update = self.update
             for key, size in iter_batch((hi, lo), sizes):
                 update(key, size)
-        else:
-            if batch_size < 1:
-                raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-            for start in range(0, n, batch_size):
-                stop = start + batch_size
-                self.update_batch(
-                    (hi[start:stop], lo[start:stop]), sizes[start:stop]
-                )
         # Scalar sketches have no compact dirty set; a full-table dump
         # once per block is their (valid, if fat) delta.  Columnar
         # engines override this method and emit per-chunk bucket deltas

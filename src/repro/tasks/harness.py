@@ -56,9 +56,6 @@ class FullKeyEstimator(Estimator):
         sketch: Any full-key :class:`Sketch`, from either execution
             engine (:mod:`repro.engine`).
         spec: The full key the sketch records.
-        batch_size: Per-``process`` batch size.  ``None`` lets the
-            sketch route itself: vectorised sketches batch at their
-            default size, scalar sketches run the plain packet loop.
         shards: When given, replace *sketch* with an equivalent
             :class:`~repro.engine.sharded.ShardedSketch` — *sketch*'s
             engine/geometry/seed are recovered and each of the N
@@ -75,7 +72,6 @@ class FullKeyEstimator(Estimator):
         self,
         sketch: Sketch,
         spec: FullKeySpec,
-        batch_size: Optional[int] = None,
         shards: Optional[int] = None,
         shard_strategy: str = "hash",
         shard_processes=True,
@@ -93,22 +89,14 @@ class FullKeyEstimator(Estimator):
                 shards,
                 strategy=shard_strategy,
                 processes=shard_processes,
-                batch_size=batch_size,
             )
         self.sketch = sketch
         self.spec = spec
         self.name = sketch.name
-        self.batch_size = batch_size
         self._planner: Optional[QueryPlanner] = None
 
-    def process(
-        self,
-        packets: Iterable[Tuple[int, int]],
-        batch_size: Optional[int] = None,
-    ) -> None:
-        self.sketch.process(
-            packets, batch_size=batch_size or self.batch_size
-        )
+    def process(self, packets: Iterable[Tuple[int, int]]) -> None:
+        self.sketch.process(packets)
         if self._planner is not None:
             self._planner.invalidate()
 

@@ -52,6 +52,12 @@ keys_st = st.lists(
 sizes_st = st.integers(min_value=1, max_value=1 << 20)
 
 
+def feed_blocks(sketch, trace, block):
+    """Feed *trace* through ``update_batch`` in *block*-packet batches."""
+    for hi, lo, sizes in trace.batches(block):
+        sketch.update_batch((hi, lo), sizes)
+
+
 class TestRegistry:
     def test_both_engines_registered(self):
         assert set(available_engines()) >= {"scalar", "numpy"}
@@ -145,7 +151,7 @@ class TestBitIdentical:
         b = NumpyCountMin(rows=3, width=256, seed=5)
         c = CountMinSketch(rows=3, width=256, seed=5)
         a.process(tiny_trace)  # vectorised default: Trace.batches
-        b.process(iter(tiny_trace), batch_size=100)  # chunked iterable
+        b.process(iter(tiny_trace))  # packed iterable blocks
         c.process(tiny_trace)  # scalar loop
         assert a._counters.tolist() == b._counters.tolist()
         assert a._counters.tolist() == [list(r) for r in c._counters]
@@ -168,8 +174,8 @@ class TestCocoBatchInvariants:
     def test_deterministic_given_seed_and_batching(self, tiny_trace, cls):
         a = cls(d=2, l=128, seed=13)
         b = cls(d=2, l=128, seed=13)
-        a.process(tiny_trace, batch_size=256)
-        b.process(tiny_trace, batch_size=256)
+        feed_blocks(a, tiny_trace, 256)
+        feed_blocks(b, tiny_trace, 256)
         assert np.array_equal(a._vals, b._vals)
         assert np.array_equal(a._key_hi, b._key_hi)
         assert np.array_equal(a._key_lo, b._key_lo)
@@ -180,7 +186,7 @@ class TestCocoBatchInvariants:
         # recorded mass is schedule-invariant.
         for bs in (1, 37, 4096):
             sk = NumpyCocoSketch(d=2, l=128, seed=2)
-            sk.process(tiny_trace, batch_size=bs)
+            feed_blocks(sk, tiny_trace, bs)
             assert int(sk._vals.sum()) == tiny_trace.total_size
 
     def test_reset_clears_state(self, tiny_trace):
@@ -210,7 +216,7 @@ class TestStatisticalEquivalence:
         estimates = []
         for seed in range(TRIALS):
             sk = cls(d=2, l=256, seed=seed + 500)
-            sk.process(stream, batch_size=512)
+            feed_blocks(sk, stream, 512)
             table = FlowTable.from_sketch(sk, FIVE_TUPLE).aggregate(srcip)
             estimates.append(table.query(target))
         mean, _ = estimate_moments(estimates)
@@ -223,7 +229,7 @@ class TestStatisticalEquivalence:
         estimates = []
         for seed in range(TRIALS):
             sk = NumpyCocoSketch(d=2, l=256, seed=seed)
-            sk.process(stream, batch_size=512)
+            feed_blocks(sk, stream, 512)
             estimates.append(sk.query(key))
         mean, _ = estimate_moments(estimates)
         halfwidth = mean_confidence_halfwidth(estimates, z=3.5)
@@ -369,11 +375,10 @@ FEEDS = {
     "update_batch": lambda sk, trace, hi, lo, sizes: sk.update_batch(
         (hi, lo), sizes
     ),
+    # The columns in *block*-packet slices, one update_batch each.
     **{
         f"columns-{block}": (
-            lambda sk, trace, hi, lo, sizes, _b=block: sk.process_columns(
-                hi, lo, sizes, batch_size=_b
-            )
+            lambda sk, trace, hi, lo, sizes, _b=block: feed_blocks(sk, trace, _b)
         )
         for block in (1, 511, 513, 16384, 20000)
     },

@@ -1,10 +1,12 @@
 """Chunk-loop tests for the numpy CocoSketch engines.
 
-``process``, ``process_columns`` and ``update_batch`` are adapters onto
-one chunk loop (hash per block, then replace → stats per chunk).  These
-tests pin the loop's step order and metrics, the geometry-derived kernel
-chunk, the three entry points' byte-identical state and ``CocoStats``,
-and that an engine is freed as soon as its last reference drops.
+``process_columns`` and ``update_batch`` are adapters onto one chunk
+loop (hash per block, then replace → stats per chunk), and ``process``
+feeds ``process_columns`` columnar blocks.  These tests pin the loop's
+step order and metrics, the geometry-derived kernel chunk, the entry
+points' byte-identical state and ``CocoStats``, that every default feed
+(plain, sharded, daemon epoch) equals ``update_batch`` over the same
+blocks, and that an engine is freed as soon as its last reference drops.
 """
 
 import gc
@@ -26,9 +28,18 @@ from repro.engine.vectorized import (
     NumpyCocoSketch,
     NumpyHardwareCocoSketch,
 )
-from repro.parallel import STREAM_BATCH
+from repro.engine.sharded import (
+    PARTITION_STRATEGIES,
+    ShardedSketch,
+    SketchSpec,
+    partition_columns,
+    sum_rows,
+)
+from repro.parallel import build_shard_sketch
+from repro.service import ServiceConfig, offline_epoch_run
 from repro.service.daemon import DEFAULT_CHUNK
-from repro.traffic.synthetic import zipf_trace
+from repro.sketches.base import STREAM_BATCH
+from repro.traffic.synthetic import caida_like, zipf_trace
 
 VARIANTS = [NumpyCocoSketch, NumpyHardwareCocoSketch]
 
@@ -66,10 +77,15 @@ def trace_columns(n, flows, seed):
 STATE_FIELDS = ("_key_hi", "_key_lo", "_occupied", "_vals")
 
 
-def assert_identical(a, b):
-    """Byte-identical state and equal decision counters."""
+def assert_same_state(a, b):
+    """Byte-identical state arrays (what a serialised sketch keeps)."""
     for field in STATE_FIELDS:
         assert np.array_equal(getattr(a, field), getattr(b, field)), field
+
+
+def assert_identical(a, b):
+    """Byte-identical state and equal decision counters."""
+    assert_same_state(a, b)
     sa, sb = a.stats, b.stats
     assert sa.packets == sb.packets
     assert sa.matched == sb.matched
@@ -97,15 +113,6 @@ def record_steps(sketch, log):
 
 
 # -- the chunk loop ------------------------------------------------------
-
-
-def test_pipeline_validates_arguments():
-    sketch = NumpyCocoSketch(d=2, l=64, seed=1)
-    hi, lo, sizes = columns(8)
-    with pytest.raises(ValueError):
-        sketch.process_columns(hi, lo, sizes, batch_size=0)
-    with pytest.raises(ValueError):
-        sketch.process(zip(lo.tolist(), sizes.tolist()), batch_size=0)
 
 
 def test_zero_length_feed_publishes_nothing():
@@ -162,7 +169,9 @@ def test_pipeline_metrics_under_collection():
         with obs.collecting() as reg:
             sketch.process_columns(hi, lo, sizes)
             sketch.update_batch((hi, lo), sizes)
-            sketch.process(zip(lo.tolist(), sizes.tolist()), batch_size=1000)
+            for start in range(0, len(sizes), 1000):
+                stop = start + 1000
+                sketch.update_batch((hi[start:stop], lo[start:stop]), sizes[start:stop])
         snap = reg.snapshot()
         n = len(sizes)
         chunks = 2 * n_chunks(n, n, chunk) + n_chunks(n, 1000, chunk)
@@ -208,18 +217,16 @@ def test_engine_freed_when_last_reference_drops(cls):
 # -- entry points agree -------------------------------------------------
 
 
-def entry_point_states(cls, trace, hi, lo, sizes, batch, **kw):
-    """The same stream through process, process_columns and update_batch."""
-    via_process = cls(**kw)
-    via_process.process(trace, batch_size=batch)
+def sliced_states(cls, hi, lo, sizes, step, **kw):
+    """The same stream in *step*-packet slices through process_columns
+    and update_batch."""
     via_columns = cls(**kw)
-    via_columns.process_columns(hi, lo, sizes, batch_size=batch)
     via_batches = cls(**kw)
-    step = batch or len(sizes)
     for start in range(0, len(sizes), step):
         stop = start + step
+        via_columns.process_columns(hi[start:stop], lo[start:stop], sizes[start:stop])
         via_batches.update_batch((hi[start:stop], lo[start:stop]), sizes[start:stop])
-    return via_process, via_columns, via_batches
+    return via_columns, via_batches
 
 
 @pytest.mark.parametrize("cls", VARIANTS, ids=lambda c: c.__name__)
@@ -227,10 +234,11 @@ def entry_point_states(cls, trace, hi, lo, sizes, batch, **kw):
 def test_entry_points_match(cls, backend):
     """process == process_columns == update_batch, state and stats.
 
-    All three feed the same chunk loop, so at any feed granularity they
-    run the same kernel chunks, draw the same RNG stream and end in
-    byte-identical state.  Feeds in ``pipeline_chunk`` multiples also
-    match one unsliced ``update_batch`` (the chunk boundaries coincide).
+    All three feed the same chunk loop, so on the same slices they run
+    the same kernel chunks, draw the same RNG stream and end in
+    byte-identical state.  Slices in ``pipeline_chunk`` multiples, and
+    ``process`` (which feeds hash-block multiples), also match one
+    unsliced ``update_batch`` (the chunk boundaries coincide).
     """
     packets = 12_000 if backend == "python" else 40_000
     trace = zipf_trace(packets, packets // 8, alpha=1.1, seed=3)
@@ -238,13 +246,15 @@ def test_entry_points_match(cls, backend):
     kw = dict(d=2, l=64, seed=9, kernels=backend)
     whole = cls(**kw)
     whole.update_batch((hi, lo), sizes)
+    via_process = cls(**kw)
+    via_process.process(trace)
+    assert_identical(whole, via_process)
     chunk = whole.pipeline_chunk
-    for batch in (None, chunk, 3 * chunk, 1000):
-        states = entry_point_states(cls, trace, hi, lo, sizes, batch, **kw)
-        for state in states[1:]:
-            assert_identical(states[0], state)
-        if batch is None or batch % chunk == 0:
-            assert_identical(whole, states[0])
+    for step in (chunk, 3 * chunk, 1000):
+        via_columns, via_batches = sliced_states(cls, hi, lo, sizes, step, **kw)
+        assert_identical(via_columns, via_batches)
+        if step % chunk == 0:
+            assert_identical(whole, via_columns)
 
 
 # -- geometry-derived kernel chunk ---------------------------------------
@@ -403,3 +413,94 @@ def test_reset_clears_pipeline_state(cls):
     one.process_columns(hi, lo, sizes)
     two.process_columns(hi, lo, sizes)
     assert_identical(one, two)
+
+
+# -- every default feed is update_batch over the same blocks --------------
+
+#: A default-width table, the governor's 1/8-width start (kernel chunk
+#: 512) and the wide serving table.
+FEED_GEOMETRIES = [(2, 4096), (8, 188), (2, 65536)]
+
+
+@pytest.fixture(scope="module")
+def feed_trace():
+    return caida_like(100_000, 20_000, seed=3)
+
+
+@pytest.mark.parametrize("d, l", FEED_GEOMETRIES)
+@pytest.mark.parametrize("cls", VARIANTS, ids=lambda c: c.__name__)
+def test_default_feeds_match_update_batch(cls, d, l, feed_trace):
+    """process(trace), process(iter(trace)) and process_columns, each at
+    its default, end in the state and stats of one update_batch."""
+    hi, lo, sizes = next(feed_trace.batches(len(feed_trace)))
+    reference = cls(d, l, seed=9)
+    reference.update_batch((hi, lo), sizes)
+    feeds = {
+        "process(trace)": lambda sk: sk.process(feed_trace),
+        "process(iter(trace))": lambda sk: sk.process(iter(feed_trace)),
+        "process_columns": lambda sk: sk.process_columns(hi, lo, sizes),
+    }
+    for name, feed in feeds.items():
+        sketch = cls(d, l, seed=9)
+        feed(sketch)
+        assert sketch.stats.packets == len(sizes), name
+        assert_identical(reference, sketch)
+
+
+@pytest.mark.parametrize("processes", [False, True], ids=["inline", "processes"])
+@pytest.mark.parametrize("strategy", PARTITION_STRATEGIES)
+@pytest.mark.parametrize("shards", [1, 2, 4])
+def test_sharded_feed_matches_partitioned_update_batch(
+    shards, strategy, processes, feed_trace
+):
+    """Each shard ends as its engine fed update_batch with the shard's
+    part of every scatter block, partitioned as the driver does."""
+    spec = SketchSpec("numpy", "basic", d=8, l=188, seed=9)
+    sharded = ShardedSketch(spec, shards, strategy=strategy, processes=processes)
+    sharded.process(feed_trace)
+    reference = [build_shard_sketch(spec, shard) for shard in range(shards)]
+    offset = 0
+    for hi, lo, sizes in feed_trace.batches(STREAM_BATCH):
+        parts = partition_columns(
+            hi, lo, sizes, shards, strategy, spec.seed, offset=offset
+        )
+        offset += len(sizes)
+        for sketch, (shi, slo, ssz) in zip(reference, parts):
+            if len(ssz):
+                sketch.update_batch((shi, slo), ssz)
+    assert len(sharded.sketches) == shards
+    for ref, got in zip(reference, sharded.sketches):
+        # Worker state crosses the process boundary without its stats.
+        (assert_same_state if processes else assert_identical)(ref, got)
+
+
+@pytest.mark.parametrize("chunk", [16384, 4096])
+def test_epoch_feed_matches_reblocked_update_batch(chunk, feed_trace):
+    """A daemon epoch is its shards fed update_batch with each
+    chunk-sized block of the epoch's packets, partitioned at the
+    epoch-local offset, whatever the arrival framing."""
+    spec = SketchSpec("numpy", "basic", d=8, l=188, seed=9)
+    epoch_packets = 40_000
+    config = ServiceConfig(
+        spec, feed_trace.spec, shards=2, chunk=chunk, epoch_packets=epoch_packets
+    )
+    snapshots = offline_epoch_run(config, feed_trace.batches(10_000))
+    hi, lo, sizes = next(feed_trace.batches(len(feed_trace)))
+    starts = range(0, len(sizes), epoch_packets)
+    assert [snap.epoch for snap in snapshots] == list(range(len(starts)))
+    for snap, first in zip(snapshots, starts):
+        shards = [build_shard_sketch(spec, s, snap.epoch) for s in range(2)]
+        end = min(first + epoch_packets, len(sizes))
+        for start in range(first, end, chunk):
+            stop = min(start + chunk, end)
+            parts = partition_columns(
+                hi[start:stop], lo[start:stop], sizes[start:stop], 2,
+                config.strategy, spec.seed, offset=start - first,
+            )
+            for sketch, (shi, slo, ssz) in zip(shards, parts):
+                if len(ssz):
+                    sketch.update_batch((shi, slo), ssz)
+        table = sum_rows(shards, config.key_spec)
+        assert snap.packets == end - first
+        assert np.array_equal(snap.table.words, table.words)
+        assert np.array_equal(snap.table.values, table.values)

@@ -201,7 +201,9 @@ class TestEpochBitIdentity:
 
         mono = config.spec.build()
         hi, lo, sizes = next(iter(trace.batches(9_000)))
-        mono.process_columns(hi, lo, sizes, CHUNK)
+        for start in range(0, len(sizes), CHUNK):  # the daemon's re-blocking
+            stop = start + CHUNK
+            mono.update_batch((hi[start:stop], lo[start:stop]), sizes[start:stop])
         snap = snaps[0]
         assert snap.to_bytes() == dump_epoch(
             snap.epoch, snap.start_seq, snap.packets, snap.closed_at,

@@ -10,6 +10,7 @@ Four layers of guarantees:
   reference within the harness margins (:mod:`tests.stat_harness`).
 """
 
+import multiprocessing
 import threading
 
 import numpy as np
@@ -25,7 +26,7 @@ from repro.engine.sharded import (
     partition_columns,
     shard_assignments,
 )
-from repro.flowkeys.key import FIVE_TUPLE
+from repro.flowkeys.key import FIVE_TUPLE, IPV6_FIVE_TUPLE
 from repro.parallel import (
     WORKER_CREDITS,
     ShardWorkerError,
@@ -33,6 +34,7 @@ from repro.parallel import (
     worker_seed,
 )
 from repro.query.columns import ColumnTable
+from repro.sketches.base import STREAM_BATCH
 from repro.tasks.harness import FullKeyEstimator
 from repro.traffic.synthetic import zipf_trace
 from tests.stat_harness import (
@@ -310,6 +312,37 @@ class TestDriverLiveness:
         assert isinstance(error, ShardWorkerError)
         assert error.shard == 0
         assert all(proc.exitcode is not None for proc in driver._procs)
+
+    @staticmethod
+    def _failing_source():
+        """One full scatter block, then an error from the source."""
+        for key in range(STREAM_BATCH + 10):
+            yield key, 1
+        raise RuntimeError("packet source failed")
+
+    @staticmethod
+    def _wide_keys():
+        """Keys wider than 128 bits: packing the first block raises."""
+        for i in range(50):
+            yield IPV6_FIVE_TUPLE.pack((1 << 127) | i, 7, 443, 80, 6), 1
+
+    @pytest.mark.parametrize(
+        "source, error",
+        [("_failing_source", RuntimeError), ("_wide_keys", ValueError)],
+        ids=["source-raises", "wide-keys"],
+    )
+    def test_scatter_error_stops_the_workers(self, source, error):
+        """An error out of the scatter loop stops the shard workers
+        before it propagates; none is left alive to hang the exit."""
+        spec = SketchSpec(
+            engine="numpy", d=2, l=64, key_bytes=IPV6_FIVE_TUPLE.width_bytes
+        )
+        sketch = ShardedSketch(spec, 2, processes=True)
+        before = set(multiprocessing.active_children())
+        raised = self._run_bounded(lambda: sketch.process(getattr(self, source)()))
+        assert isinstance(raised, error)
+        assert not set(multiprocessing.active_children()) - before
+        assert sketch.sketches == []
 
 
 class TestShardedStatistics:
