@@ -40,7 +40,7 @@ from repro.core.cocosketch import BasicCocoSketch
 from repro.core.hardware import HardwareCocoSketch
 from repro.engine.base import buckets_for_memory, get_engine
 from repro.engine.vectorized import NumpyCocoSketch, NumpyHardwareCocoSketch
-from repro.hashing.family import fold_columns, mix64, mix64_array
+from repro.hashing.family import fold_columns, mix64, mix64_array, reduce_index
 from repro.metrics.throughput import ShardedThroughputResult, WorkerThroughput
 from repro.sketches.base import (
     COUNTER_BYTES,
@@ -164,12 +164,11 @@ def shard_assignments(
         )
     n = len(lo)
     if strategy == "round-robin":
-        return ((offset + np.arange(n, dtype=np.int64)) % shards).astype(
-            np.int64
-        )
+        dealt = offset + np.arange(n, dtype=np.int64)
+        return reduce_index(dealt, shards, out=dealt)
     salt = np.uint64(mix64(seed ^ _PARTITION_SALT))
     hashed = mix64_array(fold_columns(hi, lo) ^ salt)
-    return (hashed % np.uint64(shards)).astype(np.int64)
+    return reduce_index(hashed, shards, out=hashed).astype(np.int64)
 
 
 def _split_by_assignment(

@@ -68,6 +68,14 @@ Batch scheduling:
   adds.  Only adoptions write keys, so an epoch after one that adopted
   nothing skips the match check.  Skewed traffic typically needs only a
   few epochs per chunk.
+* Within an epoch the per-packet choices among the d candidates — the
+  first array holding the key, the k-th of the tied minima — come from
+  row bitmasks: each 8-row lane of a ``(d, m)`` mask packs into one
+  uint8 code per packet, and 256-entry tables give the code's lowest
+  set row, popcount and k-th set row (axis-0 ``argmax``/``cumsum`` walk
+  a column at a time and cost several times more).  Subsets are cut
+  with ``compress``/``take`` along axis 1, and the first epoch, which
+  covers the whole chunk, reads the chunk's key columns in place.
 """
 
 from __future__ import annotations
@@ -164,6 +172,64 @@ StatsDelta = Tuple[int, int, int, int, int, List[int], Optional[int]]
 
 #: Free mark of the basic rule's int16 owner table (positions < 16384).
 _NO_OWNER = np.iinfo(np.int16).max
+
+#: Row-bitmask lookups for the basic rule's ``(d, m)`` masks, one byte
+#: lane of 8 rows at a time.  A lane's code sets bit ``i`` where row
+#: ``lane * 8 + i`` is true; per code, ``_FIRST_ROW`` is its lowest set
+#: bit (8 when none), ``_POPCOUNT`` its set bits and
+#: ``_KTH_ROW[k << 8 | code]`` its ``k``-th set bit.  Axis-0 argmax and
+#: cumsum walk a column at a time; a table gather does not.
+_LANE = 8
+_LANE_WEIGHTS = (1 << np.arange(_LANE)).astype(np.uint8)[:, None]
+_BITS = (np.arange(256)[:, None] >> np.arange(_LANE)) & 1
+_POPCOUNT = _BITS.sum(axis=1)
+_FIRST_ROW = np.where(_POPCOUNT > 0, _BITS.argmax(axis=1), _LANE)
+_KTH_ROW = np.full((_LANE, 256), _LANE, dtype=np.intp)
+for _code in range(256):
+    _set = np.flatnonzero(_BITS[_code])
+    _KTH_ROW[: _set.size, _code] = _set
+_KTH_ROW = _KTH_ROW.ravel()
+del _code, _set
+
+
+def _row_codes(mask: "np.ndarray") -> List["np.ndarray"]:
+    """A ``(d, m)`` boolean mask as one uint8 code row per 8-row lane."""
+    codes = []
+    for r in range(0, len(mask), _LANE):
+        lane = mask[r : r + _LANE]
+        codes.append(
+            np.add.reduce(lane * _LANE_WEIGHTS[: len(lane)], axis=0, dtype=np.uint8)
+        )
+    return codes
+
+
+def _first_row(codes: List["np.ndarray"]) -> "np.ndarray":
+    """Per column, the lowest true row; ``8 * lanes`` where none is."""
+    first = _FIRST_ROW.take(codes[0])
+    for k in range(1, len(codes)):
+        base = k * _LANE
+        first = np.where(first == base, base + _FIRST_ROW.take(codes[k]), first)
+    return first
+
+
+def _kth_row(
+    codes: List["np.ndarray"], pops: List["np.ndarray"], kth: "np.ndarray"
+) -> "np.ndarray":
+    """Per column, its ``kth``-th true row (0-based, ``kth`` < its count).
+
+    *pops* are the lanes' popcounts.  A lane's rank is ``kth`` less the
+    set rows of the lanes before it; the last lane where that rank is
+    still >= 0 holds the row, so each lane's lookup overwrites the
+    earlier ones there.  Ranks outside a lane's 8 table rows only occur
+    where the lookup is discarded; ``mode="clip"`` keeps them in bounds.
+    """
+    row = _KTH_ROW.take((kth << 8) | codes[0], mode="clip")
+    rank = kth
+    for k in range(1, len(codes)):
+        rank = rank - pops[k - 1]
+        here = _KTH_ROW.take((rank << 8) | codes[k], mode="clip")
+        row = np.where(rank >= 0, k * _LANE + here, row)
+    return row
 
 
 class _KernelScratch:
@@ -547,27 +613,33 @@ class NumpyCocoSketch(_ColumnarKeyValueSketch):
         while remaining.size:
             epochs += 1
             idx = remaining
-            b = flat if idx.size == n else flat[:, idx]
+            # The first round covers the whole chunk: it reads the
+            # chunk's columns in place instead of gathering them.
+            full = idx.size == n
+            b = flat if full else flat.take(idx, axis=1)
             # -- matched adds: key already held by a candidate bucket
             if check:
-                match = (
-                    occupied[b]
-                    & (key_hi[b] == hi[idx])
-                    & (key_lo[b] == lo[idx])
-                )
-                any_match = match.any(axis=0)
-                if any_match.any():
-                    cols = np.nonzero(any_match)[0]
-                    # First matching array, as in the scalar early return.
-                    first_i = np.argmax(match[:, cols], axis=0)
-                    np.add.at(vals, b[first_i, cols], w[idx[cols]])
+                match = occupied.take(b)
+                match &= key_hi.take(b) == (hi if full else hi.take(idx))
+                match &= key_lo.take(b) == (lo if full else lo.take(idx))
+                # First matching array, as in the scalar early return.
+                first_i = _first_row(_row_codes(match))
+                hit = first_i < d
+                cols = hit.nonzero()[0]
+                if cols.size:
+                    first_i = first_i.take(cols)
+                    np.add.at(
+                        vals,
+                        b.ravel().take(first_i * idx.size + cols),
+                        w.take(idx.take(cols)),
+                    )
                     matched += cols.size
                     scans += int(first_i.sum()) + cols.size
-                    keep = ~any_match
-                    idx = idx[keep]
-                    b = b[:, keep]
+                    keep = ~hit
+                    idx = idx.compress(keep)
                     if idx.size == 0:
                         break
+                    b = b.compress(keep, axis=1)
             # -- eviction rule on a bucket-disjoint earliest-first set.
             # Bucket owners (earliest packets) by scatter-min; ufunc.at
             # needs flat, equal-length index and value arrays.  A packet
@@ -578,19 +650,20 @@ class NumpyCocoSketch(_ColumnarKeyValueSketch):
             tiled.reshape(d, m)[:] = pos
             bf = b.ravel()
             np.minimum.at(owner, bf, tiled)
-            selected = (owner[b] == pos).all(axis=0)
+            selected = np.logical_and.reduce(owner.take(b) == pos, axis=0)
             owner[bf] = _NO_OWNER
             if not selected[0]:  # the earliest packet owns all its buckets
                 raise RuntimeError("conflict round selected no packet")
-            sel = idx[selected]
+            sel = idx.compress(selected)
             sN = sel.size
-            bs = b[:, selected]  # (d, s), disjoint across packets
-            V = vals[bs]
-            minval = V.min(axis=0)
+            bs = b.compress(selected, axis=1)  # (d, s), disjoint across packets
+            V = vals.take(bs)
+            minval = np.minimum.reduce(V, axis=0)
             # Uniform tie-break among minima (same law as the scalar
             # reservoir walk): the k-th tied bucket, k ~ U{0..ties-1}.
-            ties = V == minval[None, :]
-            cnt = ties.sum(axis=0)
+            tie_codes = _row_codes(V == minval)
+            pops = [_POPCOUNT.take(c) for c in tie_codes]
+            cnt = sum(pops[1:], pops[0])
             if replay:
                 u_tie = replay_draws(self._replay_seed, seq_base + sel, PURPOSE_TIEBREAK)
                 u_adopt = replay_draws(self._replay_seed, seq_base + sel, PURPOSE_ADOPT)
@@ -599,27 +672,28 @@ class NumpyCocoSketch(_ColumnarKeyValueSketch):
                 u = rng.random(2 * sN)
                 u_tie, u_adopt = u[:sN], u[sN:]
             kth = np.minimum((u_tie * cnt).astype(np.int64), cnt - 1)
-            chosen_i = np.argmax(
-                np.cumsum(ties, axis=0) > kth[None, :], axis=0
-            )
-            targets = bs[chosen_i, np.arange(sN)]
-            was_occupied = occupied[targets]
-            ws = w[sel]
+            chosen_i = _kth_row(tie_codes, pops, kth)
+            targets = bs.ravel().take(chosen_i * sN + s.pos[:sN])
+            was_occupied = occupied.take(targets)
+            ws = w.take(sel)
             new_v = minval + ws
             vals[targets] = new_v
             # Replacement with probability w / V_new (Theorem 1).
             adopt = u_adopt * new_v < ws
-            ta = targets[adopt]
-            key_hi[ta] = hi[sel][adopt]
-            key_lo[ta] = lo[sel][adopt]
+            ta = targets.compress(adopt)
+            src = sel.compress(adopt)
+            key_hi[ta] = hi.take(src)
+            key_lo[ta] = lo.take(src)
             occupied[ta] = True
             scans += d * sN
-            adopted = int(adopt.sum())
+            adopted = np.count_nonzero(adopt)
             check = adopted > 0
             repl += adopted
             rejects += sN - adopted
-            evictions += np.bincount(chosen_i[adopt & was_occupied], minlength=d)
-            remaining = idx[~selected]
+            evictions += np.bincount(
+                chosen_i.compress(adopt & was_occupied), minlength=d
+            )
+            remaining = idx.compress(~selected)
             if obs.enabled:
                 obs.observe(
                     "engine.numpy.basic.conflict_set", remaining.size

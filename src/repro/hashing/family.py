@@ -70,6 +70,20 @@ def mix64_into(
     return out
 
 
+def reduce_index(
+    values: "np.ndarray", size: int, out: "np.ndarray | None" = None
+) -> "np.ndarray":
+    """``values % size`` over a non-negative integer array.
+
+    A power-of-two *size* reduces with the mask ``size - 1`` instead:
+    the same values, and on uint64 about ten times cheaper than
+    ``np.mod``.  *out* may be *values* itself.
+    """
+    if size & (size - 1) == 0:
+        return np.bitwise_and(values, values.dtype.type(size - 1), out=out)
+    return np.mod(values, values.dtype.type(size), out=out)
+
+
 def fold_columns(hi: "np.ndarray", lo: "np.ndarray") -> "np.ndarray":
     """Fold (hi, lo) uint64 key columns into the 64-bit hash input.
 
@@ -164,9 +178,8 @@ class HashFamily:
         if self.backend != "mix64":
             raise NotImplementedError("vectorised hashing requires mix64")
         seed = np.uint64(self.seeds[i])
-        return (mix64_array(keys.astype(np.uint64) ^ seed) % np.uint64(size)).astype(
-            np.int64
-        )
+        hashed = mix64_array(keys.astype(np.uint64) ^ seed)
+        return reduce_index(hashed, size, out=hashed).astype(np.int64)
 
     def index_arrays(self, keys: "np.ndarray", size: int) -> "np.ndarray":
         """All ``d`` vectorised hashes over a uint64 key array at once.
@@ -184,7 +197,8 @@ class HashFamily:
         out = np.empty((self.d, len(keys)), dtype=np.int64)
         for i in range(self.d):
             seed = np.uint64(self.seeds[i])
-            out[i] = (mix64_array(keys ^ seed) % np.uint64(size)).astype(np.int64)
+            hashed = mix64_array(keys ^ seed)
+            out[i] = reduce_index(hashed, size, out=hashed)
         return out
 
     def index_arrays_into(
@@ -207,13 +221,12 @@ class HashFamily:
         if size < 1:
             raise ValueError(f"size must be >= 1, got {size}")
         seeds = np.array(self.seeds, dtype=np.uint64)
-        usize = np.uint64(size)
         n = len(keys)
         for i in range(self.d):
             z = out[i, :n].view(np.uint64)
             np.bitwise_xor(keys, seeds[i], out=z)
             mix64_into(z, z, t)
-            np.mod(z, usize, out=z)
+            reduce_index(z, size, out=z)
 
 
 def uniform_random_stream(seed: int, count: int) -> Sequence[int]:

@@ -34,6 +34,7 @@ from repro.engine import (
     available_engines,
     get_engine,
 )
+from repro.engine.vectorized import _POPCOUNT, _first_row, _kth_row, _row_codes
 from repro.flowkeys.key import FIVE_TUPLE
 from repro.hashing.family import HashFamily, fold_columns
 from repro.obs.registry import get_registry
@@ -410,6 +411,28 @@ def _schedule_trace(packets, flows, mixed, seed):
     return Trace(trace.spec, trace.keys, sizes.tolist())
 
 
+class TestRowBitmasks:
+    """The kernel's lane-coded row choices equal the axis-0 idioms they
+    replace, for one lane and for several (d > 8)."""
+
+    @pytest.mark.parametrize("d", [1, 3, 8, 9, 12, 20])
+    def test_first_and_kth_row(self, d):
+        rng = np.random.default_rng(d)
+        mask = rng.random((d, 3000)) < 0.3
+        codes = _row_codes(mask)
+        hit = mask.any(axis=0)
+        first = _first_row(codes)
+        assert np.array_equal(first[hit], np.argmax(mask[:, hit], axis=0))
+        assert (first[~hit] >= d).all()
+        pops = [_POPCOUNT.take(c) for c in codes]
+        cnt = sum(pops[1:], pops[0])
+        assert np.array_equal(cnt, mask.sum(axis=0))
+        kth = np.minimum((rng.random(hit.sum()) * cnt[hit]).astype(np.int64), cnt[hit] - 1)
+        expected = np.argmax(np.cumsum(mask[:, hit], axis=0) > kth[None, :], axis=0)
+        got = _kth_row([c[hit] for c in codes], [p[hit] for p in pops], kth)
+        assert np.array_equal(got, expected)
+
+
 class TestEpochScheduleReference:
     """The basic rule's numpy kernel keeps the epoch schedule bit for bit.
 
@@ -434,7 +457,7 @@ class TestEpochScheduleReference:
     @pytest.mark.parametrize("mixed", [False, True], ids=["unit", "mixed"])
     @pytest.mark.parametrize("replay", [False, True], ids=["rng", "replay"])
     @pytest.mark.parametrize("l", [7, 188, 1505, 65536])
-    @pytest.mark.parametrize("d", [1, 2, 4, 8])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 8, 12])
     def test_geometry(self, d, l, replay, mixed):
         trace = _schedule_trace(5_000, 1_500, mixed, seed=d * 31 + l)
         self.assert_same_schedule(d, l, replay, "columns-20000", trace)

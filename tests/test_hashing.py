@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.hashing.bobhash import bobhash32
-from repro.hashing.family import HashFamily, mix64, mix64_array
+from repro.hashing.family import HashFamily, fold_columns, mix64, mix64_array
 
 
 class TestBobHash:
@@ -118,6 +118,23 @@ class TestHashFamily:
         fn = fam.index_fn(1, 777)
         for i in (0, 3, 499):
             assert int(vec[i]) == fn(i)
+
+    @pytest.mark.parametrize("size", [188, 4096, 65536])
+    def test_vectorised_paths_match_scalar(self, size):
+        # 4096 and 65536 reduce with a mask, 188 with a modulo.
+        fam = HashFamily(3, master_seed=21)
+        rng = np.random.default_rng(size)
+        hi = rng.integers(0, 2**40, 400, dtype=np.uint64)
+        lo = rng.integers(0, 2**64, 400, dtype=np.uint64)
+        keys = [(int(h) << 64) | int(l_) for h, l_ in zip(hi, lo)]
+        expected = np.array([fam.indices(k, size) for k in keys]).T
+        fold = fold_columns(hi, lo)
+        assert np.array_equal(fam.index_arrays(fold, size), expected)
+        for i in range(3):
+            assert np.array_equal(fam.index_array(i, fold, size), expected[i])
+        out = np.empty((3, len(keys)), dtype=np.int64)
+        fam.index_arrays_into(fold, size, out, np.empty(len(keys), dtype=np.uint64))
+        assert np.array_equal(out, expected)
 
     def test_vectorised_requires_mix64(self):
         fam = HashFamily(1, backend="bob")

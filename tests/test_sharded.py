@@ -20,6 +20,7 @@ from repro import obs
 from repro.core.serialize import dump_sketch, load_sketch
 from repro.engine import get_engine
 from repro.engine.sharded import (
+    _PARTITION_SALT,
     PARTITION_STRATEGIES,
     ShardedSketch,
     SketchSpec,
@@ -27,6 +28,7 @@ from repro.engine.sharded import (
     shard_assignments,
 )
 from repro.flowkeys.key import FIVE_TUPLE, IPV6_FIVE_TUPLE
+from repro.hashing.family import mix64
 from repro.parallel import (
     WORKER_CREDITS,
     ShardWorkerError,
@@ -89,6 +91,17 @@ class TestPartitioning:
         assign = shard_assignments(hi, lo, 3, "round-robin")
         expected = np.arange(len(lo), dtype=np.int64) % 3
         assert np.array_equal(assign, expected)
+
+    @pytest.mark.parametrize("shards", [3, 4])
+    def test_assignments_are_mod_shards(self, tiny_trace, shards):
+        # 4 shards reduce with a mask, 3 with a modulo: the same rule.
+        hi, lo, _ = _columns(tiny_trace)
+        salt = mix64(3 ^ _PARTITION_SALT)
+        hashed = [mix64(h ^ l_ ^ salt) for h, l_ in zip(hi.tolist(), lo.tolist())]
+        assign = shard_assignments(hi, lo, shards, "hash", seed=3)
+        assert assign.tolist() == [h % shards for h in hashed]
+        dealt = shard_assignments(hi, lo, shards, "round-robin", offset=5)
+        assert dealt.tolist() == [(5 + i) % shards for i in range(len(lo))]
 
     @pytest.mark.parametrize("strategy", PARTITION_STRATEGIES)
     def test_partition_conserves_packets_and_mass(self, tiny_trace, strategy):
