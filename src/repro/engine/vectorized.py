@@ -491,14 +491,22 @@ class _ColumnarKeyValueSketch(Sketch):
     def export_columns(self):
         """Occupied-bucket state as ``(hi, lo, values)`` columns.
 
-        The zero-copy extraction path for the columnar query plane
-        (:mod:`repro.query`): raw bucket entries, duplicates included —
-        grouping by key and summing values reproduces
-        :meth:`flow_table` exactly.  Subclasses whose table is not a
-        plain per-bucket sum (the hardware median) override this.
+        The extraction path for the columnar query plane
+        (:mod:`repro.query`): raw bucket entries, duplicates included,
+        in row-major bucket order — grouping by key and summing values
+        reproduces :meth:`flow_table` exactly.  The occupied buckets
+        are found once by flat index and each flat column is gathered
+        with ``take`` (a 2-D boolean mask would be scanned once per
+        column), so the columns are fresh arrays that never alias the
+        state.  Subclasses whose table is not a plain per-bucket sum
+        (the hardware median) override this.
         """
-        occ = self._occupied
-        return self._key_hi[occ], self._key_lo[occ], self._vals[occ]
+        idx = np.flatnonzero(self._occupied_flat)
+        return (
+            self._key_hi_flat.take(idx),
+            self._key_lo_flat.take(idx),
+            self._vals_flat.take(idx),
+        )
 
 
 class NumpyCocoSketch(_ColumnarKeyValueSketch):
@@ -718,10 +726,7 @@ class NumpyCocoSketch(_ColumnarKeyValueSketch):
 
     def flow_table(self) -> Dict[int, float]:
         """(FullKey, Size) table over all recorded keys (§4.3 Step 3)."""
-        occ = self._occupied
-        his = self._key_hi[occ].tolist()
-        los = self._key_lo[occ].tolist()
-        vs = self._vals[occ].tolist()
+        his, los, vs = (column.tolist() for column in self.export_columns())
         table: Dict[int, float] = {}
         for h, lw, v in zip(his, los, vs):
             k = (h << 64) | lw
@@ -946,11 +951,13 @@ class NumpyHardwareCocoSketch(_ColumnarKeyValueSketch):
         is the per-key *median* across arrays, so the export computes
         it vectorised over the unique recorded keys (no duplicates).
         """
-        occ = self._occupied
-        if not occ.any():
+        idx = np.flatnonzero(self._occupied_flat)
+        if not len(idx):
             empty = np.empty(0, dtype=np.uint64)
             return empty, empty, np.empty(0, dtype=np.float64)
-        packed = np.stack([self._key_hi[occ], self._key_lo[occ]], axis=1)
+        packed = np.stack(
+            [self._key_hi_flat.take(idx), self._key_lo_flat.take(idx)], axis=1
+        )
         uniq = np.unique(packed, axis=0)
         u_hi, u_lo = uniq[:, 0], uniq[:, 1]
         J = self._family.index_arrays(fold_columns(u_hi, u_lo), self.l)

@@ -16,7 +16,10 @@ How the sync works:
   (:class:`BucketDelta`, at most ``d * chunk`` rows against ``d * l``
   state).  Scalar sketches emit their full flow table per block instead
   (:class:`TableDelta`) — fat, but a valid delta.
-* :class:`SlimReplica` holds one mirror per shard.  Deltas queue under
+* :class:`SlimReplica` holds one mirror per shard, allocated once per
+  geometry: each epoch's first read re-syncs the retained mirror
+  arrays by memcpy from the fat shards, and only a spec change or
+  :meth:`SlimReplica.invalidate` builds new ones.  Deltas queue under
   the replica's own lock — never the ingest lock — and a read drains
   them all (a fancy-indexed scatter per delta), so the drained prefix
   is exactly the fat state at some chunk boundary: replica answers are
@@ -150,7 +153,8 @@ class _TableMirror:
 
     __slots__ = ("_table",)
 
-    def __init__(self) -> None:
+    def __init__(self, spec) -> None:
+        # A dict table has no geometry, so *spec* is not needed.
         self._table: Dict[int, float] = {}
 
     def bootstrap(self, fat) -> None:
@@ -163,10 +167,10 @@ class _TableMirror:
         return ColumnTable.from_dict(self._table, key_spec)
 
 
-def _make_mirror(spec, fat):
+def _mirror_kind(fat):
     if getattr(fat, "emits_bucket_deltas", False):
-        return _BucketMirror(spec)
-    return _TableMirror()
+        return _BucketMirror
+    return _TableMirror
 
 
 class SlimReplica:
@@ -216,13 +220,16 @@ class SlimReplica:
 
         Used when the fat state changes shape without an epoch bump
         (an empty-epoch geometry swap): the mirrors' arrays no longer
-        match the fat geometry, so stale-shape deltas must never be
+        match the fat geometry, so they are dropped and the next
+        bootstrap builds new ones, and stale-shape deltas must never be
         applied — the epoch tag resets to the un-bootstrapped sentinel
         and any sink still attached to old engines goes stale with it.
         """
         with self._lock:
             self.epoch = -1
-            self._pending = [[] for _ in self._mirrors]
+            self._mirrors = []
+            self._pending = []
+            self._shard_tables = []
             self._pending_rows = 0
             self._planner = None
             self._version = None
@@ -235,23 +242,30 @@ class SlimReplica:
 
         Called under the daemon's ingest lock, so the fat arrays are
         quiescent.  The copy is a plain memcpy per array — no
-        serialization, no extraction — and from here on the mirrors
-        advance by deltas alone until the next rotation re-bootstraps.
+        serialization, no extraction — into the mirrors the previous
+        bootstrap left, so it writes pages that are already mapped; a
+        fresh mirror's zeroed arrays would fault in every page under
+        the lock.  From here on the mirrors advance by deltas alone
+        until the next rotation re-bootstraps.
 
         *spec* carries the fat shards' *current* spec when the daemon
-        runs under elastic geometry: mirrors are rebuilt at the new
-        shape, and the pending-row bound re-scales with the state size
-        it protects.
+        runs under elastic geometry: on a change, mirrors are rebuilt
+        at the new shape, and the pending-row bound re-scales with the
+        state size it protects.  A change of shard count or mirror kind
+        rebuilds them too.
         """
         with self._lock:
             if spec is not None and spec != self.spec:
                 self.spec = spec
                 self.max_pending_rows = 8 * spec.d * spec.l
                 self.registry.inc("slim.geometry.rebootstraps")
+                self._mirrors = []
+            kinds = [_mirror_kind(fat) for fat in sketches]
+            if [type(mirror) for mirror in self._mirrors] != kinds:
+                self._mirrors = [kind(self.spec) for kind in kinds]
             self.epoch = epoch
             self.accepted = int(flushed)
             self.drained = int(flushed)
-            self._mirrors = [_make_mirror(self.spec, fat) for fat in sketches]
             for mirror, fat in zip(self._mirrors, sketches):
                 mirror.bootstrap(fat)
             self._pending = [[] for _ in sketches]

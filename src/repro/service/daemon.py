@@ -26,12 +26,13 @@ true:
 
 Live reads never perturb that.  A live read is served by a
 :class:`~repro.query.slim.SlimReplica`, bootstrapped lazily from the
-shard arrays (a per-array memcpy under the ingest lock, once per epoch)
-and kept fresh by compact per-chunk deltas the engines emit from their
-chunk loop's replace step.  A read sums the shard mirrors (Lemma 3) after
-a bounded delta drain under the replica's own lock, so it never copies
-the shards or waits on the ingest lock in steady state.  Emission is
-read-only, so ingestion's RNG streams are never advanced by a read.
+shard arrays (a per-array memcpy under the ingest lock, once per epoch,
+into mirrors kept while the geometry holds) and kept fresh by compact
+per-chunk deltas the engines emit from their chunk loop's replace step.
+A read sums the shard mirrors (Lemma 3) after a bounded delta drain
+under the replica's own lock, so it never copies the shards or waits
+on the ingest lock in steady state.  Emission is read-only, so
+ingestion's RNG streams are never advanced by a read.
 
 Nothing else a request does takes the ingest lock either.  The ingest
 thread publishes an immutable :class:`ReadState` record by one

@@ -433,6 +433,71 @@ class TestRowBitmasks:
         assert np.array_equal(got, expected)
 
 
+def _mask_export(sk):
+    """The boolean-mask gather ``export_columns`` replaced (reference)."""
+    occ = sk._occupied
+    if not isinstance(sk, NumpyHardwareCocoSketch):
+        return sk._key_hi[occ], sk._key_lo[occ], sk._vals[occ]
+    if not occ.any():
+        empty = np.empty(0, dtype=np.uint64)
+        return empty, empty, np.empty(0, dtype=np.float64)
+    uniq = np.unique(np.stack([sk._key_hi[occ], sk._key_lo[occ]], axis=1), axis=0)
+    u_hi, u_lo = uniq[:, 0], uniq[:, 1]
+    J = sk._family.index_arrays(fold_columns(u_hi, u_lo), sk.l)
+    estimates = np.zeros((sk.d, len(u_hi)))
+    for i in range(sk.d):
+        j = J[i]
+        hit = (
+            sk._occupied[i][j]
+            & (sk._key_hi[i][j] == u_hi)
+            & (sk._key_lo[i][j] == u_lo)
+        )
+        estimates[i] = np.where(hit, sk._vals[i][j], 0.0)
+    return u_hi, u_lo, np.median(estimates, axis=0)
+
+
+def _mask_flow_table(sk):
+    """The dict ``flow_table`` built from the mask gather (reference)."""
+    hi, lo, vals = _mask_export(sk)
+    table = {}
+    for h, lw, v in zip(hi.tolist(), lo.tolist(), vals.tolist()):
+        k = (h << 64) | lw
+        table[k] = table.get(k, 0.0) + v
+    return table
+
+
+class TestFlatIndexExport:
+    """``export_columns`` gathers by flat index; rows, order and dtypes
+    equal the boolean-mask gather bit for bit, on live and read-only
+    state, and the columns never alias the state."""
+
+    @pytest.mark.parametrize("packets", [0, 300, 20_000], ids=["empty", "partial", "full"])
+    @pytest.mark.parametrize("cls", [NumpyCocoSketch, NumpyHardwareCocoSketch])
+    def test_matches_mask_gather(self, cls, packets):
+        from repro.service.epochs import frozen_copy
+
+        sk = cls(d=3, l=97, seed=5)
+        if packets:
+            sk.process(zipf_trace(packets, 4_000, alpha=1.1, seed=packets))
+        occupancy = sk.occupancy()
+        if packets == 0:
+            assert occupancy == 0.0
+        elif packets == 300:
+            assert 0.0 < occupancy < 1.0
+        else:
+            assert occupancy == 1.0
+        expected = _mask_export(sk)
+        for source in (sk, frozen_copy(sk)):
+            got = source.export_columns()
+            for g, e in zip(got, expected):
+                assert g.dtype == e.dtype
+                assert np.array_equal(g, e)
+                assert g.flags.writeable
+                for state in (sk._key_hi, sk._key_lo, sk._vals):
+                    assert not np.shares_memory(g, state)
+            assert source.flow_table() == _mask_flow_table(sk)
+
+
 class TestEpochScheduleReference:
     """The basic rule's numpy kernel keeps the epoch schedule bit for bit.
 

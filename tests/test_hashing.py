@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from repro.hashing.bobhash import bobhash32
-from repro.hashing.family import HashFamily, fold_columns, mix64, mix64_array
+from repro.hashing.family import (
+    HashFamily,
+    fold_columns,
+    mix64,
+    mix64_array,
+    reduce_index,
+)
 
 
 class TestBobHash:
@@ -140,3 +146,25 @@ class TestHashFamily:
         fam = HashFamily(1, backend="bob")
         with pytest.raises(NotImplementedError):
             fam.index_array(0, np.zeros(1, dtype=np.uint64), 10)
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 188, 1505, 65535])
+@pytest.mark.parametrize("dtype", [np.uint64, np.int64])
+def test_reduce_index_equals_mod(dtype, size):
+    top = np.iinfo(dtype).max
+    rng = np.random.default_rng(size)
+    values = np.concatenate(
+        [
+            np.array([0, 1, size - 1, size, top - 1, top], dtype=dtype),
+            rng.integers(0, top, 4096, dtype=dtype, endpoint=True),
+        ]
+    )
+    expected = np.mod(values, dtype(size))
+    got = reduce_index(values, size)
+    assert got.dtype == expected.dtype and np.array_equal(got, expected)
+    inplace = values.copy()
+    assert reduce_index(inplace, size, out=inplace) is inplace
+    assert np.array_equal(inplace, expected)
+    scratched = values.copy()
+    reduce_index(scratched, size, out=scratched, scratch=np.empty_like(values))
+    assert np.array_equal(scratched, expected)

@@ -33,12 +33,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.control.governor import GovernorConfig
 from repro.engine.sharded import SketchSpec, shard_table_columns
 from repro.flowkeys.key import FIVE_TUPLE
 from repro.obs.schema import validate_snapshot
 from repro.query import ColumnTable, QueryPlanner
 from repro.query.slim import SlimReplica, TableDelta
 from repro.service import MeasurementDaemon, ServiceConfig, ServiceError
+from repro.sketches.base import COUNTER_BYTES, DEFAULT_KEY_BYTES
 from repro.traffic.synthetic import zipf_trace
 
 from tests.stat_harness import (
@@ -331,6 +333,135 @@ class TestBoundedPending:
         assert not replica.bootstrapped
         with pytest.raises(RuntimeError):
             replica.read()
+
+
+# ----------------------------------------------------------------------
+# mirror reuse across bootstraps
+
+
+def _mirror_arrays(replica):
+    return [
+        getattr(mirror._sketch, name)
+        for mirror in replica._mirrors
+        for name in ("_key_hi", "_key_lo", "_occupied", "_vals")
+    ]
+
+
+def _shares_any(arrays, others):
+    return any(np.shares_memory(a, b) for a in arrays for b in others)
+
+
+def _feed(daemon, cols, start, stop):
+    hi, lo, sizes = cols
+    daemon.ingest(hi[start:stop], lo[start:stop], sizes[start:stop])
+
+
+def _assert_live_equals_fat(daemon):
+    _, planner = daemon.live_planner()
+    ref = shard_table_columns(daemon._builder.live_sketches(), FIVE_TUPLE)
+    assert_tables_equal(planner.table(FULL), ref)
+    assert planner.sizes(MIXED) == ref.aggregate(MIXED).to_dict()
+
+
+class TestMirrorReuse:
+    """Bootstraps copy into the mirrors the previous one left.
+
+    Only a spec change (a governor or ``set_geometry`` resize) or
+    ``invalidate()`` builds new mirrors; every read still equals the
+    fat shards, and served planners never alias mirror state.
+    """
+
+    @pytest.mark.parametrize("variant", ["basic", "hardware"])
+    def test_consecutive_epochs_reuse_the_mirror_arrays(self, variant):
+        daemon = MeasurementDaemon(make_config(variant=variant, shards=2))
+        cols = columns(make_trace(8 * CHUNK))
+        replica = daemon._replica
+        previous = None
+        for epoch in range(4):
+            _feed(daemon, cols, 2 * epoch * CHUNK, (2 * epoch + 1) * CHUNK)
+            _assert_live_equals_fat(daemon)
+            _feed(daemon, cols, (2 * epoch + 1) * CHUNK, (2 * epoch + 2) * CHUNK)
+            _assert_live_equals_fat(daemon)
+            assert replica.epoch == epoch
+            arrays = _mirror_arrays(replica)
+            assert len(arrays) == 2 * 4
+            if previous is not None:
+                assert all(
+                    np.shares_memory(a, b) for a, b in zip(arrays, previous)
+                )
+            previous = arrays
+            daemon.rotate()
+        counters = replica.metrics_snapshot()["counters"]
+        assert counters["slim.bootstraps"] == 4
+        daemon.close()
+
+    def test_invalidate_rebuilds_the_mirrors(self):
+        daemon = MeasurementDaemon(make_config(shards=2, l=256))
+        cols = columns(make_trace(4 * CHUNK))
+        _feed(daemon, cols, 0, 2 * CHUNK)
+        _assert_live_equals_fat(daemon)
+        replica = daemon._replica
+        before = _mirror_arrays(replica)
+        daemon.rotate()
+        # An empty epoch with a staged geometry swaps its builder in
+        # place and invalidates the replica.
+        daemon.set_geometry(512)
+        assert daemon.rotate() is None
+        assert not replica.bootstrapped
+        _feed(daemon, cols, 2 * CHUNK, 4 * CHUNK)
+        _assert_live_equals_fat(daemon)
+        after = _mirror_arrays(replica)
+        assert all(a.shape == (2, 512) for a in after)
+        assert not _shares_any(after, before)
+        # invalidate() alone (same spec) also builds new mirrors.
+        replica.invalidate()
+        _assert_live_equals_fat(daemon)
+        rebuilt = _mirror_arrays(replica)
+        assert all(a.shape == (2, 512) for a in rebuilt)
+        assert not _shares_any(rebuilt, after)
+        daemon.close()
+
+    def test_governor_resize_rebuilds_the_mirrors(self):
+        config = make_config(
+            shards=2,
+            l=128,
+            governor=GovernorConfig(
+                memory_bytes=2 * 2048 * (DEFAULT_KEY_BYTES + COUNTER_BYTES)
+            ),
+        )
+        daemon = MeasurementDaemon(config)
+        cols = columns(make_trace(6 * CHUNK, 3_000))
+        _feed(daemon, cols, 0, 3 * CHUNK)
+        _assert_live_equals_fat(daemon)
+        replica = daemon._replica
+        before = _mirror_arrays(replica)
+        assert all(a.shape == (2, 128) for a in before)
+        daemon.rotate()
+        new_l = daemon._builder.spec.l
+        assert new_l > 128  # the full epoch grew the geometry
+        _feed(daemon, cols, 3 * CHUNK, 6 * CHUNK)
+        _assert_live_equals_fat(daemon)
+        after = _mirror_arrays(replica)
+        assert all(a.shape == (2, new_l) for a in after)
+        assert not _shares_any(after, before)
+        daemon.close()
+
+    @pytest.mark.parametrize("variant", ["basic", "hardware"])
+    def test_served_planner_survives_a_rebootstrap(self, variant):
+        daemon = MeasurementDaemon(make_config(variant=variant))
+        cols = columns(make_trace(4 * CHUNK))
+        _feed(daemon, cols, 0, 2 * CHUNK)
+        _, planner = daemon.live_planner()
+        ref = shard_table_columns(daemon._builder.live_sketches(), FIVE_TUPLE)
+        daemon.rotate()
+        _feed(daemon, cols, 2 * CHUNK, 4 * CHUNK)
+        daemon.live_planner()  # re-bootstraps into the same mirrors
+        assert daemon._replica.epoch == 1
+        # The first answer is computed only now, after the mirrors were
+        # overwritten with epoch 1: it must still be epoch 0's.
+        assert_tables_equal(planner.table(FULL), ref)
+        assert planner.sizes(SRC) == ref.aggregate(SRC).to_dict()
+        daemon.close()
 
 
 # ----------------------------------------------------------------------
