@@ -26,15 +26,19 @@ The pipeline sweep times each step of the numpy engines' chunk loop
 ``pipeline.stage.*`` metric spans and records the per-step breakdown
 with the chunk counter, for both rules at d=2 and for the basic rule at
 the governor's d=8 widths.  Each variant reports the median of
-``NUMPY_PASSES`` passes interleaved across the variants.
+``NUMPY_PASSES`` passes interleaved across the variants.  This sweep,
+the batch sweep above and the observability-overhead gate pin the
+numpy kernels (``kernels="numpy"``) whatever ``auto`` resolves to, so
+they keep timing the numpy chunk loop their gates exist for; the
+compiled sets are timed by the kernels sweep.
 
 The kernels sweep races the replace-stage backends
-(:mod:`repro.engine.kernels`): staged-numpy vs the numba-jitted kernel
-when the compiler is importable, gated on the compiled replace stage
-clearing ``KERNEL_REPLACE_FLOOR`` (2x) at full standalone scale.
-numba cannot be installed offline, so the compiled leg runs only in
-CI's kernel-smoke job; the JSON's ``numba_leg`` field says which leg a
-file holds.
+(:mod:`repro.engine.kernels`): staged-numpy vs each compiled set this
+host offers (``c`` where the system C compiler builds it, ``numba``
+where it imports), gated on every compiled replace stage clearing
+``KERNEL_REPLACE_FLOOR`` (2x) at full standalone scale.  Each backend
+reports the median of ``NUMPY_PASSES`` passes interleaved across the
+backends; the JSON's ``backends`` field says which legs a file holds.
 
 The adaptive sweep pits the elastic-geometry governor against the best
 hand-tuned static geometry (the top row of
@@ -77,9 +81,15 @@ from _config import mem_bytes  # noqa: E402
 
 from repro import obs  # noqa: E402
 from repro.engine import get_engine  # noqa: E402
+from repro.engine.base import buckets_for_memory  # noqa: E402
 from repro.engine.sharded import ShardedSketch, SketchSpec  # noqa: E402
-from repro.engine.vectorized import MAX_PIPELINE_CHUNK  # noqa: E402
+from repro.engine.vectorized import (  # noqa: E402
+    MAX_PIPELINE_CHUNK,
+    NumpyCocoSketch,
+    NumpyHardwareCocoSketch,
+)
 from repro.flowkeys.key import FIVE_TUPLE  # noqa: E402
+from repro.sketches.base import DEFAULT_KEY_BYTES  # noqa: E402
 from repro.tasks.harness import FullKeyEstimator  # noqa: E402
 from repro.traffic.synthetic import zipf_trace  # noqa: E402
 from tests.stat_harness import check_error_profile  # noqa: E402
@@ -104,15 +114,34 @@ def _feed(sketch, trace, batch_size) -> None:
         sketch.update_batch((hi, lo), sizes)
 
 
+def _numpy_sketch(
+    variant: str, seed: int, kernels: str = "numpy", d: int = 2, l=None
+):
+    """A numpy-engine sketch pinned to one kernel backend.
+
+    *l* defaults to what ``MEMORY_KB`` buys at *d* arrays.  The numpy
+    sweeps pin ``kernels="numpy"``: ``auto`` resolves to a compiled set
+    wherever a C compiler works, and would time a different chunk loop
+    than the one their gates watch.
+    """
+    if l is None:
+        l = buckets_for_memory(mem_bytes(MEMORY_KB), d, DEFAULT_KEY_BYTES)
+    cls = NumpyCocoSketch if variant == "basic" else NumpyHardwareCocoSketch
+    return cls(d, l, seed=seed, kernels=kernels)
+
+
 def _time_engine(engine_name: str, trace, batch_size, variant: str) -> float:
     """Packets/sec of one engine's feed of *trace* (see :func:`_feed`)."""
-    engine = get_engine(engine_name)
-    if variant == "basic":
-        sketch = engine.cocosketch_from_memory(mem_bytes(MEMORY_KB), d=2, seed=7)
+    if engine_name == "numpy":
+        sketch = _numpy_sketch(variant, seed=7)
     else:
-        sketch = engine.hardware_cocosketch_from_memory(
-            mem_bytes(MEMORY_KB), d=2, seed=7
+        engine = get_engine(engine_name)
+        build = (
+            engine.cocosketch_from_memory
+            if variant == "basic"
+            else engine.hardware_cocosketch_from_memory
         )
+        sketch = build(mem_bytes(MEMORY_KB), d=2, seed=7)
     # Warm the trace's column cache outside the timed region so every
     # engine/batch combination pays the same (zero) packing cost.
     if batch_size is not None:
@@ -309,13 +338,7 @@ def _time_obs(trace, variant: str, batch_size, instrumented: bool) -> float:
     batches multiply the per-chunk span frequency beyond anything the
     engine would choose itself.
     """
-    engine = get_engine("numpy")
-    if variant == "basic":
-        sketch = engine.cocosketch_from_memory(mem_bytes(MEMORY_KB), d=2, seed=7)
-    else:
-        sketch = engine.hardware_cocosketch_from_memory(
-            mem_bytes(MEMORY_KB), d=2, seed=7
-        )
+    sketch = _numpy_sketch(variant, seed=7)
     for _ in trace.batches(batch_size or sketch.pipeline_chunk):
         break
     if instrumented:
@@ -381,17 +404,11 @@ GOVERNOR_WIDTHS = (188, 376, 752, 1505)
 
 def _pipeline_sketches(seed: int):
     """(variant label, metric tag, sketch factory) per pipeline-sweep row set."""
-    engine = get_engine("numpy")
-    memory = mem_bytes(MEMORY_KB)
-    yield "basic", "basic", lambda: engine.cocosketch_from_memory(
-        memory, d=2, seed=seed
-    )
-    yield "hardware", "hw", lambda: engine.hardware_cocosketch_from_memory(
-        memory, d=2, seed=seed
-    )
+    yield "basic", "basic", lambda: _numpy_sketch("basic", seed)
+    yield "hardware", "hw", lambda: _numpy_sketch("hardware", seed)
     for l in GOVERNOR_WIDTHS:
         yield f"basic d=8 l={l}", "basic", (
-            lambda l=l: engine.cocosketch(8, l, seed=seed)
+            lambda l=l: _numpy_sketch("basic", seed, d=8, l=l)
         )
 
 
@@ -492,41 +509,18 @@ KERNEL_HEADERS = [
 KERNEL_REPLACE_FLOOR = 2.0
 KERNEL_REPLACE_CI_FLOOR = 1.3
 
-#: Where the compiled leg is measured, recorded in every kernels JSON.
-NUMBA_LEG_NOTE = (
-    "CI only: numba cannot be installed offline, so the compiled leg and "
-    "its 2x gate run in CI's kernel-smoke job; files written without "
-    "numba hold the numpy baseline alone"
-)
-
-
-def _kernel_sketch(variant: str, backend: str, seed: int):
-    """A numpy-engine sketch pinned to one kernel backend."""
-    from repro.engine.base import buckets_for_memory
-    from repro.engine.vectorized import (
-        NumpyCocoSketch,
-        NumpyHardwareCocoSketch,
-    )
-    from repro.sketches.base import DEFAULT_KEY_BYTES
-
-    l = buckets_for_memory(mem_bytes(MEMORY_KB), 2, DEFAULT_KEY_BYTES)
-    cls = NumpyCocoSketch if variant == "basic" else NumpyHardwareCocoSketch
-    return cls(2, l, seed=seed, kernels=backend)
-
-
-def run_kernel_sweep(
-    packets: int, flows: int, seed: int = 7, repeats: int = 2
-) -> Dict:
+def run_kernel_sweep(packets: int, flows: int, seed: int = 7) -> Dict:
     """Replace-stage kernel backends head to head on the engine chunk loop.
 
-    Runs each numpy variant once per available backend (``numpy``
-    always; ``numba`` when importable) under a metrics registry, takes
-    the best of *repeats* by replace-stage time, and reports both the
-    stage-level speedup (``pipeline.stage.replace`` span, the tentpole
-    gate) and the whole-pipeline packet rate.  Jit compilation happens
-    in an explicit warmup before any timed run, and the recorded
-    ``pipeline.kernel`` gauge is checked against the requested backend
-    so the sweep can never silently measure the fallback path.
+    Runs each numpy variant on every available backend (``numpy``
+    always; ``numba`` and ``c`` when their compiler works) under a
+    metrics registry, ``NUMPY_PASSES`` passes interleaved across the
+    backends, and reports each backend's median replace-stage time
+    (``pipeline.stage.replace`` span, the gate) and median whole-pipeline
+    packet rate.  Compilation happens in an explicit warmup before any
+    timed run, and the recorded ``pipeline.kernel`` gauge is checked
+    against the requested backend so the sweep can never silently
+    measure the fallback path.
     """
     from repro.engine import kernels as kernels_mod
 
@@ -534,18 +528,20 @@ def run_kernel_sweep(
     backends = ["numpy"]
     if kernels_mod.numba_available():
         backends.append("numba")
+    if kernels_mod.c_available():
+        backends.append("c")
+    for backend in backends:
+        kernels_mod.warmup(kernels_mod.resolve_kernels(backend))
     for _ in trace.batches(16384):  # warm the trace column cache
         break
     rows: List[List] = []
     speedups: Dict[str, float] = {}
     failures: List[str] = []
     for variant in ("basic", "hardware"):
-        stats: Dict[str, Dict] = {}
-        for backend in backends:
-            kernels_mod.warmup(kernels_mod.resolve_kernels(backend))
-            best = None
-            for _ in range(repeats):
-                sketch = _kernel_sketch(variant, backend, seed)
+        passes: Dict[str, List[Dict]] = {backend: [] for backend in backends}
+        for _ in range(NUMPY_PASSES):
+            for backend in backends:
+                sketch = _numpy_sketch(variant, seed, kernels=backend)
                 with obs.collecting() as reg:
                     start = time.perf_counter()
                     sketch.process(trace)
@@ -560,14 +556,20 @@ def run_kernel_sweep(
                         "did not activate the requested backend"
                     )
                 span = snap["spans"]["pipeline.stage.replace"]
-                run = {
-                    "pps": len(trace) / elapsed,
-                    "replace_total_s": span["total_s"],
-                    "chunks": span["count"],
-                }
-                if best is None or run["replace_total_s"] < best["replace_total_s"]:
-                    best = run
-            stats[backend] = best
+                passes[backend].append(
+                    {
+                        "pps": len(trace) / elapsed,
+                        "replace_total_s": span["total_s"],
+                        "chunks": span["count"],
+                    }
+                )
+        stats = {
+            backend: {
+                key: statistics.median(run[key] for run in runs)
+                for key in ("pps", "replace_total_s", "chunks")
+            }
+            for backend, runs in passes.items()
+        }
         base = stats["numpy"]
         for backend in backends:
             st = stats[backend]
@@ -584,21 +586,20 @@ def run_kernel_sweep(
                 ]
             )
             speedups[f"{variant}@{backend}"] = replace_speedup
-        if "numba" in backends and packets >= 500_000:
-            ratio = speedups[f"{variant}@numba"]
-            if ratio < KERNEL_REPLACE_FLOOR:
-                failures.append(
-                    f"{variant}: compiled replace stage is {ratio:.2f}x "
-                    f"staged-numpy (floor {KERNEL_REPLACE_FLOOR})"
-                )
+            if backend != "numpy" and packets >= 500_000:
+                if replace_speedup < KERNEL_REPLACE_FLOOR:
+                    failures.append(
+                        f"{variant}/{backend}: compiled replace stage is "
+                        f"{replace_speedup:.2f}x staged-numpy "
+                        f"(floor {KERNEL_REPLACE_FLOOR})"
+                    )
     return {
         "packets": packets,
         "flows": flows,
+        "passes": NUMPY_PASSES,
         "rows": rows,
         "speedups": speedups,
         "backends": backends,
-        "numba_available": "numba" in backends,
-        "numba_leg": NUMBA_LEG_NOTE,
         "floor": KERNEL_REPLACE_FLOOR,
         "ci_floor": KERNEL_REPLACE_CI_FLOOR,
         "failures": failures,
@@ -677,10 +678,10 @@ def test_pipeline_stage_breakdown(record):
 def test_kernel_sweep(record):
     """Pytest entry: kernel-backend sweep, same JSON artifact.
 
-    Runs numpy-only where numba is absent (the artifact still records
-    the fallback baseline); with numba present it additionally asserts
-    the directional replace-stage floor — the 2x acceptance gate runs
-    at full standalone scale.
+    Runs numpy-only where no compiled backend is available (the
+    artifact still records the fallback baseline); each compiled
+    backend present must clear the directional replace-stage floor —
+    the 2x acceptance gate runs at full standalone scale.
     """
     sweep = run_kernel_sweep(packets=120_000, flows=40_000)
     record(
@@ -691,21 +692,21 @@ def test_kernel_sweep(record):
         extra={
             "packets": sweep["packets"],
             "flows": sweep["flows"],
+            "passes": sweep["passes"],
             "backends": sweep["backends"],
-            "numba_available": sweep["numba_available"],
-            "numba_leg": sweep["numba_leg"],
             "floor": sweep["floor"],
             "ci_floor": sweep["ci_floor"],
         },
     )
     measured = {(row[0], row[1]) for row in sweep["rows"]}
     for variant in ("basic", "hardware"):
-        assert (variant, "numpy") in measured
-        if sweep["numba_available"]:
-            assert (variant, "numba") in measured
-            ratio = sweep["speedups"][f"{variant}@numba"]
+        for backend in sweep["backends"]:
+            assert (variant, backend) in measured
+            if backend == "numpy":
+                continue
+            ratio = sweep["speedups"][f"{variant}@{backend}"]
             assert ratio >= KERNEL_REPLACE_CI_FLOOR, (
-                f"{variant}: compiled replace stage is {ratio:.2f}x "
+                f"{variant}/{backend}: compiled replace stage is {ratio:.2f}x "
                 f"staged-numpy (CI floor {KERNEL_REPLACE_CI_FLOOR})"
             )
 
@@ -1069,8 +1070,8 @@ def _drive_kernels(args) -> tuple:
             f"{variant:<10} {kernel:<8} {pps:>12.0f} {total_s:>10.4f} "
             f"{mean_us:>9.1f} {rx:>6.2f}x {px:>6.2f}x"
         )
-    if not sweep["numba_available"]:
-        print("numba not installed — numpy baseline only, no gate applied")
+    if sweep["backends"] == ["numpy"]:
+        print("no compiled backend available — numpy baseline only, no gate applied")
     payload = {
         "title": "Replace-stage kernels: compiled vs numpy on the staged pipeline",
         "headers": KERNEL_HEADERS,
@@ -1078,9 +1079,8 @@ def _drive_kernels(args) -> tuple:
         "extra": {
             "packets": sweep["packets"],
             "flows": sweep["flows"],
+            "passes": sweep["passes"],
             "backends": sweep["backends"],
-            "numba_available": sweep["numba_available"],
-            "numba_leg": sweep["numba_leg"],
             "floor": sweep["floor"],
             "ci_floor": sweep["ci_floor"],
         },

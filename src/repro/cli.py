@@ -22,7 +22,7 @@ aggregate and per-worker packet rates.  ``--memory-kb`` stays the
 *per-worker* budget, so accuracy at a given ``--memory-kb`` is
 comparable across shard counts.
 
-``--kernels auto|numba|numpy|python`` picks the replace-stage kernel
+``--kernels auto|numba|c|numpy|python`` picks the replace-stage kernel
 backend for numpy-based engines (exported as ``REPRO_KERNELS`` so
 sharded workers inherit it); the resolved backend lands in the
 ``--profile`` meta block and the ``pipeline.kernel`` gauge.
@@ -317,8 +317,9 @@ def build_parser() -> argparse.ArgumentParser:
         choices=BACKEND_CHOICES,
         default=None,
         help="replace-stage kernel backend for numpy-based engines: "
-        "auto probes numba and falls back to numpy; numba/python are "
-        "strict (sets REPRO_KERNELS for this run, workers included)",
+        "auto takes c if the system C compiler builds it, else numba if "
+        "importable, else numpy; the others are strict (sets REPRO_KERNELS "
+        "for this run, workers included)",
     )
     common.add_argument(
         "--shards",

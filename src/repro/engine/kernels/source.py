@@ -1,12 +1,13 @@
 """Kernel source: the engine chunk loop's inner kernels in njit-able form.
 
 These functions are the *source of truth* the compiled backends build
-from.  They are written in the restricted subset of Python that numba's
-``nopython`` mode accepts — flat numpy arrays, explicit loops, no
-allocation, no Python objects — and they are also runnable un-jitted
-(the ``python`` dispatch backend executes them as-is under
-``np.errstate``), which is what lets the differential suite certify the
-kernel *logic* bit for bit on machines without numba.
+from: numba jit-compiles them, and ``kernels.c`` renders them line for
+line in C for the ``c`` backend.  They are written in the restricted
+subset of Python that numba's ``nopython`` mode accepts — flat numpy
+arrays, explicit loops, no allocation, no Python objects — and they are
+also runnable un-jitted (the ``python`` dispatch backend executes them
+as-is under ``np.errstate``), which is what lets the differential suite
+certify each compiled rendering against them bit for bit.
 
 Semantics contract (enforced by ``tests/test_kernels.py`` and the
 differential suite):

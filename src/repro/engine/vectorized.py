@@ -289,8 +289,9 @@ class _ColumnarKeyValueSketch(Sketch):
         self.key_bytes = key_bytes
         self._family = HashFamily(d, seed, backend="mix64", key_bytes=key_bytes)
         # Kernel backend: compiled replace/hash kernels when requested
-        # (or REPRO_KERNELS / auto-detected numba), else the numpy
-        # paths below.  Resolved once per sketch at construction.
+        # (or REPRO_KERNELS / auto-detected C compiler or numba), else
+        # the numpy paths below.  Resolved at construction, so a cold
+        # C build never lands inside an ingest.
         self._kernels = resolve_kernels(kernels)
         self.pipeline_chunk = self._geometry_chunk()
         # Allocated by the first chunk; copies and mirrors never run one.

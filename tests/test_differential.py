@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 
 from repro.core.cocosketch import BasicCocoSketch
 from repro.core.hardware import HardwareCocoSketch
-from repro.engine.kernels import numba_available
+from repro.engine.kernels import c_available, numba_available
 from repro.engine.vectorized import NumpyCocoSketch, NumpyHardwareCocoSketch
 from repro.traffic.synthetic import zipf_trace
 
@@ -35,7 +35,10 @@ SEEDS = [1, 5]
 
 #: Kernel backends compiled from the shared source module
 #: (:mod:`repro.engine.kernels.source`): ``python`` runs it un-jitted
-#: everywhere, ``numba`` joins when the compiler is importable.
+#: everywhere, ``numba`` joins when the compiler is importable and
+#: ``c`` when the system C compiler builds it.  Reference sketches that
+#: stand for the numpy kernels pin ``kernels="numpy"``: the default
+#: resolves to a compiled set wherever one is available.
 KERNEL_BACKENDS = [
     pytest.param("python", id="kernel-python"),
     pytest.param(
@@ -43,6 +46,13 @@ KERNEL_BACKENDS = [
         id="kernel-numba",
         marks=pytest.mark.skipif(
             not numba_available(), reason="numba not installed"
+        ),
+    ),
+    pytest.param(
+        "c",
+        id="kernel-c",
+        marks=pytest.mark.skipif(
+            not c_available(), reason="no working C compiler"
         ),
     ),
 ]
@@ -119,7 +129,7 @@ class TestBasicReplayIdentity:
     def test_state_and_stats_bit_identical(self, traces, d, l, seed):
         for trace in traces:
             scalar = BasicCocoSketch(d, l, seed=seed, replay=True)
-            vector = NumpyCocoSketch(d, l, seed=seed, replay=True)
+            vector = NumpyCocoSketch(d, l, seed=seed, replay=True, kernels="numpy")
             for key, size in trace:
                 scalar.update(key, size)
             _feed_batched(vector, list(trace), batch_size=1)
@@ -141,7 +151,9 @@ class TestHardwareReplayIdentity:
     def test_state_and_stats_bit_identical(self, traces, d, l, seed, batch_size):
         for trace in traces:
             scalar = HardwareCocoSketch(d, l, seed=seed, replay=True)
-            vector = NumpyHardwareCocoSketch(d, l, seed=seed, replay=True)
+            vector = NumpyHardwareCocoSketch(
+                d, l, seed=seed, replay=True, kernels="numpy"
+            )
             for key, size in trace:
                 scalar.update(key, size)
             _feed_batched(vector, list(trace), batch_size=batch_size)
@@ -204,7 +216,9 @@ class TestCompiledKernelReplayIdentity:
         )
         compiled.pipeline_chunk = chunk
         _feed_framing(compiled, trace, cuts)
-        vector = NumpyHardwareCocoSketch(2, 128, seed=3, replay=True)
+        vector = NumpyHardwareCocoSketch(
+            2, 128, seed=3, replay=True, kernels="numpy"
+        )
         _feed_batched(vector, trace, batch_size=4096)
         assert _bucket_state(compiled) == _bucket_state(scalar)
         assert _bucket_state(compiled) == _bucket_state(vector)
@@ -215,7 +229,7 @@ class TestCompiledKernelReplayIdentity:
         """Batch-1 closes the triangle: compiled == numpy == scalar."""
         trace = list(traces[0])
         compiled = NumpyCocoSketch(2, 128, seed=5, replay=True, kernels=backend)
-        vector = NumpyCocoSketch(2, 128, seed=5, replay=True)
+        vector = NumpyCocoSketch(2, 128, seed=5, replay=True, kernels="numpy")
         _feed_batched(compiled, trace, batch_size=1)
         _feed_batched(vector, trace, batch_size=1)
         assert _bucket_state(compiled) == _bucket_state(vector)
@@ -262,7 +276,9 @@ class TestReplayDeterminism:
         trace = list(traces[1])
         states = []
         for bs in (1, 7, 512, len(trace)):
-            sk = NumpyHardwareCocoSketch(2, 128, seed=4, replay=True)
+            sk = NumpyHardwareCocoSketch(
+                2, 128, seed=4, replay=True, kernels="numpy"
+            )
             _feed_batched(sk, trace, batch_size=bs)
             states.append((_bucket_state(sk), sk.stats.as_dict()))
         assert all(s == states[0] for s in states[1:])

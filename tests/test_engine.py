@@ -186,7 +186,7 @@ class TestCocoBatchInvariants:
         # Different schedules pick different victims, but the total
         # recorded mass is schedule-invariant.
         for bs in (1, 37, 4096):
-            sk = NumpyCocoSketch(d=2, l=128, seed=2)
+            sk = NumpyCocoSketch(d=2, l=128, seed=2, kernels="numpy")
             feed_blocks(sk, tiny_trace, bs)
             assert int(sk._vals.sum()) == tiny_trace.total_size
 
@@ -216,7 +216,7 @@ class TestStatisticalEquivalence:
         target, target_size = sorted(truth.items(), key=lambda kv: -kv[1])[10]
         estimates = []
         for seed in range(TRIALS):
-            sk = cls(d=2, l=256, seed=seed + 500)
+            sk = cls(d=2, l=256, seed=seed + 500, kernels="numpy")
             feed_blocks(sk, stream, 512)
             table = FlowTable.from_sketch(sk, FIVE_TUPLE).aggregate(srcip)
             estimates.append(table.query(target))
@@ -229,7 +229,7 @@ class TestStatisticalEquivalence:
         key, size = counts[25]
         estimates = []
         for seed in range(TRIALS):
-            sk = NumpyCocoSketch(d=2, l=256, seed=seed)
+            sk = NumpyCocoSketch(d=2, l=256, seed=seed, kernels="numpy")
             feed_blocks(sk, stream, 512)
             estimates.append(sk.query(key))
         mean, _ = estimate_moments(estimates)

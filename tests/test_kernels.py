@@ -4,10 +4,14 @@ Covers the :mod:`repro.engine.kernels` dispatch layer (env/override
 resolution, strict failures, gauge codes) and the kernel *logic* via
 the ``python`` backend — the same source functions numba compiles, run
 un-jitted — so bit-identity against the scalar and numpy engines is
-certified even on hosts without numba.  Tests that need the actual
-compiler skip cleanly when it is absent; CI's kernel-smoke job provides
-the numba leg.
+certified even on hosts without numba.  The ``c`` backend (the same
+kernels in C, built with the system compiler) and ``numba`` run the
+same tests against it; each skips cleanly when its compiler is absent,
+and CI's kernel-smoke job runs both legs.
 """
+
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -15,11 +19,13 @@ import pytest
 from repro import obs
 from repro.engine import kernels as kmod
 from repro.engine.kernels import (
+    BACKEND_CHOICES,
     BACKEND_ENV,
     KERNEL_BACKEND_CODES,
     KERNEL_GAUGE,
     KernelsUnavailable,
     NUMPY_KERNELS,
+    c_available,
     numba_available,
     resolve_kernels,
     warmup,
@@ -31,30 +37,52 @@ requires_numba = pytest.mark.skipif(
     not numba_available(), reason="numba not installed"
 )
 
+requires_c = pytest.mark.skipif(
+    not c_available(), reason="no working C compiler"
+)
+
 #: Backends whose kernels come from the shared source module.  The
-#: python backend always runs; numba joins where the compiler exists.
+#: python backend always runs; numba and c join where their compiler
+#: exists.
 COMPILED_BACKENDS = [
     pytest.param("python", id="python"),
     pytest.param("numba", id="numba", marks=requires_numba),
+    pytest.param("c", id="c", marks=requires_c),
 ]
+
+
+@pytest.fixture
+def no_compiler(monkeypatch):
+    """A fresh resolver cache whose C compiler path does not exist."""
+    monkeypatch.delenv(BACKEND_ENV, raising=False)
+    monkeypatch.setattr(kmod, "numba_available", lambda: False)
+    monkeypatch.setattr(kmod, "_CACHE", {})
+    monkeypatch.setattr(kmod, "_CC", "/nonexistent/bin/cc")
 
 
 # -- dispatch ----------------------------------------------------------
 
 
 class TestResolve:
-    def test_auto_without_numba_is_numpy(self, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV, raising=False)
-        monkeypatch.setattr(kmod, "numba_available", lambda: False)
+    def test_auto_without_numba_is_numpy(self, no_compiler):
+        # Without numba *and* without a working C compiler.
         assert resolve_kernels() is NUMPY_KERNELS
         assert resolve_kernels("auto") is NUMPY_KERNELS
 
-    def test_auto_prefers_numba_when_available(self, monkeypatch):
+    @requires_c
+    def test_auto_is_c_when_it_builds(self, monkeypatch):
+        # c leads numba too: it is the compiled set measured end to end.
+        monkeypatch.delenv(BACKEND_ENV, raising=False)
+        monkeypatch.setattr(kmod, "numba_available", lambda: True)
+        assert resolve_kernels().name == "c"
+        assert resolve_kernels("auto") is resolve_kernels("c")
+
+    def test_auto_prefers_numba_when_available(self, no_compiler, monkeypatch):
+        # Over numpy, once the C compiler is gone.
         monkeypatch.setattr(kmod, "numba_available", lambda: True)
         monkeypatch.setattr(
             kmod, "_numba_kernels", lambda: kmod.KernelSet("numba")
         )
-        monkeypatch.setattr(kmod, "_CACHE", {})
         assert resolve_kernels("auto").name == "numba"
 
     def test_explicit_numpy_always_works(self, monkeypatch):
@@ -94,6 +122,9 @@ class TestResolve:
             return real(name, *args)
 
         monkeypatch.delenv(BACKEND_ENV, raising=False)
+        # auto reaches the numba probe only once the C backend fails.
+        monkeypatch.setattr(kmod, "_CACHE", {})
+        monkeypatch.setattr(kmod, "_CC", "/nonexistent/bin/cc")
         monkeypatch.setattr(kmod.importlib.util, "find_spec", counting)
         try:
             for seed in range(10):
@@ -109,7 +140,9 @@ class TestResolve:
         assert kernels.name == "python"
 
     def test_backend_codes_cover_choices(self):
-        assert set(KERNEL_BACKEND_CODES) == {"numpy", "numba", "python"}
+        assert set(KERNEL_BACKEND_CODES) == {"numpy", "numba", "python", "c"}
+        assert set(KERNEL_BACKEND_CODES) == set(BACKEND_CHOICES) - {"auto"}
+        assert len(set(KERNEL_BACKEND_CODES.values())) == len(KERNEL_BACKEND_CODES)
 
     def test_warmup_is_noop_for_numpy(self):
         warmup(NUMPY_KERNELS)  # must not raise
@@ -121,6 +154,85 @@ class TestResolve:
     @requires_numba
     def test_numba_backend_resolves(self):
         assert resolve_kernels("numba").name == "numba"
+
+
+def _build_after(barrier, directory):
+    barrier.wait()
+    kmod._build_library(directory)
+
+
+class TestCBuild:
+    """The ``c`` backend's build: cache key, races and fallbacks."""
+
+    def test_missing_compiler_falls_back_to_numpy(self, no_compiler):
+        assert not c_available()
+        assert resolve_kernels("auto") is NUMPY_KERNELS
+        with pytest.raises(KernelsUnavailable, match="could not be built"):
+            resolve_kernels("c")
+
+    def test_failing_compiler_falls_back_to_numpy(self, no_compiler, monkeypatch):
+        monkeypatch.setattr(kmod, "_CC", "false")  # runs, exits 1
+        assert resolve_kernels("auto") is NUMPY_KERNELS
+        with pytest.raises(KernelsUnavailable):
+            resolve_kernels("c")
+
+    def test_unwritable_temp_dir_falls_back_to_numpy(
+        self, no_compiler, monkeypatch, tmp_path
+    ):
+        monkeypatch.setattr(kmod, "_CC", "cc")
+        blocker = tmp_path / "file"
+        blocker.write_text("")  # a directory cannot be made under a file
+        monkeypatch.setattr(kmod.tempfile, "tempdir", str(blocker))
+        assert resolve_kernels("auto") is NUMPY_KERNELS
+        with pytest.raises(KernelsUnavailable):
+            resolve_kernels("c")
+
+    def test_fallback_reports_numpy_gauge(self, no_compiler):
+        lo = np.arange(300, dtype=np.uint64)
+        with obs.collecting() as reg:
+            sk = NumpyCocoSketch(2, 64, seed=1)
+            sk.update_batch(lo)
+        gauge = reg.snapshot()["gauges"][KERNEL_GAUGE]
+        assert gauge == KERNEL_BACKEND_CODES["numpy"]
+
+    def test_failure_is_resolved_once_per_process(self, no_compiler, monkeypatch):
+        calls = []
+        real = kmod._build_library
+        monkeypatch.setattr(
+            kmod, "_build_library", lambda *a: calls.append(1) or real(*a)
+        )
+        for seed in range(5):
+            NumpyCocoSketch(2, 32, seed=seed)
+        assert len(calls) == 1
+
+    def test_cache_key_follows_source_and_flags(self, monkeypatch):
+        with open(kmod._C_SOURCE, "rb") as fh:
+            source = fh.read()
+        key = kmod._cache_key(source)
+        assert kmod._cache_key(source) == key
+        assert kmod._cache_key(source + b"\n/* edit */\n") != key
+        monkeypatch.setattr(kmod, "_CFLAGS", kmod._CFLAGS + ("-O3",))
+        assert kmod._cache_key(source) != key
+
+    @requires_c
+    def test_concurrent_builds_publish_one_library(self, tmp_path):
+        ctx = multiprocessing.get_context("spawn")
+        barrier = ctx.Barrier(2)
+        procs = [
+            ctx.Process(target=_build_after, args=(barrier, str(tmp_path)))
+            for _ in range(2)
+        ]
+        for proc in procs:
+            proc.start()
+        for proc in procs:
+            proc.join(120)
+        assert [proc.exitcode for proc in procs] == [0, 0]
+        names = sorted(os.listdir(tmp_path))
+        assert len(names) == 1 and names[0].endswith(".so"), names
+        path = kmod._build_library(str(tmp_path))  # a cache hit
+        assert os.path.basename(path) == names[0]
+        lib = kmod.ctypes.CDLL(path)
+        assert lib.basic_replace and lib.hw_replace and lib.hash_indices
 
 
 class TestSketchWiring:
@@ -135,7 +247,9 @@ class TestSketchWiring:
         sk = NumpyCocoSketch(2, 32, seed=1)
         assert sk._kernels.name == "python"
 
-    @pytest.mark.parametrize("backend", ["numpy", "python"])
+    @pytest.mark.parametrize(
+        "backend", ["numpy", "python", pytest.param("c", marks=requires_c)]
+    )
     def test_kernel_gauge_reported(self, backend):
         lo = np.arange(500, dtype=np.uint64)
         hi = np.zeros(500, dtype=np.uint64)
@@ -258,31 +372,40 @@ class TestReplaceKernels:
         assert int(hw._vals.sum()) == int(sizes.sum()) * 3
 
 
-@requires_numba
-class TestNumbaSpecific:
-    """Bit-identity of the jitted kernels against the un-jitted source.
+#: Geometries the compiled-vs-source identity runs at: the governor's
+#: 1/8-width start, a wide two-row table, and a tiny one with heavy
+#: contention.
+GEOMETRIES = [(8, 188), (2, 4096), (3, 7)]
 
-    The python backend *is* the source, so numba == python proves the
+
+@pytest.mark.parametrize(
+    "backend",
+    [
+        pytest.param("numba", marks=requires_numba),
+        pytest.param("c", marks=requires_c),
+    ],
+)
+@pytest.mark.parametrize("d,l", GEOMETRIES, ids=lambda v: str(v))
+@pytest.mark.parametrize("replay", [True, False], ids=["replay", "rng"])
+@pytest.mark.parametrize("cls", [NumpyCocoSketch, NumpyHardwareCocoSketch])
+class TestCompiledMatchesSource:
+    """Bit-identity of the compiled kernels against the un-jitted source.
+
+    The python backend *is* the source, so compiled == python proves the
     compilation step changed nothing — uint64 wraparound, float64
-    comparisons and all.
+    comparisons and all.  Without replay the same sketch RNG feeds both
+    backends' precomputed draw arrays, so default mode is bit-identical
+    too
+    (the stream is cut per chunk, so both run the same framing).
     """
 
-    def test_numba_matches_python_backend_bitwise(self):
-        hi, lo, sizes = _trace(n=4000, flows=200, seed=21)
-        for cls in (NumpyCocoSketch, NumpyHardwareCocoSketch):
-            a = cls(2, 128, seed=8, replay=True, kernels="numba")
-            b = cls(2, 128, seed=8, replay=True, kernels="python")
-            _feed(a, hi, lo, sizes, 1536)
-            _feed(b, hi, lo, sizes, 1536)
-            assert _state(a) == _state(b)
-
-    def test_numba_matches_python_non_replay(self):
-        # Same rng stream feeds both backends' precomputed draw arrays,
-        # so even default (non-replay) mode is bit-identical here.
-        hi, lo, sizes = _trace(n=2000, seed=23)
-        for cls in (NumpyCocoSketch, NumpyHardwareCocoSketch):
-            a = cls(2, 64, seed=8, kernels="numba")
-            b = cls(2, 64, seed=8, kernels="python")
-            _feed(a, hi, lo, sizes, 512)
-            _feed(b, hi, lo, sizes, 512)
-            assert _state(a) == _state(b)
+    def test_matches_python_backend_at_each_framing(
+        self, backend, d, l, replay, cls
+    ):
+        hi, lo, sizes = _trace(n=4000, flows=600, seed=21)
+        for batch in (1, 257, 1536):
+            sk = cls(d, l, seed=8, replay=replay, kernels=backend)
+            ref = cls(d, l, seed=8, replay=replay, kernels="python")
+            _feed(sk, hi, lo, sizes, batch)
+            _feed(ref, hi, lo, sizes, batch)
+            assert _state(sk) == _state(ref)

@@ -20,6 +20,7 @@ from repro.engine.kernels import (
     CHUNK_GAUGE,
     KERNEL_BACKEND_CODES,
     KERNEL_GAUGE,
+    c_available,
     numba_available,
 )
 from repro.engine.vectorized import (
@@ -51,6 +52,13 @@ KERNEL_BACKENDS = [
         id="kernel-numba",
         marks=pytest.mark.skipif(
             not numba_available(), reason="numba not installed"
+        ),
+    ),
+    pytest.param(
+        "c",
+        id="kernel-c",
+        marks=pytest.mark.skipif(
+            not c_available(), reason="no working C compiler"
         ),
     ),
 ]
@@ -188,7 +196,7 @@ def test_pipeline_metrics_under_collection():
 
 def test_pipeline_reports_kernel_gauge():
     hi, lo, sizes = columns(8)
-    for backend in ("numpy", "python"):
+    for backend in ("numpy", "python") + (("c",) if c_available() else ()):
         sketch = NumpyCocoSketch(d=2, l=64, seed=1, kernels=backend)
         with obs.collecting() as reg:
             sketch.process_columns(hi, lo, sizes)
@@ -333,8 +341,8 @@ def test_staged_matches_monolithic_split_feeds(cls):
     loop replays the unsharded chunk schedule exactly.
     """
     hi, lo, sizes = trace_columns(40_000, 5_000, seed=5)
-    mono = cls(d=2, l=64, seed=9)
-    staged = cls(d=2, l=64, seed=9)
+    mono = cls(d=2, l=64, seed=9, kernels="numpy")
+    staged = cls(d=2, l=64, seed=9, kernels="numpy")
     mono.update_batch((hi, lo), sizes)
     step = cls.pipeline_chunk
     for start in range(0, len(sizes), step):
@@ -356,8 +364,8 @@ def test_staged_matches_monolithic_hw_replay_any_split():
     multiples — the test above.)
     """
     hi, lo, sizes = trace_columns(20_000, 3_000, seed=7)
-    mono = NumpyHardwareCocoSketch(d=2, l=64, seed=9, replay=True)
-    staged = NumpyHardwareCocoSketch(d=2, l=64, seed=9, replay=True)
+    mono = NumpyHardwareCocoSketch(d=2, l=64, seed=9, replay=True, kernels="numpy")
+    staged = NumpyHardwareCocoSketch(d=2, l=64, seed=9, replay=True, kernels="numpy")
     mono.update_batch((hi, lo), sizes)
     for start in range(0, len(sizes), 1000):
         staged.process_columns(

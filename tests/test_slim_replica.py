@@ -527,7 +527,7 @@ class TestInterleavings:
 
 
 class TestSlimUnbiasedness:
-    TRIALS = 8
+    TRIALS = 24
 
     @pytest.mark.parametrize(
         "spec", random_partial_specs(2, seed=31), ids=lambda s: s.name

@@ -125,7 +125,7 @@ class TestPartialKeyUnbiasedness:
     def test_numpy_partial_keys_unbiased(self, stream, spec):
         _, trace = stream
         assert_partial_key_unbiased(
-            lambda seed: NumpyCocoSketch(d=2, l=256, seed=seed),
+            lambda seed: NumpyCocoSketch(d=2, l=256, seed=seed, kernels="numpy"),
             trace,
             spec,
             trials=self.PK_TRIALS,
